@@ -130,8 +130,9 @@
 //!   agree with filenames. A violation is delta-debugged to a minimal
 //!   chip subset and its earliest violating crash point; stdout is
 //!   byte-identical for any `--workers` count. The `planted-crash`
-//!   cargo feature skips the fsync-before-rename in checkpoint saves so
-//!   CI can prove the checker catches exactly that bug.
+//!   cargo feature skips the fsync-before-rename in atomic writes
+//!   (checkpoint saves and compaction) so CI can prove the checker
+//!   catches exactly that bug.
 //!
 //! `repro fleetd fsck STORE` is the offline store doctor: walk a store
 //! directory (CRC every checkpoint and journal record, spot orphan

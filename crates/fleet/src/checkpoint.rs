@@ -7,11 +7,11 @@
 //! aggregates to *bit-identical* statistics — text round-tripping loses
 //! nothing.
 //!
-//! Saves are atomic and durable: the checkpoint is written to a uniquely
-//! named sibling temp file (pid + counter, so concurrent savers to
-//! sibling paths never collide), fsynced, renamed over the target, and
-//! the parent directory is fsynced so the rename itself survives a crash.
-//! A sweep killed mid-save leaves the previous checkpoint intact.
+//! Saves are atomic and durable ([`vs_guard::durable::atomic_write`]):
+//! the checkpoint is written to a uniquely named sibling temp file,
+//! fsynced, renamed over the target, and the parent directory is fsynced
+//! so the rename itself survives a crash. A sweep killed mid-save leaves
+//! the previous checkpoint intact.
 //!
 //! Each record carries an optional trailing `crc=` field (CRC-32 of the
 //! record body). Loading is deliberately lenient about *records* —
@@ -24,10 +24,10 @@
 use crate::summary::{ChipSummary, CoreMarginSummary};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use vs_guard::crc32;
-use vs_guard::vfs::{self, OpenMode, VfsHandle};
+use vs_guard::durable::atomic_write;
+use vs_guard::vfs::{self, VfsHandle};
 use vs_types::ChipId;
 
 /// File-format magic: first line of every checkpoint.
@@ -317,45 +317,6 @@ pub(crate) fn decode_chip(line: &str) -> Result<Option<ChipSummary>, CheckpointW
     }
 }
 
-/// A process-wide counter making every temp-file name unique: two savers
-/// targeting sibling paths (or the same path, racing) never clobber each
-/// other's in-flight temp file.
-static TEMP_SERIAL: AtomicU64 = AtomicU64::new(0);
-
-/// A temp path unique to this (process, save): `<path>.tmp.<pid>.<n>`.
-pub(crate) fn unique_temp(path: &Path) -> PathBuf {
-    let serial = TEMP_SERIAL.fetch_add(1, Ordering::Relaxed);
-    let pid = std::process::id();
-    let mut name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-    name.push(format!(".tmp.{pid}.{serial}"));
-    path.with_file_name(name)
-}
-
-/// A temp path unique within `vfs`. A backend with a deterministic
-/// [`vs_guard::vfs::Vfs::temp_tag`] (SimFs) names by its own counter so
-/// recorded operation streams are byte-identical across processes; the
-/// production backend falls back to pid-and-serial names.
-pub(crate) fn unique_temp_on(vfs: &VfsHandle, path: &Path) -> PathBuf {
-    match vfs.temp_tag() {
-        Some(tag) => {
-            let mut name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-            name.push(format!(".tmp.{tag}"));
-            path.with_file_name(name)
-        }
-        None => unique_temp(path),
-    }
-}
-
-/// Fsyncs `path`'s parent directory on `vfs` so a just-completed rename
-/// survives a crash. Best-effort: directory fsync is not portable, and a
-/// failure here cannot lose record *content* (the data file itself is
-/// already synced), only the rename's durability.
-pub(crate) fn sync_parent_dir_on(vfs: &VfsHandle, path: &Path) {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        let _ = vfs.sync_dir(parent);
-    }
-}
-
 /// Atomically and durably writes a checkpoint: header, then one line per
 /// summary in chip-id order. The text is written to a uniquely named
 /// sibling temp file, fsynced, renamed over `path`, and the parent
@@ -387,41 +348,8 @@ pub fn save_on(
         text.push_str(&encode_chip(s));
         text.push('\n');
     }
-    let tmp = unique_temp_on(vfs, path);
-    let result = (|| {
-        use std::io::Write as _;
-        // FaultyFs consultation keys on the *final* path so torture
-        // scopes match the store directory, not the temp name. A torn
-        // write here only loses the temp file — the rename never
-        // happens, so the previous checkpoint stays intact.
-        let fault = vfs.faults().write_fault(path, text.len())?;
-        let mut file = vfs.open_write(&tmp, OpenMode::Truncate)?;
-        match fault {
-            vs_guard::fsfault::WriteFault::Intact => file.write_all(text.as_bytes())?,
-            vs_guard::fsfault::WriteFault::Short(n) => {
-                file.write_all(&text.as_bytes()[..n])?;
-                let _ = file.sync_all();
-                return Err(vs_guard::fsfault::short_write_error().into());
-            }
-        }
-        vfs.faults().sync_fault(path)?;
-        // The fsync-before-rename is what makes the rename safe: without
-        // it, a crash after the (metadata-durable) rename can expose a
-        // checkpoint whose *content* never reached the platters. The
-        // `planted-crash` feature removes the barrier so the crash-matrix
-        // CI job can prove the checker catches exactly this bug.
-        #[cfg(not(feature = "planted-crash"))]
-        file.sync_all()?;
-        vfs.rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        // Never leave a stray temp file behind a failed save.
-        let _ = vfs.remove_file(&tmp);
-    } else {
-        sync_parent_dir_on(vfs, path);
-    }
-    result
+    atomic_write(&**vfs, path, |w| w.write_all(text.as_bytes()))?;
+    Ok(())
 }
 
 /// Loads a checkpoint leniently, verifying it belongs to the config with
@@ -648,19 +576,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_saves_to_sibling_paths_do_not_collide() {
-        // The old implementation derived the temp name with
-        // `with_extension("tmp")`, so `a.ckpt` and `a.tmp` (or two racing
-        // savers of the same path) could clobber each other. Unique names
-        // make simultaneous saves safe.
+    fn repeated_saves_leave_no_temp_files() {
         let dir = scratch("unique-temp-dir");
         fs::create_dir_all(&dir).unwrap();
         let target = dir.join("x.ckpt");
-        let a = unique_temp(&target);
-        let b = unique_temp(&target);
-        assert_ne!(a, b, "every save gets its own temp file");
-        let name = a.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(name.starts_with("x.ckpt.tmp."), "{name}");
 
         save(&target, 1, &[summary(0)]).unwrap();
         save(&target, 1, &[summary(0), summary(1)]).unwrap();

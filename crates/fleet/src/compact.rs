@@ -13,19 +13,18 @@
 //! checkpoint save), never by the fleet size. The merge preserves the
 //! chip-id sort order `save` produces — journal records are spliced into
 //! position — and keeps the crash-safety contract of the runner's own
-//! compaction: the merged checkpoint is written to a unique temp file,
-//! fsynced, renamed over the target, the parent directory fsynced, and
-//! only then is the journal truncated. A crash between the two steps
-//! leaves harmless duplicates, never a gap.
+//! compaction: the merged checkpoint is streamed through
+//! [`vs_guard::durable::atomic_write`] (temp file, fsync, rename, parent
+//! directory fsync), and only then is the journal truncated. A crash
+//! between the two steps leaves harmless duplicates, never a gap.
 
-use crate::checkpoint::{
-    decode_chip, sync_parent_dir_on, unique_temp_on, CheckpointError, MAGIC as CKPT_MAGIC,
-};
+use crate::checkpoint::{decode_chip, CheckpointError, MAGIC as CKPT_MAGIC};
 use crate::journal::{replay_journal_streaming_on, ChipJournal};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::path::Path;
-use vs_guard::vfs::{self, OpenMode, VfsHandle};
+use vs_guard::durable::atomic_write;
+use vs_guard::vfs::{self, VfsHandle};
 
 /// What one streaming compaction pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,9 +172,8 @@ pub fn compact_streaming_on(
     let mut replaced = 0u64;
     let mut chips = 0u64;
 
-    let tmp = unique_temp_on(vfs, ckpt);
-    let result = (|| -> Result<(), CheckpointError> {
-        let mut out = BufWriter::new(vfs.open_write(&tmp, OpenMode::Truncate)?);
+    atomic_write(&**vfs, ckpt, |file| {
+        let mut out = BufWriter::new(file);
         writeln!(out, "{CKPT_MAGIC}")?;
         writeln!(out, "fingerprint {fingerprint:016x}")?;
         if vfs.exists(ckpt) {
@@ -216,18 +214,8 @@ pub fn compact_streaming_on(
             writeln!(out, "{record}")?;
             chips += 1;
         }
-        let mut file = out
-            .into_inner()
-            .map_err(|e| CheckpointError::Io(e.into_error()))?;
-        file.sync_all()?;
-        vfs.rename(&tmp, ckpt)?;
-        Ok(())
-    })();
-    if let Err(e) = result {
-        let _ = vfs.remove_file(&tmp);
-        return Err(e);
-    }
-    sync_parent_dir_on(vfs, ckpt);
+        out.flush()
+    })?;
     // The checkpoint now owns every record; truncating the journal is the
     // second, independent step of the crash-safe pair.
     ChipJournal::create_on(vfs, journal, fingerprint)?;

@@ -168,12 +168,11 @@ fn main() -> ExitCode {
     }
 
     // Torture mode: the store-surface counts of the spec's daemon
-    // atoms become a counted fault plan over the store directory. The
-    // guard uninstalls on exit. The daemon's store runs on the real
-    // filesystem whose fault state IS the process-global one, so the
-    // deprecated global shim is exactly right here.
-    #[allow(deprecated)]
-    let _torture_guard = torture.map(|spec| {
+    // atoms become a counted fault plan over the store directory,
+    // installed after boot recovery on the store's own filesystem
+    // handle — the one every job's checkpoint, journal and postmortem
+    // writes go through.
+    if let Some(spec) = torture {
         let plan = match vs_faults::FaultSpec::parse(&spec) {
             Ok(parsed) => parsed.materialize(1),
             Err(e) => die(&format!("bad --torture spec: {e}")),
@@ -193,8 +192,8 @@ fn main() -> ExitCode {
                 store_dir.display()
             );
         }
-        vs_guard::fsfault::install(&store_dir, fs_plan)
-    });
+        store.vfs().faults().install(&store_dir, fs_plan);
+    }
 
     let scheduler = Arc::new(Scheduler::start(config, store));
     if !quiet {

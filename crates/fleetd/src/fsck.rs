@@ -18,6 +18,11 @@
 //! * **Headerless journals** (zero bytes, or a header the crash cut
 //!   short with no records after it) are rebuilt from the fingerprint
 //!   in the file name.
+//!
+//!   Both journal repairs replace the file with
+//!   [`atomic_write`](vs_guard::durable::atomic_write), so a crash
+//!   mid-repair leaves either the damaged or the repaired journal, never
+//!   a shorter one.
 //! * **Unrecoverable files** — wrong magic, a fingerprint that
 //!   contradicts the file name, non-UTF-8 bytes — are moved into
 //!   `<store>/quarantine/` rather than deleted, preserving the evidence
@@ -32,13 +37,11 @@
 //! stores.
 
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
+use vs_guard::durable::{atomic_write, quarantine};
 use vs_guard::unframe;
-use vs_guard::vfs::{OpenMode, VfsHandle};
-
-/// The quarantine subdirectory name, relative to the store root.
-pub const QUARANTINE_DIR: &str = "quarantine";
+use vs_guard::vfs::VfsHandle;
 
 /// What kind of deviation a scrub found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,26 +184,6 @@ enum Health {
     Ok,
     /// The whole file is untrustworthy; the detail says why.
     Bad(String),
-}
-
-/// Overwrites `path` with `bytes` durably (write, fsync). Used for tail
-/// truncation and header rebuilds — cold-path repairs, so rewriting the
-/// whole file is fine.
-fn rewrite(vfs: &VfsHandle, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut file = vfs.open_write(path, OpenMode::Truncate)?;
-    file.write_all(bytes)?;
-    file.flush()?;
-    file.sync_all()
-}
-
-/// Moves `path` into the store's quarantine directory.
-fn quarantine(vfs: &VfsHandle, dir: &Path, path: &Path) -> io::Result<()> {
-    let qdir = dir.join(QUARANTINE_DIR);
-    vfs.create_dir_all(&qdir)?;
-    let name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-    vfs.rename(path, &qdir.join(name))?;
-    let _ = vfs.sync_dir(&qdir);
-    Ok(())
 }
 
 /// Inspects a checkpoint: header magic, fingerprint-vs-file-name
@@ -442,7 +425,7 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
 
         if let Health::Bad(detail) = ckpt_health {
             let action = if repair {
-                quarantine(vfs, dir, &ckpt)?;
+                quarantine(&**vfs, dir, &ckpt)?;
                 quarantined = true;
                 ScrubAction::Quarantined
             } else {
@@ -460,7 +443,7 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
             JournalState::Headerless => {
                 let action = if repair {
                     let header = format!("{}\nfingerprint {fp:016x}\n", vs_fleet::JOURNAL_MAGIC);
-                    rewrite(vfs, &journal, header.as_bytes())?;
+                    atomic_write(&**vfs, &journal, |w| w.write_all(header.as_bytes()))?;
                     ScrubAction::Repaired
                 } else {
                     ScrubAction::Reported
@@ -475,7 +458,7 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
             JournalState::TornTail { line, keep } => {
                 let action = if repair {
                     let bytes = vfs.read(&journal)?;
-                    rewrite(vfs, &journal, &bytes[..keep])?;
+                    atomic_write(&**vfs, &journal, |w| w.write_all(&bytes[..keep]))?;
                     ScrubAction::Repaired
                 } else {
                     ScrubAction::Reported
@@ -489,7 +472,7 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
             }
             JournalState::Bad(detail) => {
                 let action = if repair {
-                    quarantine(vfs, dir, &journal)?;
+                    quarantine(&**vfs, dir, &journal)?;
                     quarantined = true;
                     ScrubAction::Quarantined
                 } else {
@@ -516,8 +499,10 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
     use std::sync::Arc;
-    use vs_guard::vfs::SimFs;
+    use vs_guard::crashcheck::{self, CrashPoint, PendingMode};
+    use vs_guard::vfs::{OpenMode, SimFs};
 
     fn sim() -> (Arc<SimFs>, VfsHandle) {
         let sim = Arc::new(SimFs::new());
@@ -596,6 +581,59 @@ mod tests {
         let repaired = vfs.read_to_string(&journal).unwrap();
         assert!(repaired.ends_with(&format!("{good}\n")), "{repaired:?}");
         assert!(scrub(&vfs, &dir, false).unwrap().clean());
+    }
+
+    #[test]
+    fn torn_tail_repair_is_crash_atomic() {
+        let (sim, vfs) = sim();
+        let dir = store_dir(&vfs);
+        write_pair(&vfs, &dir, 0xCD);
+        let journal = dir.join("00000000000000cd.journal");
+        let records = [
+            vs_guard::frame("chip 0 seed=00"),
+            vs_guard::frame("chip 1 seed=01"),
+        ];
+        let mut text = vfs.read_to_string(&journal).unwrap();
+        for record in &records {
+            text.push_str(record);
+            text.push('\n');
+        }
+        text.push_str(&records[0][..records[0].len() / 2]); // torn mid-append
+        write_file(&vfs, &journal, text.as_bytes());
+        let before = text.into_bytes();
+
+        // Every crash point from the (durable) damaged store onwards is a
+        // crash during the repair.
+        let repair_start = sim.mutations();
+        assert_eq!(scrub(&vfs, &dir, true).unwrap().repairs(), 1);
+        let after = vfs.read(&journal).unwrap();
+        assert_ne!(after, before);
+
+        let points: Vec<CrashPoint> = crashcheck::enumerate(&sim)
+            .into_iter()
+            .filter(|p| p.op >= repair_start)
+            .collect();
+        for point in &points {
+            let found = &sim.crash_image(point).files[&journal];
+            assert!(
+                *found == before || *found == after,
+                "{point}: journal is neither pre- nor post-repair: {:?}",
+                String::from_utf8_lossy(found)
+            );
+            let text = String::from_utf8_lossy(found);
+            for record in &records {
+                assert!(
+                    text.lines().any(|l| l == record.as_str()),
+                    "{point}: whole record {record:?} lost"
+                );
+            }
+        }
+        assert!(
+            points
+                .iter()
+                .any(|p| matches!(p.pending, PendingMode::Torn(_))),
+            "the repair's writes were enumerated with torn variants"
+        );
     }
 
     #[test]

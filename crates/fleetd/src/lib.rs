@@ -53,8 +53,3 @@ pub use fsck::{IssueKind, ScrubAction, ScrubIssue, ScrubReport};
 pub use protocol::{DaemonStats, ProtocolError, Request, Response, SweepSpec};
 pub use scheduler::{config_for, BusyInfo, Scheduler, SchedulerConfig, Submission, WatchChunk};
 pub use store::{BootRecovery, FleetStore, StoreCounters};
-
-/// Serializes tests that install a process-global [`vs_guard::fsfault`]
-/// plan, so parallel test threads never see each other's fault budgets.
-#[cfg(test)]
-pub(crate) static FSFAULT_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -27,6 +27,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use vs_faults::FaultSpec;
 use vs_fleet::{FleetConfig, FleetRunner};
+use vs_guard::vfs::VfsHandle;
 use vs_guard::CancelToken;
 use vs_obs::{names, render_prometheus};
 use vs_telemetry::{MetricsRegistry, TelemetryEvent};
@@ -377,7 +378,7 @@ impl Scheduler {
     /// holds at every quiescent point.
     pub fn metrics(&self) -> String {
         let inner = &self.inner;
-        let fs_faults = vs_guard::fsfault::counters();
+        let fs_faults = inner.store.vfs().faults().counters();
         let store_counters = inner.store.counters();
         let mut reg = MetricsRegistry::new();
         let counters = [
@@ -500,22 +501,13 @@ fn retry_after_hint(running: u64, queued: u64) -> u64 {
     ((running + queued + 1) * 100).min(2_000)
 }
 
-/// Probes whether the store directory accepts writes again, routing the
-/// attempt through the store backend's fault-injection state so a
-/// torture schedule with remaining ENOSPC budget keeps the daemon
-/// parked deterministically.
+/// Probes whether the store directory accepts writes again with a real
+/// durable write through the store backend, so a torture schedule with
+/// remaining ENOSPC budget keeps the daemon parked deterministically.
 fn store_writable(store: &FleetStore) -> bool {
-    use std::io::Write as _;
     let vfs = store.vfs();
     let probe = store.dir().join(".admission-probe");
-    let ok = (|| -> std::io::Result<()> {
-        match vfs.faults().write_fault(&probe, 2)? {
-            vs_guard::fsfault::WriteFault::Intact => vfs
-                .open_write(&probe, vs_guard::vfs::OpenMode::Truncate)?
-                .write_all(b"ok"),
-            vs_guard::fsfault::WriteFault::Short(_) => Err(vs_guard::fsfault::short_write_error()),
-        }
-    })();
+    let ok = vs_guard::durable::atomic_write(&**vfs, &probe, |w| w.write_all(b"ok"));
     let _ = vfs.remove_file(&probe);
     ok.is_ok()
 }
@@ -603,6 +595,7 @@ fn job_terminal(inner: &SchedInner, job: &Job) -> Response {
         }
     };
     let mut runner = runner
+        .with_vfs(VfsHandle::clone(inner.store.vfs()))
         .with_checkpoint(inner.store.checkpoint_path(&config))
         .with_journal(inner.store.journal_path(&config))
         .with_cancel(job.cancel.child())
@@ -695,6 +688,7 @@ mod tests {
     use std::fs;
     use std::path::PathBuf;
     use vs_fleet::ControllerVariant;
+    use vs_guard::fsfault::FsFaultPlan;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -851,6 +845,33 @@ mod tests {
     }
 
     #[test]
+    fn jobs_write_through_the_store_backend() {
+        // The store lives on a simulated filesystem at a path that also
+        // exists, empty, on the real disk. A job's checkpoint and journal
+        // must land in the simulation and nothing on the real disk: the
+        // runner writes through the store's backend, not a default one.
+        let real = scratch("sim-backend");
+        let sim = Arc::new(vs_guard::vfs::SimFs::new());
+        let vfs: VfsHandle = Arc::clone(&sim) as VfsHandle;
+        let store = FleetStore::open_on(&vfs, &real).unwrap();
+        let sched = Scheduler::start(SchedulerConfig::default(), store.clone());
+        let sub = sched.submit(spec(2)).unwrap().unwrap();
+        let events = drain(&sched, sub.job);
+        assert!(
+            matches!(events.last().unwrap(), Response::Done { chips: 2, .. }),
+            "{events:?}"
+        );
+        let config = config_for(&spec(2));
+        for path in [store.checkpoint_path(&config), store.journal_path(&config)] {
+            assert!(vfs.exists(&path), "{} missing in SimFs", path.display());
+        }
+        let on_disk: Vec<_> = fs::read_dir(&real).unwrap().collect();
+        assert!(on_disk.is_empty(), "real disk touched: {on_disk:?}");
+        sched.shutdown();
+        sched.join();
+    }
+
+    #[test]
     fn idempotency_keys_dedup_resubmissions() {
         let store = FleetStore::open(&scratch("dedup")).unwrap();
         let sched = Scheduler::start(SchedulerConfig::default(), store);
@@ -876,12 +897,11 @@ mod tests {
 
     #[test]
     fn enospc_parks_admissions_until_the_store_recovers() {
-        let _serial = crate::FSFAULT_TEST_LOCK.lock().unwrap();
         let dir = scratch("park");
         let store = FleetStore::open(&dir).unwrap();
         store.vfs().faults().install(
             &dir,
-            vs_guard::fsfault::FsFaultPlan {
+            FsFaultPlan {
                 enospc: 12,
                 short_writes: 0,
                 fsync_failures: 0,
@@ -918,7 +938,9 @@ mod tests {
         let snap = vs_obs::PromSnapshot::parse(&sched.metrics()).unwrap();
         assert!(snap.value("voltspec_fleetd_shed_parked").unwrap() >= 1.0);
         assert_eq!(snap.value("voltspec_fleetd_store_parked"), Some(0.0));
-        assert!(snap.value("voltspec_guard_fs_enospc_injected").unwrap() >= 1.0);
+        // The store's handle is the only one the plan lives on, and the
+        // job's runner writes through it: the whole budget is accounted.
+        assert_eq!(snap.value("voltspec_guard_fs_enospc_injected"), Some(12.0));
         sched.shutdown();
         sched.join();
     }

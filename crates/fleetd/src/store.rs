@@ -30,6 +30,7 @@ use std::sync::Arc;
 use vs_fleet::{
     checkpoint_chips_on, compact_streaming_on, CheckpointError, CompactionReport, FleetConfig,
 };
+use vs_guard::durable::quarantine;
 use vs_guard::vfs::{self, VfsHandle};
 
 /// Monotonic counters the store's scrub and recovery paths bump, read
@@ -177,7 +178,7 @@ impl FleetStore {
                         .unwrap_or(0);
                     for path in [&ckpt, &journal] {
                         if self.vfs.exists(path) {
-                            self.quarantine_file(path)?;
+                            quarantine(&*self.vfs, &self.dir, path)?;
                         }
                     }
                     self.counters
@@ -192,13 +193,6 @@ impl FleetStore {
             compactions,
             quarantined,
         })
-    }
-
-    fn quarantine_file(&self, path: &Path) -> io::Result<()> {
-        let qdir = self.dir.join(fsck::QUARANTINE_DIR);
-        self.vfs.create_dir_all(&qdir)?;
-        let name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-        self.vfs.rename(path, &qdir.join(name))
     }
 
     /// Total chip records across every checkpoint in the store, counted

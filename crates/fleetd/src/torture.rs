@@ -15,9 +15,9 @@
 //!   *where* each fault lands is a pure function of the protocol
 //!   exchange — reruns are byte-identical.
 //! * **Store** — the `enospc` / `short-write` / `fsync` atoms install a
-//!   [`vs_guard::fsfault`] plan scoped to the case's store directory, so
-//!   checkpoint saves, journal appends, and postmortem bundles fail on a
-//!   counted schedule.
+//!   [`vs_guard::fsfault`] plan on the case's own store handle, scoped to
+//!   its store directory, so checkpoint saves, journal appends, and
+//!   postmortem bundles fail on a counted schedule.
 //! * **Admission** — the `overload` atom floods the scheduler with
 //!   filler sweeps before the main submission, forcing queue-full sheds
 //!   and `Busy` retries.
@@ -41,7 +41,7 @@ use std::thread;
 use std::time::Duration;
 use vs_faults::{DaemonFaultKind, FaultPlan};
 use vs_fleet::ControllerVariant;
-use vs_guard::fsfault;
+use vs_guard::fsfault::FsFaultPlan;
 
 /// How many injected transport faults of each kind were consumed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -224,9 +224,9 @@ pub struct TortureOutcome {
     pub metrics: String,
 }
 
-/// Runs one seeded torture case end-to-end. Not safe to run
-/// concurrently with another case: the store fault plan is
-/// process-global (single slot).
+/// Runs one seeded torture case end-to-end. Cases in different
+/// directories may run concurrently: the store fault plan lives on the
+/// case's own store handle.
 ///
 /// Returns `Err` only for infrastructure failures (socket, store
 /// creation) or a retry loop that exhausted its generous budget — a
@@ -236,19 +236,18 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     let store_dir = case.dir.join("store");
     std::fs::create_dir_all(&store_dir).map_err(|e| format!("create store dir: {e}"))?;
 
-    // Store faults: scoped to this case's store directory, counted.
-    let fs_plan = fsfault::FsFaultPlan {
-        enospc: case.plan.daemon_fault_count(DaemonFaultKind::Enospc),
-        short_writes: case.plan.daemon_fault_count(DaemonFaultKind::ShortWrite),
-        fsync_failures: case.plan.daemon_fault_count(DaemonFaultKind::FsyncFail),
-    };
-    // The torture store runs on the real filesystem, whose fault state
-    // is the process-global one — the deprecated shim is the intended
-    // single user.
-    #[allow(deprecated)]
-    let _fs_guard = (!fs_plan.is_empty()).then(|| fsfault::install(&store_dir, fs_plan));
-
+    // Store faults: scoped to this case's store directory, counted, and
+    // installed on the store's own filesystem handle — the one every job
+    // of this daemon writes through.
     let store = FleetStore::open(&store_dir).map_err(|e| format!("open store: {e}"))?;
+    store.vfs().faults().install(
+        &store_dir,
+        FsFaultPlan {
+            enospc: case.plan.daemon_fault_count(DaemonFaultKind::Enospc),
+            short_writes: case.plan.daemon_fault_count(DaemonFaultKind::ShortWrite),
+            fsync_failures: case.plan.daemon_fault_count(DaemonFaultKind::FsyncFail),
+        },
+    );
     let sched = Arc::new(Scheduler::start(
         SchedulerConfig {
             workers: 1,

@@ -1,35 +1,31 @@
 //! Deterministic filesystem fault injection ("FaultyFs") for torture
 //! testing the daemon tier.
 //!
-//! The durable-write paths guarded by this crate (journal appends,
-//! checkpoint saves, postmortem bundles) consult a [`FaultState`] before
-//! touching the disk. When no plan is installed the consultation is a
-//! single relaxed atomic load — the production fast path. A torture
-//! harness installs an [`FsFaultPlan`] scoped to a directory prefix, and
-//! writes under that prefix then consume the plan's fault budget in a
-//! fixed, deterministic order:
+//! The durable-write paths of this crate ([`crate::durable::atomic_write`]
+//! and [`crate::JournalWriter`]) consult their filesystem's
+//! [`FaultState`] before touching the disk. When no plan is installed the
+//! consultation is a single relaxed atomic load — the production fast
+//! path. A torture harness installs an [`FsFaultPlan`] scoped to a
+//! directory prefix, and writes under that prefix then consume the plan's
+//! fault budget in a fixed, deterministic order:
 //!
 //! 1. **ENOSPC** — the write fails up front with a "no space left on
 //!    device" error; nothing reaches the file. Callers classify this by
 //!    the error text and can park new work until space returns.
-//! 2. **Short writes** — only a prefix of the payload reaches the file
-//!    before the write fails, simulating a power-loss truncation point:
-//!    the torn prefix *is* durable, exactly what a crash mid-`write(2)`
-//!    leaves behind, so replay-side truncation detection gets exercised.
+//! 2. **Short writes** — the write fails part-way. A journal append
+//!    leaves its torn prefix durable, exactly what a crash mid-`write(2)`
+//!    leaves behind, so replay-side truncation detection gets exercised;
+//!    an atomic whole-file write discards its temp file instead, so the
+//!    previous version stays in place.
 //! 3. **Fsync failures** — the data may be in the page cache but the
 //!    durability barrier fails; acknowledgement must not be sent.
 //!
-//! Fault state is **per [`crate::vfs::Vfs`] instance**: every backend
-//! owns a [`FaultState`], so plans against a simulated filesystem
-//! compose with plans against the real one (and with each other). The
-//! production [`crate::vfs::StdFs`] backend shares one process-global
-//! state ([`global`]), which the deprecated free functions (kept for the
-//! daemon's `--torture` wiring) also target.
-//!
-//! Injected faults are tallied in process-wide monotone counters
-//! ([`counters`]) so the observability plane can prove every injected
-//! fault was accounted for — tallies are global even though budgets are
-//! per-instance, because Prometheus counters must never go backwards.
+//! Fault state is **per [`crate::vfs::Vfs`] instance**: every backend,
+//! [`crate::vfs::StdFs`] handles included, owns its own [`FaultState`],
+//! so a plan reaches exactly the writes made through the handle it was
+//! installed on. Each state also tallies the faults it injected
+//! ([`FaultState::counters`], monotone for the state's lifetime) so the
+//! observability plane can prove every injected fault was accounted for.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,7 +38,7 @@ use std::sync::Mutex;
 pub struct FsFaultPlan {
     /// Writes that fail up front with "no space left on device".
     pub enospc: u32,
-    /// Writes that persist only a prefix (power-loss truncation).
+    /// Writes that fail part-way (power-loss truncation).
     pub short_writes: u32,
     /// Durability barriers (fsync) that fail after the data is written.
     pub fsync_failures: u32,
@@ -55,7 +51,7 @@ impl FsFaultPlan {
     }
 }
 
-/// Process-wide tallies of faults injected since startup (monotone, never
+/// Tallies of the faults one [`FaultState`] has injected (monotone, never
 /// reset — suitable for Prometheus counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsFaultCounters {
@@ -76,18 +72,13 @@ impl FsFaultCounters {
 
 /// What a hooked write should do, as decided by the installed plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// No fault: perform the write normally.
     Intact,
     /// Write only the first `n` bytes of the payload, then fail with
-    /// [`short_write_error`]. The prefix should be made durable first —
-    /// that is what a real power loss leaves behind.
+    /// [`short_write_error`].
     Short(usize),
 }
-
-static INJECTED_ENOSPC: AtomicU64 = AtomicU64::new(0);
-static INJECTED_SHORT: AtomicU64 = AtomicU64::new(0);
-static INJECTED_FSYNC: AtomicU64 = AtomicU64::new(0);
 
 #[derive(Debug)]
 struct Scope {
@@ -96,26 +87,21 @@ struct Scope {
 }
 
 /// Per-filesystem-instance fault-injection state: at most one installed
-/// [`FsFaultPlan`] scoped to a directory prefix.
+/// [`FsFaultPlan`] scoped to a directory prefix, plus the tallies of the
+/// faults it has injected.
 ///
-/// With no plan installed, [`FaultState::write_fault`] and
-/// [`FaultState::sync_fault`] are a single relaxed atomic load — safe on
-/// the production hot path.
+/// With no plan installed, the write and fsync hooks are a single
+/// relaxed atomic load — safe on the production hot path.
 #[derive(Debug, Default)]
 pub struct FaultState {
     active: AtomicBool,
     scope: Mutex<Option<Scope>>,
+    enospc: AtomicU64,
+    short_writes: AtomicU64,
+    fsync_failures: AtomicU64,
 }
 
 impl FaultState {
-    /// A fresh state with no plan installed (const: usable in statics).
-    pub const fn new() -> FaultState {
-        FaultState {
-            active: AtomicBool::new(false),
-            scope: Mutex::new(None),
-        }
-    }
-
     /// Installs `plan` for every durable write whose target path starts
     /// with `prefix`, replacing any previously installed plan.
     pub fn install(&self, prefix: &Path, plan: FsFaultPlan) {
@@ -127,7 +113,7 @@ impl FaultState {
         self.active.store(!plan.is_empty(), Ordering::Release);
     }
 
-    /// Removes the installed plan (idempotent).
+    /// Removes the installed plan (idempotent). The tallies are kept.
     pub fn uninstall(&self) {
         let mut state = self.scope.lock().unwrap();
         *state = None;
@@ -139,12 +125,21 @@ impl FaultState {
         self.scope.lock().unwrap().as_ref().map(|s| s.remaining)
     }
 
+    /// The faults this state has injected so far.
+    pub fn counters(&self) -> FsFaultCounters {
+        FsFaultCounters {
+            enospc: self.enospc.load(Ordering::Relaxed),
+            short_writes: self.short_writes.load(Ordering::Relaxed),
+            fsync_failures: self.fsync_failures.load(Ordering::Relaxed),
+        }
+    }
+
     /// Consults the plan before a durable write of `len` bytes to `path`.
     ///
     /// Returns `Err` for an injected ENOSPC (nothing must be written),
     /// `Ok(WriteFault::Short(n))` when only the first `n` bytes should
     /// land, and `Ok(WriteFault::Intact)` otherwise.
-    pub fn write_fault(&self, path: &Path, len: usize) -> io::Result<WriteFault> {
+    pub(crate) fn write_fault(&self, path: &Path, len: usize) -> io::Result<WriteFault> {
         if !self.active.load(Ordering::Acquire) {
             return Ok(WriteFault::Intact);
         }
@@ -157,12 +152,12 @@ impl FaultState {
         }
         if scope.remaining.enospc > 0 {
             scope.remaining.enospc -= 1;
-            INJECTED_ENOSPC.fetch_add(1, Ordering::Relaxed);
+            self.enospc.fetch_add(1, Ordering::Relaxed);
             return Err(enospc_error());
         }
         if scope.remaining.short_writes > 0 {
             scope.remaining.short_writes -= 1;
-            INJECTED_SHORT.fetch_add(1, Ordering::Relaxed);
+            self.short_writes.fetch_add(1, Ordering::Relaxed);
             return Ok(WriteFault::Short(len / 2));
         }
         Ok(WriteFault::Intact)
@@ -170,7 +165,7 @@ impl FaultState {
 
     /// Consults the plan before an fsync of `path`; `Err` means the
     /// barrier failed and the caller must not acknowledge durability.
-    pub fn sync_fault(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn sync_fault(&self, path: &Path) -> io::Result<()> {
         if !self.active.load(Ordering::Acquire) {
             return Ok(());
         }
@@ -183,115 +178,38 @@ impl FaultState {
         }
         if scope.remaining.fsync_failures > 0 {
             scope.remaining.fsync_failures -= 1;
-            INJECTED_FSYNC.fetch_add(1, Ordering::Relaxed);
-            return Err(fsync_error());
+            self.fsync_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(io::Error::other("injected fault: fsync failed"));
         }
         Ok(())
-    }
-}
-
-/// The fault state shared by every [`crate::vfs::StdFs`] handle — the
-/// process-global slot the daemon's `--torture` flag installs into.
-pub fn global() -> &'static FaultState {
-    static GLOBAL: FaultState = FaultState::new();
-    &GLOBAL
-}
-
-/// Uninstalls the global plan when dropped, so a panicking test cannot
-/// leak faults into its neighbours.
-#[derive(Debug)]
-pub struct FsFaultGuard(());
-
-impl Drop for FsFaultGuard {
-    fn drop(&mut self) {
-        global().uninstall();
-    }
-}
-
-/// Installs `plan` on the process-global [`FaultState`] (the one
-/// [`crate::vfs::StdFs`] consults).
-#[deprecated(
-    since = "0.1.0",
-    note = "install on a specific `Vfs` instance via `vfs.faults().install(..)`; \
-            the global slot only exists for `--torture` wiring"
-)]
-pub fn install(prefix: &Path, plan: FsFaultPlan) -> FsFaultGuard {
-    global().install(prefix, plan);
-    FsFaultGuard(())
-}
-
-/// Removes the global plan (idempotent).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().uninstall()`")]
-pub fn uninstall() {
-    global().uninstall();
-}
-
-/// The global fault budget still unconsumed, if a plan is installed.
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().remaining()`")]
-pub fn remaining() -> Option<FsFaultPlan> {
-    global().remaining()
-}
-
-/// Consults the global plan before a durable write (see
-/// [`FaultState::write_fault`]).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().write_fault(..)`")]
-pub fn write_fault(path: &Path, len: usize) -> io::Result<WriteFault> {
-    global().write_fault(path, len)
-}
-
-/// Consults the global plan before an fsync (see
-/// [`FaultState::sync_fault`]).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().sync_fault(..)`")]
-pub fn sync_fault(path: &Path) -> io::Result<()> {
-    global().sync_fault(path)
-}
-
-/// Process-wide injected-fault tallies.
-pub fn counters() -> FsFaultCounters {
-    FsFaultCounters {
-        enospc: INJECTED_ENOSPC.load(Ordering::Relaxed),
-        short_writes: INJECTED_SHORT.load(Ordering::Relaxed),
-        fsync_failures: INJECTED_FSYNC.load(Ordering::Relaxed),
     }
 }
 
 /// The error an injected ENOSPC surfaces as. The text deliberately
 /// matches the kernel's, so classification by message ("no space left")
 /// treats injected and real exhaustion identically.
-pub fn enospc_error() -> io::Error {
+fn enospc_error() -> io::Error {
     io::Error::new(
         io::ErrorKind::StorageFull,
         "injected fault: no space left on device",
     )
 }
 
-/// The error a short (torn) write surfaces as after its durable prefix.
-pub fn short_write_error() -> io::Error {
+/// The error a short (torn) write surfaces as.
+pub(crate) fn short_write_error() -> io::Error {
     io::Error::new(
         io::ErrorKind::WriteZero,
         "injected fault: short write (power-loss truncation)",
     )
 }
 
-/// The error an injected fsync failure surfaces as.
-pub fn fsync_error() -> io::Error {
-    io::Error::other("injected fault: fsync failed")
-}
-
-/// Serializes unit tests that install plans on the global slot.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The global slot is process-wide; serialize the tests that use it.
-    use super::TEST_LOCK as LOCK;
-
     #[test]
     fn inactive_hooks_are_transparent() {
-        let state = FaultState::new();
+        let state = FaultState::default();
         let p = Path::new("/tmp/anywhere");
         assert_eq!(state.write_fault(p, 100).unwrap(), WriteFault::Intact);
         assert!(state.sync_fault(p).is_ok());
@@ -299,8 +217,7 @@ mod tests {
 
     #[test]
     fn budget_is_consumed_in_order_and_counted() {
-        let state = FaultState::new();
-        let before = counters();
+        let state = FaultState::default();
         let scope = Path::new("/tmp/vs-fsfault-scope");
         state.install(
             scope,
@@ -324,16 +241,24 @@ mod tests {
         // Fsync budget is independent of the write budget.
         assert!(state.sync_fault(&target).is_err());
         assert!(state.sync_fault(&target).is_ok());
-        let after = counters();
-        assert_eq!(after.enospc - before.enospc, 1);
-        assert_eq!(after.short_writes - before.short_writes, 1);
-        assert_eq!(after.fsync_failures - before.fsync_failures, 1);
         assert_eq!(state.remaining(), Some(FsFaultPlan::default()));
+        // Tallies are exact (the state is local) and survive uninstall.
+        state.uninstall();
+        assert_eq!(
+            state.counters(),
+            FsFaultCounters {
+                enospc: 1,
+                short_writes: 1,
+                fsync_failures: 1,
+            }
+        );
+        assert_eq!(state.counters().total(), 3);
+        assert_eq!(state.remaining(), None);
     }
 
     #[test]
     fn paths_outside_the_scope_are_untouched() {
-        let state = FaultState::new();
+        let state = FaultState::default();
         state.install(
             Path::new("/tmp/vs-fsfault-only-here"),
             FsFaultPlan {
@@ -356,8 +281,8 @@ mod tests {
 
     #[test]
     fn instances_are_independent() {
-        let a = FaultState::new();
-        let b = FaultState::new();
+        let a = FaultState::default();
+        let b = FaultState::default();
         let scope = Path::new("/tmp/vs-fsfault-indep");
         a.install(
             scope,
@@ -370,37 +295,5 @@ mod tests {
         assert!(b.write_fault(&target, 4).is_ok(), "b has no plan");
         assert!(a.write_fault(&target, 4).is_err(), "a consumed its own");
         assert_eq!(b.remaining(), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn global_shim_targets_the_stdfs_state_and_uninstalls_on_drop() {
-        let _l = LOCK.lock().unwrap();
-        let scope = Path::new("/tmp/vs-fsfault-global");
-        {
-            let _g = install(
-                scope,
-                FsFaultPlan {
-                    enospc: 2,
-                    ..Default::default()
-                },
-            );
-            // The shim and the StdFs-shared state are the same slot.
-            assert!(global().write_fault(&scope.join("f"), 4).is_err());
-            assert_eq!(
-                remaining(),
-                Some(FsFaultPlan {
-                    enospc: 1,
-                    ..Default::default()
-                })
-            );
-        }
-        assert_eq!(global().remaining(), None, "guard uninstalls on drop");
-        assert_eq!(
-            write_fault(&scope.join("f"), 4).unwrap(),
-            WriteFault::Intact
-        );
-        assert!(sync_fault(&scope.join("f")).is_ok());
-        uninstall(); // idempotent
     }
 }

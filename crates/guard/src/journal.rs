@@ -15,6 +15,7 @@
 //! corrupt — rather than silently mis-parsed.
 
 use crate::crc32::crc32;
+use crate::fsfault::{short_write_error, WriteFault};
 use crate::vfs::{self, OpenMode, VfsFile, VfsHandle};
 use std::fmt;
 use std::io::{self, Write as _};
@@ -102,10 +103,10 @@ impl JournalWriter {
     /// mid-run.
     pub fn create_on(vfs: &VfsHandle, path: &Path, header: &[&str]) -> io::Result<JournalWriter> {
         let header_len: usize = header.iter().map(|l| l.len() + 1).sum();
-        if let crate::fsfault::WriteFault::Short(_) = vfs.faults().write_fault(path, header_len)? {
+        if let WriteFault::Short(_) = vfs.faults().write_fault(path, header_len)? {
             // A torn header leaves no usable journal; surface it as the
             // creation failing outright.
-            return Err(crate::fsfault::short_write_error());
+            return Err(short_write_error());
         }
         let file = vfs.open_write(path, OpenMode::Truncate)?;
         let mut writer = JournalWriter {
@@ -132,8 +133,8 @@ impl JournalWriter {
     /// like [`create_on`](JournalWriter::create_on); reopening on a full
     /// disk fails.
     pub fn open_append_on(vfs: &VfsHandle, path: &Path) -> io::Result<JournalWriter> {
-        if let crate::fsfault::WriteFault::Short(_) = vfs.faults().write_fault(path, 1)? {
-            return Err(crate::fsfault::short_write_error());
+        if let WriteFault::Short(_) = vfs.faults().write_fault(path, 1)? {
+            return Err(short_write_error());
         }
         let file = vfs.open_write(path, OpenMode::Append)?;
         Ok(JournalWriter {
@@ -154,13 +155,13 @@ impl JournalWriter {
         line.push('\n');
         let bytes = line.as_bytes();
         match self.vfs.faults().write_fault(&self.path, bytes.len())? {
-            crate::fsfault::WriteFault::Intact => self.file.write_all(bytes)?,
-            crate::fsfault::WriteFault::Short(n) => {
+            WriteFault::Intact => self.file.write_all(bytes)?,
+            WriteFault::Short(n) => {
                 self.file.write_all(&bytes[..n])?;
                 // Make the torn prefix durable, as a real crash would.
                 self.file.flush()?;
                 let _ = self.file.sync();
-                return Err(crate::fsfault::short_write_error());
+                return Err(short_write_error());
             }
         }
         self.sync()
@@ -243,16 +244,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn injected_torn_append_is_durable_prefix_and_detected_on_replay() {
-        let _l = crate::fsfault::TEST_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("vs-guard-journal-fsfault");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.journal");
-        let mut w = JournalWriter::create(&path, &["magic v1"]).unwrap();
+        // The plan lives on this handle alone, so no other test's writes
+        // under the same directory can consume it.
+        let vfs = vfs::std_fs();
+        let mut w = JournalWriter::create_on(&vfs, &path, &["magic v1"]).unwrap();
         w.append("record one").unwrap();
 
-        let _g = crate::fsfault::install(
+        vfs.faults().install(
             &dir,
             crate::fsfault::FsFaultPlan {
                 short_writes: 1,

@@ -27,12 +27,17 @@
 //!   records, flushed and fsynced per append, so a SIGKILL at any instant
 //!   loses at most the record being written (and that record is *detected*
 //!   as truncated or corrupt on replay, never silently mis-parsed).
+//! * **Atomic whole-file writes** — [`durable::atomic_write`] (temp file,
+//!   fsync, rename, directory fsync) is the only way the stack replaces a
+//!   file, and [`durable::quarantine`] the only way it moves a damaged one
+//!   aside.
 //! * **Filesystem fault injection** — the [`fsfault`] module ("FaultyFs"):
-//!   every durable write path above consults a deterministic, counted
+//!   both durable write paths above consult a deterministic, counted
 //!   fault budget (ENOSPC, short/torn writes, fsync failures) scoped to a
 //!   directory prefix, so torture harnesses can prove the recovery story
 //!   end to end. With no plan installed the hook is one atomic load.
-//!   Fault state is per-[`vfs::Vfs`]-instance so plans compose.
+//!   Fault state belongs to one [`vfs::Vfs`] instance: a plan reaches only
+//!   the writes made through the handle it was installed on.
 //! * **Crash-consistency checking** — the [`vfs`] module's [`vfs::Vfs`]
 //!   seam routes every durable write through either the real filesystem
 //!   ([`vfs::StdFs`]) or a deterministic recorder ([`vfs::SimFs`]) that
@@ -73,6 +78,7 @@
 mod cancel;
 pub mod crashcheck;
 mod crc32;
+pub mod durable;
 pub mod fsfault;
 mod journal;
 pub mod vfs;

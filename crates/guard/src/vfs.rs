@@ -13,7 +13,9 @@
 //! * [`StdFs`] — the production backend. Every method is a thin forward
 //!   to `std::fs`; the only extra cost over calling `std::fs` directly is
 //!   one dynamic dispatch, and its fault hook is a single relaxed atomic
-//!   load when no fault plan is installed.
+//!   load when no fault plan is installed. Each handle owns its fault
+//!   state, so a plan installed on one store's handle never reaches
+//!   another's writes.
 //! * [`SimFs`] — a deterministic in-memory filesystem that records every
 //!   mutation as a numbered operation ([`SimOp`]) and can materialize the
 //!   disk image as of any [`CrashPoint`]: any operation index, with the
@@ -32,15 +34,16 @@
 //! any subset a real kernel would leave behind.
 //!
 //! Durability code is written against [`VfsHandle`] (an `Arc<dyn Vfs>`)
-//! so a recording [`SimFs`] and the real [`StdFs`] are interchangeable.
+//! so a recording [`SimFs`] and the real [`StdFs`] are interchangeable;
+//! whole-file writes and quarantine moves go through [`crate::durable`].
 
-use crate::fsfault::{self, FaultState};
+use crate::fsfault::FaultState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// How [`Vfs::open_write`] positions the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +69,10 @@ pub trait VfsFile: io::Write + Send {
 /// The filesystem operations the durability stack needs.
 ///
 /// Deliberately small: open-for-write, whole-file reads, rename, remove,
-/// mkdir, directory listing, and directory sync. Callers consult
-/// [`Vfs::faults`] before durable writes (the FaultyFs torture hook) and
-/// may drop [`Vfs::mark`] labels to tag acknowledgement points in the
-/// recorded operation stream.
+/// mkdir, directory listing, and directory sync. The durable writers of
+/// this crate consult [`Vfs::faults`] before writing (the FaultyFs
+/// torture hook), and callers may drop [`Vfs::mark`] labels to tag
+/// acknowledgement points in the recorded operation stream.
 pub trait Vfs: fmt::Debug + Send + Sync {
     /// Opens `path` for writing in the given mode.
     fn open_write(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn VfsFile>>;
@@ -130,21 +133,21 @@ pub trait Vfs: fmt::Debug + Send + Sync {
 /// A shared, clonable handle to a [`Vfs`] backend.
 pub type VfsHandle = Arc<dyn Vfs>;
 
-/// The process-wide production backend (one shared [`StdFs`]).
+/// A new production backend handle with its own, empty fault state.
 pub fn std_fs() -> VfsHandle {
-    static STD: OnceLock<VfsHandle> = OnceLock::new();
-    Arc::clone(STD.get_or_init(|| Arc::new(StdFs)))
+    Arc::new(StdFs::default())
 }
 
 // ---------------------------------------------------------------------------
 // StdFs: the production backend.
 // ---------------------------------------------------------------------------
 
-/// The real filesystem. All methods forward to `std::fs`; the fault
-/// state is the process-global FaultyFs slot, so the existing `--torture`
-/// wiring keeps working unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StdFs;
+/// The real filesystem. All methods forward to `std::fs`; the handle owns
+/// its fault state, which starts with no plan installed.
+#[derive(Debug, Default)]
+pub struct StdFs {
+    faults: FaultState,
+}
 
 #[derive(Debug)]
 struct StdFile(File);
@@ -234,7 +237,7 @@ impl Vfs for StdFs {
     }
 
     fn faults(&self) -> &FaultState {
-        fsfault::global()
+        &self.faults
     }
 }
 
@@ -837,21 +840,30 @@ mod tests {
 
     #[test]
     fn per_instance_faults_do_not_leak_across_instances() {
+        let plan = crate::fsfault::FsFaultPlan {
+            enospc: 1,
+            ..Default::default()
+        };
         let (_a, vfs_a) = sim();
         let (_b, vfs_b) = sim();
-        vfs_a.faults().install(
-            Path::new("/vsim"),
-            fsfault::FsFaultPlan {
-                enospc: 1,
-                ..Default::default()
-            },
-        );
+        vfs_a.faults().install(Path::new("/vsim"), plan);
         let p = Path::new("/vsim/x");
         assert!(vfs_a.faults().write_fault(p, 8).is_err());
         assert!(
             vfs_b.faults().write_fault(p, 8).is_ok(),
             "instance B has its own empty fault state"
         );
+
+        // Two real-filesystem handles under one directory prefix are just
+        // as independent: a plan on one never reaches the other's writes.
+        let dir = std::env::temp_dir().join("vs-guard-vfs-two-stdfs");
+        let (std_a, std_b) = (std_fs(), std_fs());
+        std_a.faults().install(&dir, plan);
+        let target = dir.join("store/x.ckpt");
+        assert!(std_b.faults().write_fault(&target, 8).is_ok());
+        assert_eq!(std_b.faults().counters().total(), 0);
+        assert!(std_a.faults().write_fault(&target, 8).is_err());
+        assert_eq!(std_a.faults().counters().enospc, 1);
     }
 
     #[test]

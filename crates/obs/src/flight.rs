@@ -17,7 +17,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use vs_guard::{frame, unframe, FrameError};
 use vs_telemetry::TelemetryEvent;
@@ -260,55 +260,32 @@ impl From<io::Error> for BundleError {
 }
 
 /// Writes `bundle` into `dir` (created if needed) crash-safely: every
-/// line CRC-framed, content flushed and fsynced to a unique temp file,
-/// then renamed into place and the directory fsynced. Returns the final
-/// path. An existing bundle of the same name is replaced atomically —
-/// re-running the same job re-dumps the identical bytes.
+/// line CRC-framed, the whole file written through
+/// [`vs_guard::durable::atomic_write`] (temp file, fsync, rename,
+/// directory fsync). Returns the final path. An existing bundle of the
+/// same name is replaced atomically — re-running the same job re-dumps
+/// the identical bytes.
 pub fn write_bundle(dir: &Path, bundle: &PostmortemBundle) -> io::Result<PathBuf> {
     write_bundle_on(&vs_guard::vfs::std_fs(), dir, bundle)
 }
 
 /// [`write_bundle`] against an explicit filesystem backend — the seam
-/// the crash-consistency checker records through.
+/// the crash-consistency checker records through. A failed write
+/// degrades gracefully upstream: the runner records the loss in the
+/// degradation report instead of failing the job.
 pub fn write_bundle_on(
     vfs: &vs_guard::vfs::VfsHandle,
     dir: &Path,
     bundle: &PostmortemBundle,
 ) -> io::Result<PathBuf> {
-    use vs_guard::vfs::OpenMode;
     vfs.create_dir_all(dir)?;
     let path = dir.join(bundle.file_name());
-    let tag = vfs
-        .temp_tag()
-        .unwrap_or_else(|| std::process::id().to_string());
-    let tmp = dir.join(format!(".{}.tmp.{}", bundle.file_name(), tag));
     let mut text = String::new();
     for line in bundle.to_lines() {
         text.push_str(&frame(&line));
         text.push('\n');
     }
-    // FaultyFs consultation (keyed on the final path): a failed bundle
-    // write degrades gracefully upstream — the runner records the loss
-    // in the degradation report instead of failing the job.
-    let fault = vfs.faults().write_fault(&path, text.len())?;
-    let mut file = vfs.open_write(&tmp, OpenMode::Truncate)?;
-    match fault {
-        vs_guard::fsfault::WriteFault::Intact => file.write_all(text.as_bytes())?,
-        vs_guard::fsfault::WriteFault::Short(n) => {
-            file.write_all(&text.as_bytes()[..n])?;
-            let _ = file.sync();
-            drop(file);
-            let _ = vfs.remove_file(&tmp);
-            return Err(vs_guard::fsfault::short_write_error());
-        }
-    }
-    vfs.faults().sync_fault(&path)?;
-    file.flush()?;
-    file.sync()?;
-    drop(file);
-    vfs.rename(&tmp, &path)?;
-    // Make the rename itself durable.
-    let _ = vfs.sync_dir(dir);
+    vs_guard::durable::atomic_write(&**vfs, &path, |w| w.write_all(text.as_bytes()))?;
     Ok(path)
 }
 

@@ -317,13 +317,8 @@ fn run_to_end(scheduler: &Scheduler, sweep: SweepSpec) -> JobOutcome {
 // Daemon-tier torture: seeded fault schedules against a live daemon.
 // ---------------------------------------------------------------------------
 
-use std::sync::Mutex;
 use vs_faults::{minimize, FaultPlan, FaultSpec};
 use vs_fleetd::torture::{run_torture_case, torture_diverges, TortureCase};
-
-/// The injected store-fault plan is process-global (one slot), so
-/// torture cases from different test threads must never overlap.
-static TORTURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// The acceptance gate of the torture layer: a seeded schedule mixing
 /// every injection surface — torn frames, a dropped connection, a
@@ -333,7 +328,6 @@ static TORTURE_LOCK: Mutex<()> = Mutex::new(());
 /// in the scraped metrics snapshot.
 #[test]
 fn seeded_torture_schedule_is_survived_byte_identically() {
-    let _l = TORTURE_LOCK.lock().unwrap();
     let plan = FaultSpec::parse(
         "daemon:torn:2,daemon:disconnect:1,daemon:stall:1,daemon:enospc:2,daemon:overload:3",
     )
@@ -408,7 +402,6 @@ fn seeded_torture_schedule_is_survived_byte_identically() {
 /// keys exist for.
 #[test]
 fn planted_idempotency_bug_shrinks_to_the_same_reproducer_for_any_worker_count() {
-    let _l = TORTURE_LOCK.lock().unwrap();
     let plan = FaultSpec::parse("daemon:torn:1,daemon:disconnect:2,daemon:stall:1")
         .unwrap()
         .materialize(1);
