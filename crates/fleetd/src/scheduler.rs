@@ -16,7 +16,8 @@
 //! frames, then exactly one terminal frame — under a mutex + condvar.
 //! A `Watch` replays the buffer from the start and then follows live,
 //! so watchers can attach before, during, or after the run and see the
-//! same stream.
+//! same stream. Only the newest [`RETAINED_TERMINAL_JOBS`] finished jobs
+//! keep their streams; older ones are forgotten on the next admission.
 
 use crate::protocol::{DaemonStats, Response, SweepSpec};
 use crate::store::FleetStore;
@@ -32,6 +33,15 @@ use vs_guard::CancelToken;
 use vs_obs::{names, render_prometheus};
 use vs_telemetry::{MetricsRegistry, TelemetryEvent};
 use vs_types::{FleetSeed, SimTime};
+
+/// How many finished jobs the scheduler remembers. Each keeps its whole
+/// event stream (about 1.4 KB for a 4-chip sweep) for `watch` replay and
+/// idempotent resubmission; each admission evicts the oldest finished
+/// jobs beyond this many, so a long-lived daemon's memory stays bounded.
+/// An evicted job is an unknown id to `watch` and `cancel`, and its
+/// idempotency key is released — a keyed resubmission then runs afresh
+/// and resumes its chips from the store.
+pub const RETAINED_TERMINAL_JOBS: usize = 128;
 
 /// Scheduler tunables, set once at daemon startup.
 #[derive(Debug, Clone)]
@@ -285,6 +295,7 @@ impl Scheduler {
                 parked: false,
             }));
         }
+        self.evict_terminal_jobs();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         if !spec.key.is_empty() {
             lock(&self.inner.keys).insert(spec.key.clone(), id);
@@ -308,6 +319,29 @@ impl Scheduler {
             job: id,
             deduped: false,
         }))
+    }
+
+    /// Forgets the oldest finished jobs beyond [`RETAINED_TERMINAL_JOBS`],
+    /// releasing each one's idempotency key unless the key has since been
+    /// bound to a newer job.
+    fn evict_terminal_jobs(&self) {
+        let mut jobs = lock(&self.inner.jobs);
+        if jobs.len() <= RETAINED_TERMINAL_JOBS {
+            return;
+        }
+        let finished: Vec<u64> = jobs
+            .iter()
+            .filter(|(_, job)| lock(&job.state).terminal)
+            .map(|(&id, _)| id)
+            .collect();
+        let excess = finished.len().saturating_sub(RETAINED_TERMINAL_JOBS);
+        let mut keys = lock(&self.inner.keys);
+        for id in &finished[..excess] {
+            let Some(job) = jobs.remove(id) else { continue };
+            if keys.get(&job.spec.key) == Some(id) {
+                keys.remove(&job.spec.key);
+            }
+        }
     }
 
     /// Queue state for a shed, with a deterministic backoff hint scaled
@@ -891,6 +925,58 @@ mod tests {
         let snap = vs_obs::PromSnapshot::parse(&sched.metrics()).unwrap();
         assert_eq!(snap.value("voltspec_fleetd_jobs_deduped"), Some(1.0));
         assert_eq!(snap.value("voltspec_fleetd_jobs_submitted"), Some(1.0));
+        sched.shutdown();
+        sched.join();
+    }
+
+    #[test]
+    fn finished_jobs_beyond_the_retention_cap_are_forgotten() {
+        let store = FleetStore::open(&scratch("retention")).unwrap();
+        let sched = Scheduler::start(SchedulerConfig::default(), store);
+        let mut keyed = spec(2);
+        keyed.key = "evicted-spec".into();
+        let first = sched.submit(keyed.clone()).unwrap().unwrap();
+        drain(&sched, first.job);
+        // Fillers repeat the first config under new keys, so each one is
+        // a cheap resume (every chip comes from the store).
+        for i in 0..RETAINED_TERMINAL_JOBS + 3 {
+            let mut filler = spec(2);
+            filler.key = format!("filler-{i}");
+            let job = sched.submit(filler).unwrap().unwrap().job;
+            drain(&sched, job);
+        }
+        // The newest job is a fresh sweep that streams its chips.
+        let mut fresh = spec(2);
+        fresh.seed = 8;
+        let newest = sched.submit(fresh).unwrap().unwrap().job;
+        let live = drain(&sched, newest);
+        assert_eq!(live.len(), 3, "two chips and the terminal: {live:?}");
+        let retained = lock(&sched.inner.jobs).len();
+        assert!(
+            retained <= RETAINED_TERMINAL_JOBS + 1,
+            "{retained} jobs retained"
+        );
+        assert!(
+            sched.watch(first.job, 0, Duration::ZERO).is_none(),
+            "the oldest job is an unknown id"
+        );
+        assert!(!sched.cancel(first.job));
+        assert_eq!(
+            drain(&sched, newest),
+            live,
+            "the newest job replays in full"
+        );
+        // The evicted job's key was released: resubmitting it admits a
+        // fresh job, which resumes every chip from the store.
+        let again = sched.submit(keyed).unwrap().unwrap();
+        assert!(!again.deduped);
+        assert_ne!(again.job, first.job);
+        match drain(&sched, again.job).last().unwrap() {
+            Response::Done { chips, resumed, .. } => {
+                assert_eq!((*chips, *resumed), (2, 2));
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
         sched.shutdown();
         sched.join();
     }

@@ -94,12 +94,13 @@ impl CellBank {
     /// Scans one `sets × ways` structure and retains its `k_lines` weakest
     /// lines with full per-cell data.
     ///
-    /// The scan ranks every line by the critical voltage of its weakest
-    /// cell (first order statistic; the full per-cell computation only
-    /// runs for the rare words whose top draw lands above the
-    /// manufacturing screen), then materializes the survivors. Both passes
-    /// reuse one scratch buffer — steady-state the build performs no
-    /// allocation beyond the output arrays.
+    /// The first pass ranks every line by the critical voltage of its
+    /// weakest cell ([`ChipVariation::line_weakest_vc_mv`]: one key hash
+    /// per word, one probit per line, the full per-cell computation only
+    /// for lines that reach the manufacturing screen) and keeps the top
+    /// `k_lines` in a bounded insertion list. The second pass materializes
+    /// the survivors. Both passes reuse scratch buffers — steady-state the
+    /// build performs no allocation beyond the output arrays.
     ///
     /// # Panics
     ///
@@ -126,35 +127,30 @@ impl CellBank {
         let base_noise = variation.params().structure(kind, mode).read_noise_mv;
         let temp_coeff = variation.params().temp_coeff_mv_per_c;
 
-        // First pass: rank all lines by their weakest cell. Iteration
-        // order (sets outer, ways inner) and the stable descending sort
-        // reproduce the scalar table scan exactly, ties included.
+        // First pass: rank all lines by their weakest cell, in scan order
+        // (sets outer, ways inner), keeping the first `k_lines` of a
+        // stable descending sort — the scalar table scan's ranking, ties
+        // included.
+        let structure_mu = variation.structure_mu_mv(core, kind, mode);
         let mut scratch: Vec<WeakCell> = Vec::with_capacity(k);
-        let mut ranked: Vec<(SetWay, f64)> = Vec::with_capacity(sets * ways);
+        let mut draws: Vec<f64> = Vec::with_capacity(words_per_line);
+        let mut ranked: Vec<(SetWay, f64)> = Vec::with_capacity(k_lines + 1);
         for set in 0..sets {
             for way in 0..ways {
                 let location = SetWay::new(set, way);
-                let mu = variation.word_mu_mv(core, kind, location, mode);
-                let mut line_max = f64::NEG_INFINITY;
-                for word in 0..words_per_line as u32 {
-                    let vc = variation.word_weakest_vc_mv(
-                        mu,
-                        core,
-                        kind,
-                        location,
-                        word,
-                        mode,
-                        &mut scratch,
-                    );
-                    if vc > line_max {
-                        line_max = vc;
-                    }
-                }
-                ranked.push((location, line_max));
+                let line_max = variation.line_weakest_vc_mv(
+                    structure_mu,
+                    core,
+                    kind,
+                    location,
+                    words_per_line as u32,
+                    mode,
+                    &mut draws,
+                    &mut scratch,
+                );
+                insert_top_k(&mut ranked, k_lines, location, line_max);
             }
         }
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite voltages"));
-        ranked.truncate(k_lines);
 
         // Second pass: materialize full cell data for the survivors.
         let mut lines = Vec::with_capacity(ranked.len());
@@ -358,6 +354,19 @@ impl CellBank {
         let p_uncorrectable = (1.0 - p_no_uncorrectable).max(0.0);
         (p_all_clean, p_correctable, p_uncorrectable)
     }
+}
+
+/// Offers one line to a descending list of at most `k` entries. The line
+/// enters only if strictly weaker than the current k-th and lands after
+/// every entry it ties with, so feeding lines in scan order leaves exactly
+/// the first `k` of a stable descending sort of all of them.
+fn insert_top_k(ranked: &mut Vec<(SetWay, f64)>, k: usize, location: SetWay, vc_mv: f64) {
+    if ranked.len() == k && vc_mv <= ranked[k - 1].1 {
+        return;
+    }
+    let at = ranked.partition_point(|&(_, v)| v >= vc_mv);
+    ranked.insert(at, (location, vc_mv));
+    ranked.truncate(k);
 }
 
 /// `(no error, exactly one, two or more)` flip probabilities of one word
@@ -653,6 +662,108 @@ mod tests {
                     assert_eq!(fast, full, "set {set} way {way} word {word}");
                 }
             }
+        }
+    }
+
+    /// The ranking the bank must reproduce: every word through the
+    /// per-word [`ChipVariation::word_weakest_vc_mv`], a full stable
+    /// descending sort, then truncation.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_ranking(
+        v: &ChipVariation,
+        core: CoreId,
+        kind: CacheKind,
+        mode: VddMode,
+        sets: usize,
+        ways: usize,
+        words: usize,
+        k_lines: usize,
+    ) -> Vec<(SetWay, u64)> {
+        let mut scratch = Vec::new();
+        let mut ranked = Vec::new();
+        for set in 0..sets {
+            for way in 0..ways {
+                let loc = SetWay::new(set, way);
+                let mu = v.word_mu_mv(core, kind, loc, mode);
+                let mut line_max = f64::NEG_INFINITY;
+                for word in 0..words as u32 {
+                    let vc = v.word_weakest_vc_mv(mu, core, kind, loc, word, mode, &mut scratch);
+                    if vc > line_max {
+                        line_max = vc;
+                    }
+                }
+                ranked.push((loc, line_max));
+            }
+        }
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        ranked.truncate(k_lines);
+        ranked
+            .into_iter()
+            .map(|(l, vc)| (l, vc.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn bank_ranking_equals_reference_scan_over_a_die_population() {
+        // Table-I L2 geometry (sets, ways, 8-byte words per 128-byte
+        // line) and the platform's 24-line tracking depth. The small
+        // screen margin puts many line maxima above the manufacturing
+        // screen, so the per-word fallback is exercised too.
+        const GEOMETRY: [(CacheKind, usize, usize); 2] = [
+            (CacheKind::L2Data, 256, 8),
+            (CacheKind::L2Instruction, 512, 8),
+        ];
+        const LINE_WORDS: usize = 16;
+        const TRACKED: usize = 24;
+        let screened = SramParams {
+            screen_margin_mv: 110.0,
+            ..SramParams::default()
+        };
+        let mut structures = 0;
+        for params in [SramParams::default(), screened] {
+            for seed in 0..16u64 {
+                let v = ChipVariation::new(0xD1E5 + seed, params.clone());
+                for mode in [VddMode::LowVoltage, VddMode::Nominal] {
+                    for (kind, sets, ways) in GEOMETRY {
+                        for core in [CoreId(0), CoreId(1)] {
+                            let bank = CellBank::build(
+                                &v, core, kind, mode, sets, ways, LINE_WORDS, TRACKED,
+                            );
+                            let got: Vec<(SetWay, u64)> = bank
+                                .lines()
+                                .iter()
+                                .map(|l| (l.location, l.weakest_vc_mv.to_bits()))
+                                .collect();
+                            let want = reference_ranking(
+                                &v, core, kind, mode, sets, ways, LINE_WORDS, TRACKED,
+                            );
+                            assert_eq!(got, want, "seed {seed} {mode:?} {kind:?} {core:?}");
+                            structures += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(structures, 256);
+    }
+
+    #[test]
+    fn bounded_insertion_is_a_truncated_stable_sort() {
+        // Few distinct voltages, so nearly every entry ties with others:
+        // the order among equals must be scan order, as in a stable sort.
+        let mut draw = CounterRng::from_key(17, &[]);
+        for k in [1, 3, 8, 40] {
+            let entries: Vec<(SetWay, f64)> = (0..200)
+                .map(|i| (SetWay::new(i, 0), draw.next_below(6) as f64))
+                .collect();
+            let mut ranked = Vec::new();
+            for &(loc, vc) in &entries {
+                insert_top_k(&mut ranked, k, loc, vc);
+            }
+            let mut want = entries.clone();
+            want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            want.truncate(k);
+            assert_eq!(ranked, want, "k = {k}");
         }
     }
 

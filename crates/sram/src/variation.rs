@@ -6,13 +6,28 @@
 //! paper's "deterministic error distribution" (§II-D) by construction.
 
 use crate::params::SramParams;
-use vs_types::rng::CounterRng;
+use vs_types::rng::{hash_key, key_extend, CounterRng};
 use vs_types::stats::normal_quantile;
 use vs_types::{CacheKind, CoreId, Millivolts, SetWay, VddMode};
 
 /// Bits per ECC word over which the order statistics are taken (64 data +
 /// 8 check bits of the (72,64) cache geometry).
 pub const BITS_PER_WORD: u64 = 72;
+
+/// Relative guard of the per-line weakest-cell scan: only words whose first
+/// order-statistic draw `u` lies within this fraction of the line's largest
+/// draw have their natural critical voltage evaluated.
+///
+/// `natural(u) = mu + Φ⁻¹(clamp(u^(1/72)))·σ` is non-decreasing in `u`, so
+/// the line's maximum belongs to its largest draws. The guard only has to
+/// absorb the places where the floating-point evaluation can disagree with
+/// that order: `powf`'s sub-ulp error (relative ~1e-16) and the branch
+/// joints of Acklam's probit (relative error ≤ 1.15e-9 in `z`). A relative
+/// gap of 1e-6 in `u` is a gap of ~1.4e-8 in `u^(1/72)` and at least ~2e-8
+/// in `z` over the clamped range `u ≥ 1e-12` — more than ten times any
+/// of those errors — so every word outside the guard has a strictly lower
+/// natural voltage than the line's largest draw.
+pub(crate) const LINE_SCAN_GUARD: f64 = 1.0e-6;
 
 /// One tracked weak cell of a word.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,9 +176,37 @@ impl ChipVariation {
         location: SetWay,
         mode: VddMode,
     ) -> f64 {
-        self.params.structure(cache, mode).mu_vc_mv
-            + self.core_offset_mv(core, mode)
-            + self.line_offset_mv(core, cache, location, mode)
+        self.structure_mu_mv(core, cache, mode) + self.line_offset_mv(core, cache, location, mode)
+    }
+
+    /// The part of [`ChipVariation::word_mu_mv`] shared by every line of
+    /// one structure of one core: structure mean plus core offset. The sum
+    /// is taken left to right, so adding the line offset afterwards gives
+    /// the same bits as `word_mu_mv`.
+    pub(crate) fn structure_mu_mv(&self, core: CoreId, cache: CacheKind, mode: VddMode) -> f64 {
+        self.params.structure(cache, mode).mu_vc_mv + self.core_offset_mv(core, mode)
+    }
+
+    /// The key state shared by the word-cell streams of one line; word
+    /// `w`'s stream is keyed by `key_extend(prefix, w)`.
+    fn word_key_prefix(&self, core: CoreId, cache: CacheKind, location: SetWay) -> u64 {
+        hash_key(
+            self.seed,
+            &[
+                tag::WORD_CELLS,
+                core.0 as u64,
+                cache.stream_id(),
+                location.set as u64,
+                location.way as u64,
+            ],
+        )
+    }
+
+    fn word_rng(&self, core: CoreId, cache: CacheKind, location: SetWay, word: u32) -> CounterRng {
+        CounterRng::new(key_extend(
+            self.word_key_prefix(core, cache, location),
+            u64::from(word),
+        ))
     }
 
     /// Computes one word's tracked cells into a caller-provided buffer
@@ -185,17 +228,7 @@ impl ChipVariation {
     ) {
         out.clear();
         let sp = self.params.structure(cache, mode);
-        let mut rng = CounterRng::from_key(
-            self.seed,
-            &[
-                tag::WORD_CELLS,
-                core.0 as u64,
-                cache.stream_id(),
-                location.set as u64,
-                location.way as u64,
-                u64::from(word),
-            ],
-        );
+        let mut rng = self.word_rng(core, cache, location, word);
 
         let k = self.params.weak_bits_per_word.max(1);
         let n = BITS_PER_WORD;
@@ -246,9 +279,12 @@ impl ChipVariation {
     /// of the word was replaced at test, so it is exactly
     /// `word_cells(..).weakest().vc_mv` at a third of the cost. When the
     /// draw lands above the screen the replacement reshuffles the
-    /// ordering, so the full per-cell computation is used. Ranking scans
-    /// over whole structures spend almost all their time in the cheap
-    /// branch.
+    /// ordering, so the full per-cell computation is used.
+    ///
+    /// Ranking scans do not call this per word: they use
+    /// [`ChipVariation::line_weakest_vc_mv`], which reaches the same line
+    /// maximum with one probit per line. This per-word form is that scan's
+    /// fallback for lines that reach the screen, and its test oracle.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn word_weakest_vc_mv(
         &self,
@@ -260,22 +296,12 @@ impl ChipVariation {
         mode: VddMode,
         scratch: &mut Vec<WeakCell>,
     ) -> f64 {
-        let sp = self.params.structure(cache, mode);
-        let mut rng = CounterRng::from_key(
-            self.seed,
-            &[
-                tag::WORD_CELLS,
-                core.0 as u64,
-                cache.stream_id(),
-                location.set as u64,
-                location.way as u64,
-                u64::from(word),
-            ],
-        );
-        let u = rng.next_f64().max(1.0e-12);
-        let u_top = u.powf(1.0 / BITS_PER_WORD as f64);
-        let q = u_top.clamp(1.0e-12, 1.0 - 1.0e-12);
-        let natural = mu_mv + normal_quantile(q) * sp.sigma_cell_mv;
+        let sigma = self.params.structure(cache, mode).sigma_cell_mv;
+        let u = self
+            .word_rng(core, cache, location, word)
+            .next_f64()
+            .max(1.0e-12);
+        let natural = top_natural_mv(mu_mv, u, sigma);
         if natural <= self.params.screen_mv(mode) {
             // No replacement anywhere in this word: later order statistics
             // are strictly lower, so the first one is the weakest cell.
@@ -286,6 +312,56 @@ impl ChipVariation {
             .first()
             .expect("a word tracks at least one cell")
             .vc_mv
+    }
+
+    /// The critical voltage of a line's single weakest cell — bit for bit
+    /// the maximum of [`ChipVariation::word_weakest_vc_mv`] over its
+    /// `words` words — given the structure's
+    /// [`structure_mu_mv`](ChipVariation::structure_mu_mv).
+    ///
+    /// The line's key prefix is hashed once, and each word costs one
+    /// key extension and one uniform draw. `powf` and the probit run only
+    /// for the draws within [`LINE_SCAN_GUARD`] of the largest one (almost
+    /// always a single word), which hold the line maximum. If that maximum
+    /// clears the manufacturing screen, some word of the line had a cell
+    /// replaced at test and the per-word loop decides. `draws` and
+    /// `scratch` are reused buffers.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn line_weakest_vc_mv(
+        &self,
+        structure_mu_mv: f64,
+        core: CoreId,
+        cache: CacheKind,
+        location: SetWay,
+        words: u32,
+        mode: VddMode,
+        draws: &mut Vec<f64>,
+        scratch: &mut Vec<WeakCell>,
+    ) -> f64 {
+        let mu = structure_mu_mv + self.line_offset_mv(core, cache, location, mode);
+        let prefix = self.word_key_prefix(core, cache, location);
+        draws.clear();
+        let mut top_draw = 0.0_f64;
+        for word in 0..words {
+            let u = CounterRng::new(key_extend(prefix, u64::from(word)))
+                .next_f64()
+                .max(1.0e-12);
+            top_draw = top_draw.max(u);
+            draws.push(u);
+        }
+        let sigma = self.params.structure(cache, mode).sigma_cell_mv;
+        let floor = top_draw * (1.0 - LINE_SCAN_GUARD);
+        let line_max = draws
+            .iter()
+            .filter(|&&u| u >= floor)
+            .map(|&u| top_natural_mv(mu, u, sigma))
+            .fold(f64::NEG_INFINITY, first_max);
+        if line_max <= self.params.screen_mv(mode) {
+            return line_max;
+        }
+        (0..words)
+            .map(|word| self.word_weakest_vc_mv(mu, core, cache, location, word, mode, scratch))
+            .fold(f64::NEG_INFINITY, first_max)
     }
 
     /// The voltage below which this core's *logic* (not SRAM) fails
@@ -355,6 +431,28 @@ impl ChipVariation {
         // Half-normal weight: aging only ever weakens cells.
         let weight = rng.next_gaussian().abs();
         self.params.aging_mv_per_khour * (age_hours / 1000.0) * weight
+    }
+}
+
+/// A word's highest natural critical voltage from its first (clamped)
+/// order-statistic draw `u`: the maximum of [`BITS_PER_WORD`] uniforms is
+/// `u^(1/72)`, placed on the cell distribution by the probit. The same
+/// arithmetic as the first step of `word_cells_into`.
+#[inline]
+fn top_natural_mv(mu_mv: f64, u: f64, sigma_cell_mv: f64) -> f64 {
+    let q = u
+        .powf(1.0 / BITS_PER_WORD as f64)
+        .clamp(1.0e-12, 1.0 - 1.0e-12);
+    mu_mv + normal_quantile(q) * sigma_cell_mv
+}
+
+/// `max` that keeps the earlier value on ties, like a strict `>` scan.
+#[inline]
+fn first_max(best: f64, v: f64) -> f64 {
+    if v > best {
+        v
+    } else {
+        best
     }
 }
 
@@ -564,6 +662,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn line_scan_equals_the_per_word_maximum() {
+        // With a tight screen, many lines have a word whose first draw
+        // clears it, so both the guarded probit path and the per-word
+        // fallback are compared against the per-word oracle.
+        let params = SramParams {
+            screen_margin_mv: 110.0,
+            ..SramParams::default()
+        };
+        let (mut draws, mut scratch) = (Vec::new(), Vec::new());
+        let mut screened_lines = 0;
+        for (seed, params) in [(5, SramParams::default()), (6, params)] {
+            let c = ChipVariation::new(seed, params);
+            for mode in [VddMode::LowVoltage, VddMode::Nominal] {
+                let kind = CacheKind::L2Data;
+                let core = CoreId(1);
+                let structure_mu = c.structure_mu_mv(core, kind, mode);
+                let screen = c.params().screen_mv(mode);
+                let sigma = c.params().structure(kind, mode).sigma_cell_mv;
+                for set in 0..256 {
+                    let loc = SetWay::new(set, set % 8);
+                    let mu = c.word_mu_mv(core, kind, loc, mode);
+                    assert_eq!(mu, structure_mu + c.line_offset_mv(core, kind, loc, mode));
+                    let mut want = f64::NEG_INFINITY;
+                    let mut screened = false;
+                    for word in 0..16 {
+                        let vc =
+                            c.word_weakest_vc_mv(mu, core, kind, loc, word, mode, &mut scratch);
+                        want = first_max(want, vc);
+                        let u = c.word_rng(core, kind, loc, word).next_f64().max(1.0e-12);
+                        screened |= top_natural_mv(mu, u, sigma) > screen;
+                    }
+                    screened_lines += usize::from(screened);
+                    let got = c.line_weakest_vc_mv(
+                        structure_mu,
+                        core,
+                        kind,
+                        loc,
+                        16,
+                        mode,
+                        &mut draws,
+                        &mut scratch,
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "{mode:?} set {set}");
+                }
+            }
+        }
+        assert!(screened_lines > 0, "the fallback path never ran");
     }
 
     #[test]

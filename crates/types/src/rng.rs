@@ -35,13 +35,25 @@ pub fn splitmix64(mut z: u64) -> u64 {
 
 /// Hashes a structured key (a seed plus a slice of identifier words) into a
 /// single 64-bit state.
+///
+/// The parts are folded in one [`key_extend`] at a time, so a caller
+/// that derives many keys sharing a prefix can hash the prefix once and
+/// extend it per key: `key_extend(hash_key(s, &[a, b]), c)` equals
+/// `hash_key(s, &[a, b, c])` bit for bit.
 #[inline]
 pub fn hash_key(seed: u64, parts: &[u64]) -> u64 {
     let mut state = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
     for &p in parts {
-        state = splitmix64(state ^ p.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        state = key_extend(state, p);
     }
     state
+}
+
+/// Appends one identifier word to a key state produced by [`hash_key`]
+/// (or by an earlier `key_extend`): one `splitmix64` round.
+#[inline]
+pub fn key_extend(state: u64, part: u64) -> u64 {
+    splitmix64(state ^ part.wrapping_mul(0xE703_7ED1_A0B4_28DB))
 }
 
 /// A deterministic counter-based random number generator.
@@ -195,6 +207,21 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), base.len());
+    }
+
+    #[test]
+    fn extending_a_prefix_equals_hashing_the_whole_key() {
+        let mut draw = CounterRng::from_key(0x5EED, &[]);
+        for _ in 0..1_000 {
+            let seed = draw.next_u64();
+            let len = draw.next_below(8) as usize;
+            let parts: Vec<u64> = (0..len).map(|_| draw.next_u64()).collect();
+            let split = draw.next_below(len as u64 + 1) as usize;
+            let extended = parts[split..]
+                .iter()
+                .fold(hash_key(seed, &parts[..split]), |s, &p| key_extend(s, p));
+            assert_eq!(extended, hash_key(seed, &parts), "split {split} of {len}");
+        }
     }
 
     #[test]
