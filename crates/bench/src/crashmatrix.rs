@@ -95,7 +95,7 @@ impl Recording {
 /// Records the store protocol of a sweep over `summaries` onto a fresh
 /// [`SimFs`]: journal create, per-chip fsynced appends (each followed by
 /// an `ack chip=N` mark), a checkpoint save plus journal truncation
-/// every [`CHECKPOINT_EVERY`] chips, and one final streaming compaction.
+/// every `CHECKPOINT_EVERY` chips, and one final streaming compaction.
 ///
 /// A fault-free `SimFs` cannot fail, so recording errors are programmer
 /// errors and panic.

@@ -75,7 +75,7 @@ impl Runner {
     }
 
     /// Runs one benchmark: warm up, pick an iteration count that fills the
-    /// batch budget, time [`BATCHES`] batches, report the best.
+    /// batch budget, time `BATCHES` batches, report the best.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {

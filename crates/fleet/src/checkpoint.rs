@@ -1,11 +1,21 @@
-//! Checkpoint/resume for long fleet sweeps.
+//! The fleet store's file format, shared by checkpoints and journals.
 //!
-//! The checkpoint is a line-oriented text file: a header binding the file
-//! to a [`FleetConfig::fingerprint`](crate::FleetConfig::fingerprint),
-//! then one line per completed chip. Floating-point fields are stored as
-//! their exact IEEE-754 bit patterns (16 hex digits), so a resumed fleet
-//! aggregates to *bit-identical* statistics — text round-tripping loses
-//! nothing.
+//! A store file is line-oriented text. Two header lines bind it to a
+//! [`FleetConfig::fingerprint`](crate::FleetConfig::fingerprint):
+//!
+//! ```text
+//! voltspec-fleet-store v2
+//! fingerprint <16 hex digits>
+//! ```
+//!
+//! Every following line is one completed chip, CRC-framed by
+//! [`vs_guard::frame`] (`<crc32 of payload, 8 hex digits> <payload>`).
+//! A checkpoint holds its records in chip-id order and is replaced whole;
+//! a [journal](crate::ChipJournal) appends them as chips finish. A
+//! journal is therefore a checkpoint tail, and one reader loads both.
+//! Floating-point fields are stored as their exact IEEE-754 bit patterns
+//! (16 hex digits), so a resumed fleet aggregates to *bit-identical*
+//! statistics — text round-tripping loses nothing.
 //!
 //! Saves are atomic and durable ([`vs_guard::durable::atomic_write`]):
 //! the checkpoint is written to a uniquely named sibling temp file,
@@ -13,34 +23,41 @@
 //! so the rename itself survives a crash. A sweep killed mid-save leaves
 //! the previous checkpoint intact.
 //!
-//! Each record carries an optional trailing `crc=` field (CRC-32 of the
-//! record body). Loading is deliberately lenient about *records* —
-//! a truncated final line, a record failing its checksum, or a malformed
-//! record is skipped with a typed [`CheckpointWarning`], never a panic —
-//! while *header* problems (wrong magic, wrong fingerprint) stay hard
-//! errors, because they mean the whole file is the wrong file. Records
-//! written before the `crc=` field existed still load.
+//! Loading is deliberately lenient about *records* — a torn final line,
+//! a record failing its frame checksum, or a payload that does not decode
+//! is skipped with a typed [`CheckpointWarning`], never a panic — while
+//! *header* problems (wrong magic, wrong fingerprint) stay hard errors,
+//! because they mean the whole file is the wrong file.
 
 use crate::summary::{ChipSummary, CoreMarginSummary};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
-use vs_guard::crc32;
 use vs_guard::durable::atomic_write;
 use vs_guard::vfs::{self, VfsHandle};
+use vs_guard::{frame, unframe, FrameError};
 use vs_types::ChipId;
 
-/// File-format magic: first line of every checkpoint.
-pub const MAGIC: &str = "voltspec-fleet-checkpoint v1";
+/// File-format magic: first line of every store file, checkpoint or
+/// journal.
+pub const STORE_MAGIC: &str = "voltspec-fleet-store v2";
 
-/// Why a checkpoint could not be loaded.
+/// The two newline-terminated header lines of a store file bound to
+/// `fingerprint`.
+pub fn store_header(fingerprint: u64) -> String {
+    format!("{STORE_MAGIC}\nfingerprint {fingerprint:016x}\n")
+}
+
+/// Why a checkpoint or journal could not be loaded.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(io::Error),
-    /// The file is not a v1 fleet checkpoint, or a record is malformed.
+    /// The file is not a v2 fleet store file: wrong magic or a bad
+    /// fingerprint line.
     Format(String),
-    /// The checkpoint belongs to a different fleet configuration.
+    /// The file belongs to a different fleet configuration.
     FingerprintMismatch {
         /// Fingerprint of the config attempting to resume.
         expected: u64,
@@ -72,19 +89,19 @@ impl From<io::Error> for CheckpointError {
 }
 
 /// Why one chip record was skipped during a load. Record-level damage is
-/// never fatal: the rest of the checkpoint still resumes.
+/// never fatal: the rest of the file still loads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointWarning {
-    /// The record is missing trailing fields (an interrupted final write).
+    /// The record's frame is cut short (an interrupted final write).
     Truncated,
-    /// The record fails its `crc=` checksum.
+    /// The record fails its frame checksum.
     BadCrc {
-        /// The checksum the record claims.
+        /// The checksum the frame claims.
         expected: u32,
-        /// The checksum of the record body actually present.
+        /// The checksum of the payload actually present.
         found: u32,
     },
-    /// The record does not parse as a chip record.
+    /// The record's payload does not decode as a chip record.
     Malformed(String),
 }
 
@@ -101,11 +118,22 @@ impl fmt::Display for CheckpointWarning {
     }
 }
 
-/// The result of a lenient [`load_report`]: everything that decoded, plus
-/// a typed warning per skipped record (`(1-based line number, warning)`).
+impl From<FrameError> for CheckpointWarning {
+    fn from(e: FrameError) -> CheckpointWarning {
+        match e {
+            FrameError::Truncated => CheckpointWarning::Truncated,
+            FrameError::BadCrc { expected, found } => CheckpointWarning::BadCrc { expected, found },
+        }
+    }
+}
+
+/// The result of a lenient [`load_report`] of a checkpoint or journal:
+/// everything that decoded, plus a typed warning per skipped record
+/// (`(1-based line number, warning)`).
 #[derive(Debug)]
 pub struct CheckpointLoad {
-    /// The summaries that decoded cleanly, in chip-id order.
+    /// The summaries that decoded cleanly, deduplicated by chip id, in
+    /// chip-id order.
     pub summaries: Vec<ChipSummary>,
     /// One entry per skipped record.
     pub warnings: Vec<(usize, CheckpointWarning)>,
@@ -120,14 +148,20 @@ fn malformed(msg: String) -> CheckpointWarning {
 }
 
 fn parse_f64_hex(s: &str) -> Result<f64, CheckpointWarning> {
-    // Exactly 16 hex digits: a shorter string is a truncated write, and
-    // accepting it would silently mis-parse the value.
+    // Exactly 16 hex digits: a shorter string would silently mis-parse.
     if s.len() != 16 {
         return Err(malformed(format!("bad f64 bit pattern {s:?}")));
     }
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|_| malformed(format!("bad f64 bit pattern {s:?}")))
+}
+
+fn parse_f64_list(s: &str) -> Result<Vec<f64>, CheckpointWarning> {
+    s.split(',')
+        .filter(|e| !e.is_empty())
+        .map(parse_f64_hex)
+        .collect()
 }
 
 fn parse_u64(s: &str) -> Result<u64, CheckpointWarning> {
@@ -140,8 +174,20 @@ fn parse_i32(s: &str) -> Result<i32, CheckpointWarning> {
         .map_err(|_| malformed(format!("bad integer {s:?}")))
 }
 
-/// Renders one chip record as a single checkpoint line, ending with a
-/// `crc=` field covering everything before it.
+fn parse_margin(entry: &str) -> Result<CoreMarginSummary, CheckpointWarning> {
+    let mut nums = entry.split(':');
+    let mut next = || {
+        nums.next()
+            .ok_or_else(|| malformed(format!("margin entry {entry:?} truncated")))
+    };
+    Ok(CoreMarginSummary {
+        core: parse_u64(next()?)? as usize,
+        first_error_mv: parse_i32(next()?)?,
+        min_safe_mv: parse_i32(next()?)?,
+    })
+}
+
+/// Renders one chip record payload (unframed, one line).
 pub(crate) fn encode_chip(s: &ChipSummary) -> String {
     let margins = s
         .margins
@@ -150,8 +196,8 @@ pub(crate) fn encode_chip(s: &ChipSummary) -> String {
         .collect::<Vec<_>>()
         .join(";");
     let join_hex = |v: &[f64]| v.iter().map(|x| f64_hex(*x)).collect::<Vec<_>>().join(",");
-    let mut line = format!(
-        "chip {} seed={:016x} margins={} vdd={} red={} es={} ce={} em={} cr={} sw={}",
+    format!(
+        "chip {} seed={:016x} margins={} vdd={} red={} es={} ce={} em={} cr={} sw={} du={} rb={}",
         s.chip.0,
         s.die_seed,
         margins,
@@ -162,164 +208,144 @@ pub(crate) fn encode_chip(s: &ChipSummary) -> String {
         s.emergencies,
         s.crashes,
         f64_hex(s.sw_overhead),
-    );
-    // Resilience counters are appended only when set, keeping clean-fleet
-    // checkpoints byte-identical to the pre-fault format.
-    if s.dues > 0 {
-        line.push_str(&format!(" du={}", s.dues));
-    }
-    if s.rollbacks > 0 {
-        line.push_str(&format!(" rb={}", s.rollbacks));
-    }
-    let crc = crc32(line.as_bytes());
-    line.push_str(&format!(" crc={crc:08x}"));
-    line
+        s.dues,
+        s.rollbacks,
+    )
 }
 
-/// Splits a record's trailing `crc=` field off, if present, returning the
-/// record body and the recorded checksum. Records written before the
-/// `crc=` field existed come back unchanged with no checksum.
-fn split_crc(line: &str) -> Result<(&str, Option<u32>), CheckpointWarning> {
-    match line.rsplit_once(" crc=") {
-        Some((body, hex)) if !hex.contains(' ') => {
-            let crc = u32::from_str_radix(hex, 16)
-                .map_err(|_| malformed(format!("bad crc field {hex:?}")))?;
-            Ok((body, Some(crc)))
-        }
-        _ => Ok((line, None)),
+/// Parses one chip record payload, field by field in the order
+/// [`encode_chip`] writes them.
+pub(crate) fn decode_chip(payload: &str) -> Result<ChipSummary, CheckpointWarning> {
+    let mut fields = payload.split(' ');
+    if fields.next() != Some("chip") {
+        return Err(malformed(format!(
+            "expected a chip record, got {payload:?}"
+        )));
     }
-}
-
-/// Parses one chip record line, verifying its `crc=` checksum when one is
-/// present (legacy records without one still load). Returns `Ok(None)`
-/// for an incomplete (truncated) line so partial final writes do not
-/// poison a resume.
-pub(crate) fn decode_chip(line: &str) -> Result<Option<ChipSummary>, CheckpointWarning> {
-    let (line, recorded) = split_crc(line)?;
-    if let Some(expected) = recorded {
-        let found = crc32(line.as_bytes());
-        if expected != found {
-            return Err(CheckpointWarning::BadCrc { expected, found });
-        }
-    }
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("chip") {
-        return Err(malformed(format!("expected a chip record, got {line:?}")));
-    }
-    let chip = match parts.next() {
-        Some(id) => ChipId(parse_u64(id)?),
-        None => return Ok(None),
+    let chip = ChipId(parse_u64(fields.next().unwrap_or_default())?);
+    let mut field = |key: &str| {
+        fields
+            .next()
+            .and_then(|f| f.strip_prefix(key)?.strip_prefix('='))
+            .ok_or_else(|| malformed(format!("missing field {key:?} in chip record")))
     };
-    let mut die_seed = None;
-    let mut margins = None;
-    let mut mean_vdd_mv = None;
-    let mut vdd_reduction = None;
-    let mut energy_savings = None;
-    let mut correctable = None;
-    let mut emergencies = None;
-    let mut crashes = None;
-    let mut sw_overhead = None;
-    // Optional resilience counters: absent in pre-fault checkpoints (and
-    // in clean-fleet saves), defaulting to zero.
-    let mut dues = 0;
-    let mut rollbacks = 0;
-    for field in parts {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| malformed(format!("field {field:?} is not key=value")))?;
-        match key {
-            "seed" => {
-                die_seed = Some(
-                    u64::from_str_radix(value, 16)
-                        .map_err(|_| malformed(format!("bad seed {value:?}")))?,
-                )
-            }
-            "margins" => {
-                let mut list = Vec::new();
-                for entry in value.split(';').filter(|e| !e.is_empty()) {
-                    let mut nums = entry.split(':');
-                    let core = nums
-                        .next()
-                        .ok_or_else(|| malformed("empty margin entry".into()))?;
-                    let fe = nums
-                        .next()
-                        .ok_or_else(|| malformed(format!("margin entry {entry:?} truncated")))?;
-                    let ms = nums
-                        .next()
-                        .ok_or_else(|| malformed(format!("margin entry {entry:?} truncated")))?;
-                    list.push(CoreMarginSummary {
-                        core: parse_u64(core)? as usize,
-                        first_error_mv: parse_i32(fe)?,
-                        min_safe_mv: parse_i32(ms)?,
-                    });
-                }
-                margins = Some(list);
-            }
-            "vdd" | "red" => {
-                let list = value
-                    .split(',')
-                    .filter(|e| !e.is_empty())
-                    .map(parse_f64_hex)
-                    .collect::<Result<Vec<f64>, _>>()?;
-                if key == "vdd" {
-                    mean_vdd_mv = Some(list);
-                } else {
-                    vdd_reduction = Some(list);
-                }
-            }
-            "es" => energy_savings = Some(parse_f64_hex(value)?),
-            "ce" => correctable = Some(parse_u64(value)?),
-            "em" => emergencies = Some(parse_u64(value)?),
-            "cr" => crashes = Some(parse_u64(value)?),
-            "sw" => sw_overhead = Some(parse_f64_hex(value)?),
-            "du" => dues = parse_u64(value)?,
-            "rb" => rollbacks = parse_u64(value)?,
-            other => return Err(malformed(format!("unknown field {other:?} in chip record"))),
-        }
-    }
-    // A record missing trailing fields is a truncated final write.
-    match (
-        die_seed,
-        margins,
-        mean_vdd_mv,
-        vdd_reduction,
-        energy_savings,
-        correctable,
-        emergencies,
-        crashes,
-        sw_overhead,
-    ) {
-        (
-            Some(die_seed),
-            Some(margins),
-            Some(mean_vdd_mv),
-            Some(vdd_reduction),
-            Some(energy_savings),
-            Some(correctable),
-            Some(emergencies),
-            Some(crashes),
-            Some(sw_overhead),
-        ) => Ok(Some(ChipSummary {
-            chip,
-            die_seed,
-            margins,
-            mean_vdd_mv,
-            vdd_reduction,
-            energy_savings,
-            correctable,
-            emergencies,
-            crashes,
-            sw_overhead,
-            dues,
-            rollbacks,
-        })),
-        _ => Ok(None),
+    let summary = ChipSummary {
+        chip,
+        die_seed: u64::from_str_radix(field("seed")?, 16)
+            .map_err(|_| malformed("bad seed".into()))?,
+        margins: field("margins")?
+            .split(';')
+            .filter(|e| !e.is_empty())
+            .map(parse_margin)
+            .collect::<Result<_, _>>()?,
+        mean_vdd_mv: parse_f64_list(field("vdd")?)?,
+        vdd_reduction: parse_f64_list(field("red")?)?,
+        energy_savings: parse_f64_hex(field("es")?)?,
+        correctable: parse_u64(field("ce")?)?,
+        emergencies: parse_u64(field("em")?)?,
+        crashes: parse_u64(field("cr")?)?,
+        sw_overhead: parse_f64_hex(field("sw")?)?,
+        dues: parse_u64(field("du")?)?,
+        rollbacks: parse_u64(field("rb")?)?,
+    };
+    match fields.next() {
+        Some(extra) => Err(malformed(format!(
+            "unexpected field {extra:?} in chip record"
+        ))),
+        None => Ok(summary),
     }
 }
 
-/// Atomically and durably writes a checkpoint: header, then one line per
-/// summary in chip-id order. The text is written to a uniquely named
-/// sibling temp file, fsynced, renamed over `path`, and the parent
+/// `(1-based line number, warning)` per skipped record.
+type Warnings = Vec<(usize, CheckpointWarning)>;
+
+/// One chip record read from a store file: the decoded summary and the
+/// framed line it came from, kept so compaction copies it verbatim.
+#[derive(Debug)]
+pub(crate) struct Record {
+    pub summary: ChipSummary,
+    pub line: String,
+}
+
+/// The one reader of store files. Opening it reads and checks the header
+/// (magic, then fingerprint line); iterating yields every record line as
+/// `(1-based line number, the record or why it is skipped)`.
+pub(crate) struct StoreReader {
+    /// The fingerprint the header declares.
+    pub fingerprint: u64,
+    lines: io::Lines<BufReader<Box<dyn io::Read + Send>>>,
+    line_no: usize,
+}
+
+impl StoreReader {
+    /// Opens `path` and checks its header.
+    pub fn open(vfs: &VfsHandle, path: &Path) -> Result<Self, CheckpointError> {
+        let mut lines = BufReader::new(vfs.open_read(path)?).lines();
+        let magic = lines.next().transpose()?.unwrap_or_default();
+        if magic != STORE_MAGIC {
+            return Err(CheckpointError::Format(format!(
+                "bad header {magic:?} (expected {STORE_MAGIC:?})"
+            )));
+        }
+        let line = lines.next().transpose()?.unwrap_or_default();
+        let fingerprint = line
+            .strip_prefix("fingerprint ")
+            .filter(|hex| hex.len() == 16)
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| CheckpointError::Format(format!("bad fingerprint line {line:?}")))?;
+        Ok(StoreReader {
+            fingerprint,
+            lines,
+            line_no: 2,
+        })
+    }
+
+    /// Reads every remaining record into a map keyed by chip id. A chip
+    /// recorded twice (a crash between the two steps of a compaction
+    /// leaves journal duplicates, bit-identical since the simulation is
+    /// deterministic) keeps its last record.
+    pub fn read_all(self) -> Result<(BTreeMap<u64, Record>, Warnings), CheckpointError> {
+        let mut records = BTreeMap::new();
+        let mut warnings = Vec::new();
+        for item in self {
+            match item? {
+                (_, Ok(record)) => {
+                    records.insert(record.summary.chip.0, record);
+                }
+                (line, Err(warning)) => warnings.push((line, warning)),
+            }
+        }
+        Ok((records, warnings))
+    }
+}
+
+impl Iterator for StoreReader {
+    type Item = io::Result<(usize, Result<Record, CheckpointWarning>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let line = match self.lines.next()? {
+                Ok(line) => line,
+                Err(e) => return Some(Err(e)),
+            };
+            self.line_no += 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let summary = unframe(&line)
+                .map_err(CheckpointWarning::from)
+                .and_then(decode_chip);
+            return Some(Ok((
+                self.line_no,
+                summary.map(|summary| Record { summary, line }),
+            )));
+        }
+    }
+}
+
+/// Atomically and durably writes a checkpoint: header, then one framed
+/// record per summary in chip-id order. The text is written to a uniquely
+/// named sibling temp file, fsynced, renamed over `path`, and the parent
 /// directory is fsynced — so after `Ok` the new checkpoint survives
 /// SIGKILL, and after any failure the previous one is intact.
 pub fn save(
@@ -340,27 +366,25 @@ pub fn save_on(
 ) -> Result<(), CheckpointError> {
     let mut sorted: Vec<&ChipSummary> = summaries.iter().collect();
     sorted.sort_by_key(|s| s.chip);
-    let mut text = String::new();
-    text.push_str(MAGIC);
-    text.push('\n');
-    text.push_str(&format!("fingerprint {fingerprint:016x}\n"));
+    let mut text = store_header(fingerprint);
     for s in sorted {
-        text.push_str(&encode_chip(s));
+        text.push_str(&frame(&encode_chip(s)));
         text.push('\n');
     }
     atomic_write(&**vfs, path, |w| w.write_all(text.as_bytes()))?;
     Ok(())
 }
 
-/// Loads a checkpoint leniently, verifying it belongs to the config with
-/// `fingerprint`.
+/// Loads a checkpoint or journal leniently, verifying it belongs to the
+/// config with `fingerprint`.
 ///
 /// Header problems (missing file, wrong magic, wrong fingerprint) are
 /// hard errors — the file as a whole is unusable. Record problems — a
-/// truncated final line, a checksum failure, a malformed record — skip
-/// only that record and surface as typed [`CheckpointWarning`]s with
-/// their 1-based line numbers, so the caller can report partial damage
-/// without abandoning the resume. Never panics on arbitrary file bytes.
+/// torn final line, a checksum failure, a payload that does not decode —
+/// skip only that record and surface as typed [`CheckpointWarning`]s
+/// with their 1-based line numbers, so the caller can report partial
+/// damage without abandoning the resume. A chip recorded twice keeps its
+/// last record. Never panics on arbitrary file bytes.
 pub fn load_report(path: &Path, fingerprint: u64) -> Result<CheckpointLoad, CheckpointError> {
     load_report_on(&vfs::std_fs(), path, fingerprint)
 }
@@ -371,46 +395,16 @@ pub fn load_report_on(
     path: &Path,
     fingerprint: u64,
 ) -> Result<CheckpointLoad, CheckpointError> {
-    let text = vfs.read_to_string(path)?;
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, MAGIC)) => {}
-        other => {
-            return Err(CheckpointError::Format(format!(
-                "bad header {:?} (expected {MAGIC:?})",
-                other.map(|(_, l)| l)
-            )))
-        }
-    }
-    let found = match lines
-        .next()
-        .and_then(|(_, l)| l.strip_prefix("fingerprint "))
-    {
-        Some(hex) => u64::from_str_radix(hex, 16)
-            .map_err(|_| CheckpointError::Format(format!("bad fingerprint {hex:?}")))?,
-        None => return Err(CheckpointError::Format("missing fingerprint line".into())),
-    };
-    if found != fingerprint {
+    let reader = StoreReader::open(vfs, path)?;
+    if reader.fingerprint != fingerprint {
         return Err(CheckpointError::FingerprintMismatch {
             expected: fingerprint,
-            found,
+            found: reader.fingerprint,
         });
     }
-    let mut summaries = Vec::new();
-    let mut warnings = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_chip(line) {
-            Ok(Some(summary)) => summaries.push(summary),
-            Ok(None) => warnings.push((idx + 1, CheckpointWarning::Truncated)),
-            Err(warning) => warnings.push((idx + 1, warning)),
-        }
-    }
-    summaries.sort_by_key(|s| s.chip);
+    let (records, warnings) = reader.read_all()?;
     Ok(CheckpointLoad {
-        summaries,
+        summaries: records.into_values().map(|r| r.summary).collect(),
         warnings,
     })
 }
@@ -419,19 +413,10 @@ pub fn load_report_on(
 /// `fingerprint`. Returns the completed summaries (chip-id order).
 ///
 /// The lenient [`load_report`] with the warnings discarded: damaged
-/// records (truncated final write, failed checksum, malformed line) are
+/// records (torn final write, failed checksum, undecodable payload) are
 /// skipped silently.
 pub fn load(path: &Path, fingerprint: u64) -> Result<Vec<ChipSummary>, CheckpointError> {
     load_report(path, fingerprint).map(|l| l.summaries)
-}
-
-/// [`load`] against an explicit filesystem backend.
-pub fn load_on(
-    vfs: &VfsHandle,
-    path: &Path,
-    fingerprint: u64,
-) -> Result<Vec<ChipSummary>, CheckpointError> {
-    load_report_on(vfs, path, fingerprint).map(|l| l.summaries)
 }
 
 #[cfg(test)]
@@ -512,31 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_fault_records_decode_with_zero_counters() {
-        // A record written before the `du`/`rb` fields existed must load
-        // with both counters at zero.
-        let mut s = summary(4);
-        s.dues = 0;
-        s.rollbacks = 0;
-        let line = encode_chip(&s);
-        assert!(!line.contains("du=") && !line.contains("rb="), "{line}");
-        let decoded = decode_chip(&line).unwrap().unwrap();
-        assert_eq!(decoded, s);
-    }
-
-    #[test]
-    fn records_without_crc_still_load() {
-        // A record written before the `crc=` field existed must decode
-        // identically — the checksum is strictly additive.
-        let s = summary(2);
-        let line = encode_chip(&s);
-        let (body, crc) = line.rsplit_once(" crc=").unwrap();
-        assert_eq!(crc.len(), 8, "crc renders as 8 hex digits");
-        assert_eq!(decode_chip(body).unwrap().unwrap(), s);
-        assert_eq!(decode_chip(&line).unwrap().unwrap(), s);
-    }
-
-    #[test]
     fn bad_crc_is_a_typed_warning_not_a_panic() {
         let path = scratch("badcrc.ckpt");
         save(&path, 9, &[summary(0), summary(1), summary(2)]).unwrap();
@@ -563,8 +523,9 @@ mod tests {
         let path = scratch("malformed.ckpt");
         save(&path, 3, &[summary(0)]).unwrap();
         let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("chip 1 wat=huh\n");
-        text.push_str("not-a-record-at-all\n");
+        // Whole frames (valid CRCs) around payloads that do not decode.
+        text.push_str(&format!("{}\n", frame("chip 1 wat=huh")));
+        text.push_str(&format!("{}\n", frame("not-a-record-at-all")));
         fs::write(&path, &text).unwrap();
         let report = load_report(&path, 3).unwrap();
         assert_eq!(report.summaries.len(), 1);

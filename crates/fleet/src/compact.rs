@@ -7,21 +7,21 @@
 //! more chips than the journal window, and loading it whole just to
 //! absorb a handful of journal records is wasted memory.
 //!
-//! [`compact_streaming`] folds the write-ahead journal into the
-//! checkpoint while streaming the checkpoint line by line: memory is
-//! bounded by the *journal window* (the records appended since the last
-//! checkpoint save), never by the fleet size. The merge preserves the
-//! chip-id sort order `save` produces — journal records are spliced into
-//! position — and keeps the crash-safety contract of the runner's own
-//! compaction: the merged checkpoint is streamed through
+//! A journal is a checkpoint tail — same header, same framed records — so
+//! [`compact_streaming`] is a sorted merge of two framed streams: the
+//! journal's records, deduplicated by chip id (memory O(journal window)),
+//! and the checkpoint's, streamed line by line in the chip-id order
+//! `save` writes. Record lines are copied verbatim, never re-encoded. The
+//! merge keeps the crash-safety contract of the runner's own compaction:
+//! the merged checkpoint is streamed through
 //! [`vs_guard::durable::atomic_write`] (temp file, fsync, rename, parent
 //! directory fsync), and only then is the journal truncated. A crash
 //! between the two steps leaves harmless duplicates, never a gap.
 
-use crate::checkpoint::{decode_chip, CheckpointError, MAGIC as CKPT_MAGIC};
-use crate::journal::{replay_journal_streaming_on, ChipJournal};
+use crate::checkpoint::{store_header, CheckpointError, StoreReader};
+use crate::journal::ChipJournal;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use vs_guard::durable::atomic_write;
 use vs_guard::vfs::{self, VfsHandle};
@@ -41,8 +41,9 @@ pub struct CompactionReport {
 }
 
 /// Counts the chip records of a checkpoint without loading them: one
-/// buffered pass, decoding each line only far enough to accept it.
-/// Returns 0 for a missing file (an empty store, not an error).
+/// buffered pass through the store reader. A checkpoint never holds a
+/// chip twice, so this is its chip count. Returns 0 for a missing file
+/// (an empty store, not an error).
 pub fn checkpoint_chips(path: &Path) -> Result<u64, CheckpointError> {
     checkpoint_chips_on(&vfs::std_fs(), path)
 }
@@ -52,27 +53,13 @@ pub fn checkpoint_chips_on(vfs: &VfsHandle, path: &Path) -> Result<u64, Checkpoi
     if !vfs.exists(path) {
         return Ok(0);
     }
-    let reader = BufReader::new(vfs.open_read(path)?);
-    let mut lines = reader.lines();
-    match lines.next().transpose()? {
-        Some(ref l) if l == CKPT_MAGIC => {}
-        other => {
-            return Err(CheckpointError::Format(format!(
-                "bad header {other:?} (expected {CKPT_MAGIC:?})"
-            )))
-        }
-    }
-    match lines.next().transpose()? {
-        Some(ref l) if l.starts_with("fingerprint ") => {}
-        _ => return Err(CheckpointError::Format("missing fingerprint line".into())),
-    }
-    let mut chips = 0u64;
-    for line in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if matches!(decode_chip(&line), Ok(Some(_))) {
+    count_records(StoreReader::open(vfs, path)?)
+}
+
+fn count_records(reader: StoreReader) -> Result<u64, CheckpointError> {
+    let mut chips = 0;
+    for item in reader {
+        if item?.1.is_ok() {
             chips += 1;
         }
     }
@@ -80,35 +67,21 @@ pub fn checkpoint_chips_on(vfs: &VfsHandle, path: &Path) -> Result<u64, Checkpoi
 }
 
 /// Reads the fingerprint a checkpoint or journal is bound to without
-/// loading its records (the two formats share the header shape).
+/// loading its records, checking the header's magic on the way.
 pub fn read_fingerprint(path: &Path) -> Result<u64, CheckpointError> {
     read_fingerprint_on(&vfs::std_fs(), path)
 }
 
 /// [`read_fingerprint`] against an explicit filesystem backend.
 pub fn read_fingerprint_on(vfs: &VfsHandle, path: &Path) -> Result<u64, CheckpointError> {
-    let reader = BufReader::new(vfs.open_read(path)?);
-    let mut lines = reader.lines();
-    let _magic = lines
-        .next()
-        .transpose()?
-        .ok_or_else(|| CheckpointError::Format("empty store file".into()))?;
-    match lines
-        .next()
-        .transpose()?
-        .as_deref()
-        .and_then(|l| l.strip_prefix("fingerprint "))
-    {
-        Some(hex) => u64::from_str_radix(hex, 16)
-            .map_err(|_| CheckpointError::Format(format!("bad fingerprint {hex:?}"))),
-        None => Err(CheckpointError::Format("missing fingerprint line".into())),
-    }
+    Ok(StoreReader::open(vfs, path)?.fingerprint)
 }
 
 /// Folds `journal` into `ckpt` without loading the checkpoint in memory.
 ///
-/// * The journal is replayed (deduped by chip id, damaged records skipped
-///   with a count) into a sorted map — memory O(journal window).
+/// * The journal's records are read into a map keyed by chip id (the
+///   last record of a chip wins, damaged records are skipped with a
+///   count) — memory O(journal window).
 /// * The checkpoint is streamed line by line into a temp file; journal
 ///   records are spliced into chip-id position, and a chip present in
 ///   both stores keeps the journal copy (the journal is the
@@ -133,85 +106,74 @@ pub fn compact_streaming_on(
     ckpt: &Path,
     journal: &Path,
 ) -> Result<CompactionReport, CheckpointError> {
-    if !vfs.exists(journal) {
-        let fingerprint = if vfs.exists(ckpt) {
-            read_fingerprint_on(vfs, ckpt)?
-        } else {
-            0
+    let base = if vfs.exists(ckpt) {
+        Some(StoreReader::open(vfs, ckpt)?)
+    } else {
+        None
+    };
+    let (fingerprint, pending, mut skipped) = if vfs.exists(journal) {
+        let tail = StoreReader::open(vfs, journal)?;
+        let fingerprint = tail.fingerprint;
+        if let Some(base) = &base {
+            if base.fingerprint != fingerprint {
+                return Err(CheckpointError::FingerprintMismatch {
+                    expected: base.fingerprint,
+                    found: fingerprint,
+                });
+            }
+        }
+        let (records, warnings) = tail.read_all()?;
+        (fingerprint, records, warnings.len() as u64)
+    } else {
+        let fingerprint = base.as_ref().map_or(0, |b| b.fingerprint);
+        (fingerprint, BTreeMap::new(), 0)
+    };
+    if pending.is_empty() {
+        let chips = match base {
+            Some(base) => count_records(base)?,
+            None => 0,
         };
         return Ok(CompactionReport {
             fingerprint,
-            chips: checkpoint_chips_on(vfs, ckpt)?,
-            merged: 0,
-            skipped: 0,
-        });
-    }
-    let replay = replay_journal_streaming_on(vfs, journal)?;
-    let fingerprint = replay.fingerprint;
-    if vfs.exists(ckpt) {
-        let ckpt_fp = read_fingerprint_on(vfs, ckpt)?;
-        if ckpt_fp != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected: ckpt_fp,
-                found: fingerprint,
-            });
-        }
-    }
-    let mut skipped = replay.skipped;
-    if replay.records.is_empty() {
-        return Ok(CompactionReport {
-            fingerprint,
-            chips: checkpoint_chips_on(vfs, ckpt)?,
+            chips,
             merged: 0,
             skipped,
         });
     }
-    // Encoded journal records, sorted by chip id, still to be spliced.
-    let mut pending: BTreeMap<u64, String> = replay.records;
     let merged_candidates = pending.len() as u64;
     let mut replaced = 0u64;
     let mut chips = 0u64;
 
     atomic_write(&**vfs, ckpt, |file| {
         let mut out = BufWriter::new(file);
-        writeln!(out, "{CKPT_MAGIC}")?;
-        writeln!(out, "fingerprint {fingerprint:016x}")?;
-        if vfs.exists(ckpt) {
-            let reader = BufReader::new(vfs.open_read(ckpt)?);
-            for (idx, line) in reader.lines().enumerate() {
-                let line = line?;
-                if idx < 2 || line.trim().is_empty() {
-                    continue; // header already rewritten
-                }
-                let id = match decode_chip(&line) {
-                    Ok(Some(summary)) => summary.chip.0,
-                    // Damaged checkpoint records are dropped here exactly
-                    // as a lenient load would drop them.
-                    _ => {
-                        skipped += 1;
-                        continue;
-                    }
-                };
-                // Splice every journal record that sorts before this one.
-                let earlier: Vec<u64> = pending.range(..id).map(|(k, _)| *k).collect();
-                for k in earlier {
-                    let record = pending.remove(&k).expect("key just enumerated");
-                    writeln!(out, "{record}")?;
-                    chips += 1;
-                }
-                match pending.remove(&id) {
-                    // Present in both: the journal copy wins.
-                    Some(record) => {
-                        writeln!(out, "{record}")?;
-                        replaced += 1;
-                    }
-                    None => writeln!(out, "{line}")?,
-                }
+        out.write_all(store_header(fingerprint).as_bytes())?;
+        let mut pending = pending.into_values().peekable();
+        for item in base.into_iter().flatten() {
+            // Damaged checkpoint records are dropped here exactly as a
+            // lenient load would drop them.
+            let Ok(record) = item?.1 else {
+                skipped += 1;
+                continue;
+            };
+            let id = record.summary.chip;
+            // Splice every journal record that sorts before this one.
+            while let Some(earlier) = pending.next_if(|r| r.summary.chip < id) {
+                writeln!(out, "{}", earlier.line)?;
                 chips += 1;
             }
+            // Present in both: the journal copy wins.
+            let line = match pending.next_if(|r| r.summary.chip == id) {
+                Some(newer) => {
+                    replaced += 1;
+                    newer.line
+                }
+                None => record.line,
+            };
+            writeln!(out, "{line}")?;
+            chips += 1;
         }
-        for record in pending.values() {
-            writeln!(out, "{record}")?;
+        for record in pending {
+            writeln!(out, "{}", record.line)?;
             chips += 1;
         }
         out.flush()
@@ -403,6 +365,16 @@ mod tests {
         let missing = scratch("count-missing.ckpt");
         let _ = fs::remove_file(&missing);
         assert_eq!(checkpoint_chips(&missing).unwrap(), 0);
+    }
+
+    #[test]
+    fn wrong_magic_is_refused_even_with_the_right_fingerprint() {
+        let path = scratch("wrong-magic.ckpt");
+        fs::write(&path, format!("not a store file\nfingerprint {FP:016x}\n")).unwrap();
+        assert!(matches!(
+            read_fingerprint(&path),
+            Err(CheckpointError::Format(_))
+        ));
     }
 
     /// The crash-consistency property the compaction's two-step design

@@ -3,12 +3,15 @@
 //!
 //! The checkpoint is rewritten whole every `checkpoint_every` chips, so a
 //! SIGKILL can lose up to `checkpoint_every - 1` finished chips. The
-//! journal closes that window: as each chip completes, its record (the
-//! same line format as the checkpoint, CRC32-framed by `vs-guard`) is
+//! journal closes that window: as each chip completes, its record is
 //! appended and fsynced before the coordinator moves on. Resume therefore
 //! recovers *every* finished chip — checkpoint ∪ journal — losing at most
 //! the record that was mid-append when the process died, and that record
 //! is detected as damaged, never silently mis-parsed.
+//!
+//! A journal is a checkpoint tail: it starts with the same header and
+//! holds the same CRC-framed records, so [`replay_journal`] is the
+//! checkpoint loader under the name its callers know.
 //!
 //! On resume (and at every checkpoint save) the journal is **compacted**:
 //! the merged summaries are saved into the checkpoint first, then the
@@ -16,16 +19,14 @@
 //! leaves duplicate records, which replay dedups by chip id — the
 //! simulation is deterministic, so duplicates are bit-identical.
 
-use crate::checkpoint::{decode_chip, encode_chip, CheckpointError, CheckpointWarning};
+use crate::checkpoint::{encode_chip, store_header};
 use crate::summary::ChipSummary;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use vs_guard::vfs::{self, VfsHandle};
-use vs_guard::{unframe, FrameError, JournalWriter};
+use vs_guard::JournalWriter;
 
-/// File-format magic: first line of every progress journal.
-pub const MAGIC: &str = "voltspec-fleet-journal v1";
+pub use crate::checkpoint::{load_report as replay_journal, load_report_on as replay_journal_on};
 
 /// An open progress journal: one durable record per completed chip.
 #[derive(Debug)]
@@ -41,11 +42,8 @@ impl ChipJournal {
 
     /// [`ChipJournal::create`] against an explicit filesystem backend.
     pub fn create_on(vfs: &VfsHandle, path: &Path, fingerprint: u64) -> io::Result<ChipJournal> {
-        let writer = JournalWriter::create_on(
-            vfs,
-            path,
-            &[MAGIC, &format!("fingerprint {fingerprint:016x}")],
-        )?;
+        let header = store_header(fingerprint);
+        let writer = JournalWriter::create_on(vfs, path, &header.lines().collect::<Vec<_>>())?;
         Ok(ChipJournal { writer })
     }
 
@@ -78,186 +76,10 @@ impl ChipJournal {
     }
 }
 
-/// The result of replaying a journal: every record that decoded, plus a
-/// typed warning per damaged one (`(1-based line number, warning)`).
-#[derive(Debug)]
-pub struct JournalReplay {
-    /// The journaled summaries, deduped by chip id, in chip-id order.
-    pub summaries: Vec<ChipSummary>,
-    /// One entry per skipped record.
-    pub warnings: Vec<(usize, CheckpointWarning)>,
-}
-
-/// Replays a progress journal, verifying it belongs to the config with
-/// `fingerprint`.
-///
-/// Mirrors the checkpoint loader's contract: header problems are hard
-/// errors, record problems (the frame that was mid-append at SIGKILL, bit
-/// rot) skip only that record with a typed warning. Duplicate records for
-/// one chip — the crash-between-compaction-steps window — dedup to the
-/// last occurrence. Never panics on arbitrary file bytes.
-pub fn replay_journal(path: &Path, fingerprint: u64) -> Result<JournalReplay, CheckpointError> {
-    replay_journal_on(&vfs::std_fs(), path, fingerprint)
-}
-
-/// [`replay_journal`] against an explicit filesystem backend.
-pub fn replay_journal_on(
-    vfs: &VfsHandle,
-    path: &Path,
-    fingerprint: u64,
-) -> Result<JournalReplay, CheckpointError> {
-    let text = vfs.read_to_string(path)?;
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, MAGIC)) => {}
-        other => {
-            return Err(CheckpointError::Format(format!(
-                "bad journal header {:?} (expected {MAGIC:?})",
-                other.map(|(_, l)| l)
-            )))
-        }
-    }
-    let found = match lines
-        .next()
-        .and_then(|(_, l)| l.strip_prefix("fingerprint "))
-    {
-        Some(hex) => u64::from_str_radix(hex, 16)
-            .map_err(|_| CheckpointError::Format(format!("bad fingerprint {hex:?}")))?,
-        None => {
-            return Err(CheckpointError::Format(
-                "missing journal fingerprint line".into(),
-            ))
-        }
-    };
-    if found != fingerprint {
-        return Err(CheckpointError::FingerprintMismatch {
-            expected: fingerprint,
-            found,
-        });
-    }
-    let mut summaries: Vec<ChipSummary> = Vec::new();
-    let mut warnings = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let payload = match unframe(line) {
-            Ok(p) => p,
-            Err(FrameError::Truncated) => {
-                warnings.push((idx + 1, CheckpointWarning::Truncated));
-                continue;
-            }
-            Err(FrameError::BadCrc { expected, found }) => {
-                warnings.push((idx + 1, CheckpointWarning::BadCrc { expected, found }));
-                continue;
-            }
-        };
-        match decode_chip(payload) {
-            Ok(Some(summary)) => {
-                // Dedup by chip id, last occurrence wins (duplicates are
-                // bit-identical anyway — the simulation is deterministic).
-                match summaries.iter_mut().find(|s| s.chip == summary.chip) {
-                    Some(slot) => *slot = summary,
-                    None => summaries.push(summary),
-                }
-            }
-            Ok(None) => warnings.push((idx + 1, CheckpointWarning::Truncated)),
-            Err(warning) => warnings.push((idx + 1, warning)),
-        }
-    }
-    summaries.sort_by_key(|s| s.chip);
-    Ok(JournalReplay {
-        summaries,
-        warnings,
-    })
-}
-
-/// The result of a *streaming* replay: encoded records (the unframed
-/// checkpoint-format payload, not decoded summaries) keyed by chip id,
-/// so a compaction pass can splice them into a checkpoint without
-/// re-encoding. Memory is O(journal window).
-#[derive(Debug)]
-pub(crate) struct StreamingReplay {
-    /// The fingerprint the journal header declares.
-    pub fingerprint: u64,
-    /// Encoded (unframed) records, deduped by chip id, last wins.
-    pub records: BTreeMap<u64, String>,
-    /// Damaged records skipped (torn tail, bit rot).
-    pub skipped: u64,
-}
-
-/// Replays a journal line by line, keeping records *encoded*.
-///
-/// Unlike [`replay_journal`] this reads the fingerprint from the header
-/// rather than checking it against an expectation — the caller decides
-/// what store the records may be folded into. Each record is decoded
-/// just far enough to learn its chip id and prove it parses; the
-/// checkpoint-format payload string is what's kept.
-pub(crate) fn replay_journal_streaming_on(
-    vfs: &VfsHandle,
-    path: &Path,
-) -> Result<StreamingReplay, CheckpointError> {
-    use std::io::BufRead as _;
-    let reader = io::BufReader::new(vfs.open_read(path)?);
-    streaming_from_lines(reader.lines())
-}
-
-fn streaming_from_lines(
-    mut lines: impl Iterator<Item = io::Result<String>>,
-) -> Result<StreamingReplay, CheckpointError> {
-    match lines.next().transpose()? {
-        Some(ref l) if l == MAGIC => {}
-        other => {
-            return Err(CheckpointError::Format(format!(
-                "bad journal header {other:?} (expected {MAGIC:?})"
-            )))
-        }
-    }
-    let fingerprint = match lines
-        .next()
-        .transpose()?
-        .as_deref()
-        .and_then(|l| l.strip_prefix("fingerprint "))
-    {
-        Some(hex) => u64::from_str_radix(hex, 16)
-            .map_err(|_| CheckpointError::Format(format!("bad fingerprint {hex:?}")))?,
-        None => {
-            return Err(CheckpointError::Format(
-                "missing journal fingerprint line".into(),
-            ))
-        }
-    };
-    let mut records: BTreeMap<u64, String> = BTreeMap::new();
-    let mut skipped = 0u64;
-    for line in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let payload = match unframe(&line) {
-            Ok(p) => p,
-            Err(_) => {
-                skipped += 1;
-                continue;
-            }
-        };
-        match decode_chip(payload) {
-            Ok(Some(summary)) => {
-                records.insert(summary.chip.0, payload.to_string());
-            }
-            _ => skipped += 1,
-        }
-    }
-    Ok(StreamingReplay {
-        fingerprint,
-        records,
-        skipped,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use crate::summary::CoreMarginSummary;
     use std::fs;
     use std::path::PathBuf;

@@ -63,11 +63,11 @@ mod runner;
 mod summary;
 
 pub use aggregate::{Distribution, Histogram, PopulationStats};
-pub use checkpoint::MAGIC as CHECKPOINT_MAGIC;
 pub use checkpoint::{
-    load as load_checkpoint, load_on as load_checkpoint_on, load_report as load_checkpoint_report,
+    load as load_checkpoint, load_report as load_checkpoint_report,
     load_report_on as load_checkpoint_report_on, save as save_checkpoint,
-    save_on as save_checkpoint_on, CheckpointError, CheckpointLoad, CheckpointWarning,
+    save_on as save_checkpoint_on, store_header, CheckpointError, CheckpointLoad,
+    CheckpointWarning, STORE_MAGIC,
 };
 pub use compact::{
     checkpoint_chips, checkpoint_chips_on, compact_streaming, compact_streaming_on,
@@ -76,7 +76,6 @@ pub use compact::{
 pub use config::{ControllerVariant, FleetConfig, MarginsMode};
 pub use degrade::DegradationReport;
 pub use job::{simulate_chip, simulate_chip_guarded, simulate_chip_traced};
-pub use journal::MAGIC as JOURNAL_MAGIC;
-pub use journal::{replay_journal, replay_journal_on, ChipJournal, JournalReplay};
+pub use journal::{replay_journal, replay_journal_on, ChipJournal};
 pub use runner::{FleetError, FleetResult, FleetRunner, FleetTrace};
 pub use summary::{ChipSummary, CoreMarginSummary};

@@ -51,7 +51,7 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::config::FleetConfig;
 use crate::degrade::DegradationReport;
 use crate::job::simulate_chip_guarded;
-use crate::journal::{replay_journal_on, ChipJournal};
+use crate::journal::ChipJournal;
 use crate::summary::ChipSummary;
 use std::fmt;
 use std::path::PathBuf;
@@ -562,7 +562,7 @@ impl FleetRunner {
         if let Some(jpath) = &self.journal {
             let mut replayed = 0u64;
             if self.vfs.exists(jpath) {
-                let replay = replay_journal_on(&self.vfs, jpath, fingerprint)?;
+                let replay = checkpoint::load_report_on(&self.vfs, jpath, fingerprint)?;
                 for (line, warning) in replay.warnings {
                     degradation
                         .corrupt_records

@@ -15,6 +15,7 @@ use vs_fleet::{
     load_checkpoint, load_checkpoint_report, replay_journal, save_checkpoint, ChipJournal,
     ChipSummary, CoreMarginSummary,
 };
+use vs_guard::frame;
 use vs_types::rng::CounterRng;
 use vs_types::ChipId;
 
@@ -128,7 +129,7 @@ fn random_byte_flips_never_panic_and_never_surface_corrupt_records() {
 fn spliced_garbage_lines_never_panic() {
     let (ckpt, journal) = seed_bytes();
     let mut rng = CounterRng::from_key(0x7AC4_0003, &[]);
-    let garbage = [
+    let mut garbage: Vec<String> = [
         "chip",
         "chip X seed=nope",
         "chip 3 seed=41d58a6ff5e25946",
@@ -136,12 +137,30 @@ fn spliced_garbage_lines_never_panic() {
         "chip 1 seed=0 margins=0:1:2 vdd= red= es=x ce=1 em=0 cr=0 sw=0 crc=zz",
         "\u{1F980}\u{1F980}\u{1F980}",
         "chip 18446744073709551615 seed=ffffffffffffffff crc=00000000",
-    ];
+    ]
+    .map(String::from)
+    .to_vec();
+    // Whole frames (valid CRCs) around payloads that must not decode.
+    for payload in [
+        "",
+        "chip",
+        "chip 1 wat=huh",
+        "chip 2 seed=00000000000000d1 margins= vdd= red=",
+        "not-a-record-at-all",
+    ] {
+        garbage.push(frame(payload));
+    }
+    // A retired v1 record: unframed, with a trailing ` crc=` field, and
+    // the same record framed.
+    let v1 = "chip 4 seed=00000000000000d1 margins= vdd= red= es=0000000000000000 \
+              ce=0 em=0 cr=0 sw=0000000000000000 crc=0badc0de";
+    garbage.push(v1.to_string());
+    garbage.push(frame(v1));
     for case in 0..24 {
         let mut c = String::from_utf8(ckpt.clone()).unwrap();
         let mut j = String::from_utf8(journal.clone()).unwrap();
         for _ in 0..=(rng.next_u64() % 3) {
-            let line = garbage[(rng.next_u64() as usize) % garbage.len()];
+            let line = &garbage[(rng.next_u64() as usize) % garbage.len()];
             // Splice at a random line boundary below the header.
             let at = c.len() - (rng.next_u64() as usize % (c.len() / 2));
             let at = c[..at].rfind('\n').map_or(c.len(), |p| p + 1);

@@ -20,16 +20,21 @@
 //!   in the file name.
 //!
 //!   Both journal repairs replace the file with
-//!   [`atomic_write`](vs_guard::durable::atomic_write), so a crash
+//!   [`atomic_write`], so a crash
 //!   mid-repair leaves either the damaged or the repaired journal, never
 //!   a shorter one.
 //! * **Unrecoverable files** — wrong magic, a fingerprint that
 //!   contradicts the file name, non-UTF-8 bytes — are moved into
 //!   `<store>/quarantine/` rather than deleted, preserving the evidence
 //!   while unblocking the boot.
-//! * **Mid-file record damage** (bit rot on an interior line) is
-//!   *reported only*: the lenient loaders already skip such records,
-//!   and rewriting history is not fsck's call.
+//! * **Mid-file record damage** (bit rot on an interior line, or a whole
+//!   frame whose payload does not decode) is *reported only*: the
+//!   lenient loaders already skip such records, and rewriting history is
+//!   not fsck's call.
+//!
+//! Both files of a pair go through `vs-fleet`'s one store reader, the
+//! same one the loaders use, so fsck reports exactly the records they
+//! skip.
 //!
 //! Everything runs against the [`Vfs`](vs_guard::vfs::Vfs) seam, so the
 //! crash-consistency checker scrubs simulated crash images with the
@@ -39,8 +44,8 @@
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use vs_fleet::{CheckpointError, CheckpointWarning};
 use vs_guard::durable::{atomic_write, quarantine};
-use vs_guard::unframe;
 use vs_guard::vfs::VfsHandle;
 
 /// What kind of deviation a scrub found.
@@ -186,9 +191,45 @@ enum Health {
     Bad(String),
 }
 
-/// Inspects a checkpoint: header magic, fingerprint-vs-file-name
-/// agreement, and per-record CRCs. Interior record damage is pushed as
-/// report-only issues; header damage makes the whole file [`Health::Bad`].
+/// Loads a store file through the reader the daemon's loaders use. A
+/// header problem (wrong magic, a fingerprint that contradicts the file
+/// name, non-UTF-8 bytes) is `Err(detail)`: the whole file is bad.
+/// Otherwise returns a warning per record the loaders skip.
+fn load_warnings(
+    vfs: &VfsHandle,
+    path: &Path,
+    fingerprint: u64,
+) -> io::Result<Result<Vec<(usize, CheckpointWarning)>, String>> {
+    match vs_fleet::load_checkpoint_report_on(vfs, path, fingerprint) {
+        Ok(load) => Ok(Ok(load.warnings)),
+        Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
+            Ok(Err("not valid UTF-8".into()))
+        }
+        Err(CheckpointError::Io(e)) => Err(e),
+        Err(e) => Ok(Err(e.to_string())),
+    }
+}
+
+/// Reports skipped records as report-only issues: the lenient loaders
+/// already skip them, and rewriting history is not fsck's call.
+fn report_corrupt(
+    path: &Path,
+    warnings: Vec<(usize, CheckpointWarning)>,
+    issues: &mut Vec<ScrubIssue>,
+) {
+    for (line, warning) in warnings {
+        issues.push(ScrubIssue {
+            path: path.to_path_buf(),
+            kind: IssueKind::CorruptRecord,
+            action: ScrubAction::Reported,
+            detail: format!("line {line}: {warning}"),
+        });
+    }
+}
+
+/// Inspects a checkpoint: header, then every record. Interior record
+/// damage is pushed as report-only issues; header damage makes the whole
+/// file [`Health::Bad`].
 fn check_checkpoint(
     vfs: &VfsHandle,
     path: &Path,
@@ -198,62 +239,21 @@ fn check_checkpoint(
     if !vfs.exists(path) {
         return Ok(Health::Absent);
     }
-    let text = match vfs.read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            return Ok(Health::Bad("not valid UTF-8".into()))
+    Ok(match load_warnings(vfs, path, fingerprint)? {
+        Ok(warnings) => {
+            report_corrupt(path, warnings, issues);
+            Health::Ok
         }
-        Err(e) => return Err(e),
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(vs_fleet::CHECKPOINT_MAGIC) => {}
-        other => {
-            return Ok(Health::Bad(format!(
-                "bad header {:?} (expected {:?})",
-                other,
-                vs_fleet::CHECKPOINT_MAGIC
-            )))
-        }
-    }
-    match lines
-        .next()
-        .and_then(|l| l.strip_prefix("fingerprint "))
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-    {
-        Some(found) if found == fingerprint => {}
-        Some(found) => {
-            return Ok(Health::Bad(format!(
-                "header fingerprint {found:016x} contradicts file name {fingerprint:016x}"
-            )))
-        }
-        None => return Ok(Health::Bad("missing fingerprint line".into())),
-    }
-    // Record damage is what the lenient loader skips: report, don't fix.
-    // The full decode lives in vs-fleet; fsck reuses it for exactness.
-    match vs_fleet::load_checkpoint_report_on(vfs, path, fingerprint) {
-        Ok(report) => {
-            for (line, warning) in report.warnings {
-                issues.push(ScrubIssue {
-                    path: path.to_path_buf(),
-                    kind: IssueKind::CorruptRecord,
-                    action: ScrubAction::Reported,
-                    detail: format!("line {line}: {warning}"),
-                });
-            }
-            Ok(Health::Ok)
-        }
-        Err(vs_fleet::CheckpointError::Io(e)) => Err(e),
-        Err(e) => Ok(Health::Bad(e.to_string())),
-    }
+        Err(detail) => Health::Bad(detail),
+    })
 }
 
 /// What a journal inspection decided, beyond plain health.
 enum JournalState {
     Absent,
     Ok,
-    /// Zero bytes, or a torn header with no records after it: the header
-    /// can be rebuilt from the file-name fingerprint.
+    /// A strict prefix of the header (zero bytes included) and nothing
+    /// else: the header can be rebuilt from the file-name fingerprint.
     Headerless,
     /// Healthy except the final record line fails its frame: keep the
     /// first `keep` bytes, dropping the torn line.
@@ -264,9 +264,10 @@ enum JournalState {
     Bad(String),
 }
 
-/// Inspects a journal: header, then every framed record. Interior frame
-/// damage is report-only; only a *final*-line failure is a torn tail
-/// (the append in flight at the crash), which repair may truncate.
+/// Inspects a journal: header, then every record. Interior record
+/// damage is report-only; only a frame failure on the *final* line is a
+/// torn tail (the append in flight at the crash), which repair may
+/// truncate.
 fn check_journal(
     vfs: &VfsHandle,
     path: &Path,
@@ -277,81 +278,34 @@ fn check_journal(
         return Ok(JournalState::Absent);
     }
     let bytes = vfs.read(path)?;
-    if bytes.is_empty() {
+    let header = vs_fleet::store_header(fingerprint);
+    if bytes.len() < header.len() && header.as_bytes().starts_with(&bytes) {
         return Ok(JournalState::Headerless);
     }
-    let Ok(text) = std::str::from_utf8(&bytes) else {
-        return Ok(JournalState::Bad("not valid UTF-8".into()));
+    let mut warnings = match load_warnings(vfs, path, fingerprint)? {
+        Ok(warnings) => warnings,
+        Err(detail) => return Ok(JournalState::Bad(detail)),
     };
-    // Split into lines with byte offsets so a torn tail can be cut at
-    // the exact byte where the bad line starts.
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut offset = 0;
-    for line in text.split_inclusive('\n') {
-        lines.push((offset, line.trim_end_matches('\n')));
-        offset += line.len();
+    // Only a frame failure on the final line is the append in flight at
+    // the crash; repair cuts the file where that line starts.
+    let last_line = bytes.split_inclusive(|b| *b == b'\n').count();
+    let torn = matches!(
+        warnings.last(),
+        Some((line, CheckpointWarning::Truncated | CheckpointWarning::BadCrc { .. }))
+            if *line == last_line
+    );
+    if torn {
+        warnings.pop();
     }
-    let magic = vs_fleet::JOURNAL_MAGIC;
-    match lines.first() {
-        Some((_, l)) if *l == magic => {}
-        Some((_, l)) if lines.len() == 1 && magic.starts_with(l) => {
-            // The crash cut the very first write short: a prefix of the
-            // magic and nothing else. Rebuildable.
-            return Ok(JournalState::Headerless);
-        }
-        Some((_, l)) => {
-            return Ok(JournalState::Bad(format!(
-                "bad header {l:?} (expected {magic:?})"
-            )))
-        }
-        None => return Ok(JournalState::Headerless),
+    report_corrupt(path, warnings, issues);
+    if !torn {
+        return Ok(JournalState::Ok);
     }
-    match lines.get(1).map(|(_, l)| *l) {
-        Some(l) => match l
-            .strip_prefix("fingerprint ")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        {
-            Some(found) if found == fingerprint => {}
-            Some(found) => {
-                return Ok(JournalState::Bad(format!(
-                    "header fingerprint {found:016x} contradicts file name {fingerprint:016x}"
-                )))
-            }
-            None if lines.len() == 2 => {
-                // Torn mid-header, no records lost: rebuildable.
-                return Ok(JournalState::Headerless);
-            }
-            None => {
-                return Ok(JournalState::Bad(format!(
-                    "bad fingerprint line {l:?} with records after it"
-                )))
-            }
-        },
-        // Magic only: the fingerprint line never made it. Rebuildable.
-        None => return Ok(JournalState::Headerless),
-    }
-    let mut torn: Option<(usize, usize)> = None;
-    for (idx, (start, line)) in lines.iter().enumerate().skip(2) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if unframe(line).is_ok() {
-            continue;
-        }
-        if idx == lines.len() - 1 {
-            torn = Some((idx + 1, *start));
-        } else {
-            issues.push(ScrubIssue {
-                path: path.to_path_buf(),
-                kind: IssueKind::CorruptRecord,
-                action: ScrubAction::Reported,
-                detail: format!("line {}: record fails its frame CRC", idx + 1),
-            });
-        }
-    }
-    Ok(match torn {
-        Some((line, keep)) => JournalState::TornTail { line, keep },
-        None => JournalState::Ok,
+    let body = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+    let keep = body.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+    Ok(JournalState::TornTail {
+        line: last_line,
+        keep,
     })
 }
 
@@ -442,7 +396,7 @@ pub fn scrub(vfs: &VfsHandle, dir: &Path, repair: bool) -> io::Result<ScrubRepor
             JournalState::Absent | JournalState::Ok => {}
             JournalState::Headerless => {
                 let action = if repair {
-                    let header = format!("{}\nfingerprint {fp:016x}\n", vs_fleet::JOURNAL_MAGIC);
+                    let header = vs_fleet::store_header(fp);
                     atomic_write(&**vfs, &journal, |w| w.write_all(header.as_bytes()))?;
                     ScrubAction::Repaired
                 } else {
@@ -519,14 +473,40 @@ mod tests {
     /// Writes a minimal healthy pair by hand: fsck checks formats, not
     /// simulation semantics, so empty record sections are fine.
     fn write_pair(vfs: &VfsHandle, dir: &Path, fp: u64) {
-        let ckpt = format!("{}\nfingerprint {fp:016x}\n", vs_fleet::CHECKPOINT_MAGIC);
-        let journal = format!("{}\nfingerprint {fp:016x}\n", vs_fleet::JOURNAL_MAGIC);
-        write_file(vfs, &dir.join(format!("{fp:016x}.ckpt")), ckpt.as_bytes());
+        let header = vs_fleet::store_header(fp);
+        write_file(vfs, &dir.join(format!("{fp:016x}.ckpt")), header.as_bytes());
         write_file(
             vfs,
             &dir.join(format!("{fp:016x}.journal")),
-            journal.as_bytes(),
+            header.as_bytes(),
         );
+    }
+
+    /// Whole framed chip records, exactly as journal appends write them.
+    fn records(ids: &[u64]) -> Vec<String> {
+        let (_sim, vfs) = sim();
+        let path = store_dir(&vfs).join("records.journal");
+        let mut journal = vs_fleet::ChipJournal::create_on(&vfs, &path, 0).unwrap();
+        for &id in ids {
+            journal
+                .append(&vs_fleet::ChipSummary {
+                    chip: vs_types::ChipId(id),
+                    die_seed: id,
+                    margins: Vec::new(),
+                    mean_vdd_mv: vec![740.0],
+                    vdd_reduction: vec![0.06],
+                    energy_savings: 0.2,
+                    correctable: id,
+                    emergencies: 0,
+                    crashes: 0,
+                    sw_overhead: 0.0,
+                    dues: 0,
+                    rollbacks: 0,
+                })
+                .unwrap();
+        }
+        let text = vfs.read_to_string(&path).unwrap();
+        text.lines().skip(2).map(String::from).collect()
     }
 
     fn write_file(vfs: &VfsHandle, path: &Path, bytes: &[u8]) {
@@ -568,7 +548,7 @@ mod tests {
         let dir = store_dir(&vfs);
         write_pair(&vfs, &dir, 0xCD);
         let journal = dir.join("00000000000000cd.journal");
-        let good = vs_guard::frame("chip 0 seed=00");
+        let good = records(&[0]).remove(0);
         let mut text = vfs.read_to_string(&journal).unwrap();
         text.push_str(&good);
         text.push('\n');
@@ -589,10 +569,7 @@ mod tests {
         let dir = store_dir(&vfs);
         write_pair(&vfs, &dir, 0xCD);
         let journal = dir.join("00000000000000cd.journal");
-        let records = [
-            vs_guard::frame("chip 0 seed=00"),
-            vs_guard::frame("chip 1 seed=01"),
-        ];
+        let records = records(&[0, 1]);
         let mut text = vfs.read_to_string(&journal).unwrap();
         for record in &records {
             text.push_str(record);
@@ -648,10 +625,7 @@ mod tests {
         let text = vfs.read_to_string(&journal).unwrap();
         assert_eq!(
             text,
-            format!(
-                "{}\nfingerprint 00000000000000ef\n",
-                vs_fleet::JOURNAL_MAGIC
-            )
+            "voltspec-fleet-store v2\nfingerprint 00000000000000ef\n"
         );
     }
 
@@ -682,7 +656,7 @@ mod tests {
         let journal = dir.join("0000000000000022.journal");
         let mut text = vfs.read_to_string(&journal).unwrap();
         text.push_str("00000000 rotted interior record\n");
-        text.push_str(&vs_guard::frame("chip 1 seed=01"));
+        text.push_str(&records(&[1]).remove(0));
         text.push('\n');
         write_file(&vfs, &journal, text.as_bytes());
         let before = vfs.read_to_string(&journal).unwrap();
@@ -691,5 +665,28 @@ mod tests {
         assert_eq!(report.issues[0].kind, IssueKind::CorruptRecord);
         assert_eq!(report.issues[0].action, ScrubAction::Reported);
         assert_eq!(vfs.read_to_string(&journal).unwrap(), before);
+    }
+
+    #[test]
+    fn undecodable_interior_record_is_reported() {
+        // A whole frame (valid CRC) whose payload is not a chip record:
+        // replay skips it, so fsck must flag it too.
+        let (_sim, vfs) = sim();
+        let dir = store_dir(&vfs);
+        write_pair(&vfs, &dir, 0x33);
+        let journal = dir.join("0000000000000033.journal");
+        let good = records(&[0, 2]);
+        let mut text = vfs.read_to_string(&journal).unwrap();
+        text.push_str(&format!(
+            "{}\n{}\n{}\n",
+            good[0],
+            vs_guard::frame("chip 1 wat=huh"),
+            good[1]
+        ));
+        write_file(&vfs, &journal, text.as_bytes());
+        let report = scrub(&vfs, &dir, false).unwrap();
+        assert_eq!(report.issues.len(), 1, "{report}");
+        assert_eq!(report.issues[0].kind, IssueKind::CorruptRecord);
+        assert!(report.issues[0].detail.starts_with("line 4: "), "{report}");
     }
 }

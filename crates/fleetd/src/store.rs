@@ -305,14 +305,7 @@ mod tests {
         // A journal whose header fingerprint contradicts its file name:
         // not mechanically repairable, not compactable.
         let rogue = dir.join("00000000000000aa.journal");
-        fs::write(
-            &rogue,
-            format!(
-                "{}\nfingerprint 00000000000000bb\n",
-                vs_fleet::JOURNAL_MAGIC
-            ),
-        )
-        .unwrap();
+        fs::write(&rogue, vs_fleet::store_header(0xBB)).unwrap();
         let recovery = store.boot_recover().unwrap();
         assert_eq!(recovery.scrub.quarantined_sweeps, vec![0xAA]);
         assert!(!rogue.exists());
@@ -327,5 +320,47 @@ mod tests {
         // The store still boots clean afterwards.
         let again = store.boot_recover().unwrap();
         assert!(again.scrub.clean(), "{}", again.scrub);
+    }
+
+    #[test]
+    fn v1_checkpoint_is_quarantined_and_the_rerun_matches_a_clean_store() {
+        let config = FleetConfig::small(FleetSeed(41), 3);
+        let clean = FleetStore::open(&scratch("v1-clean")).unwrap();
+        FleetRunner::new(config.clone(), 1)
+            .with_checkpoint(clean.checkpoint_path(&config))
+            .run()
+            .unwrap();
+        let expected = fs::read_to_string(clean.checkpoint_path(&config)).unwrap();
+
+        // The same sweep in the retired v1 format: its own magic, and a
+        // trailing ` crc=` field on each unframed record.
+        let store = FleetStore::open(&scratch("v1-store")).unwrap();
+        let ckpt = store.checkpoint_path(&config);
+        let mut v1 = format!(
+            "voltspec-fleet-checkpoint v1\nfingerprint {:016x}\n",
+            config.fingerprint()
+        );
+        for line in expected.lines().skip(2) {
+            let body = vs_guard::unframe(line).unwrap();
+            v1.push_str(&format!(
+                "{body} crc={:08x}\n",
+                vs_guard::crc32(body.as_bytes())
+            ));
+        }
+        fs::write(&ckpt, v1).unwrap();
+
+        let recovery = store.boot_recover().unwrap();
+        assert_eq!(
+            recovery.scrub.quarantined_sweeps,
+            vec![config.fingerprint()],
+            "{}",
+            recovery.scrub
+        );
+        assert!(!ckpt.exists());
+        FleetRunner::new(config.clone(), 1)
+            .with_checkpoint(ckpt.clone())
+            .run()
+            .unwrap();
+        assert_eq!(fs::read_to_string(&ckpt).unwrap(), expected);
     }
 }

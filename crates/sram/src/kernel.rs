@@ -95,7 +95,7 @@ impl CellBank {
     /// lines with full per-cell data.
     ///
     /// The first pass ranks every line by the critical voltage of its
-    /// weakest cell ([`ChipVariation::line_weakest_vc_mv`]: one key hash
+    /// weakest cell (`ChipVariation::line_weakest_vc_mv`: one key hash
     /// per word, one probit per line, the full per-cell computation only
     /// for lines that reach the manufacturing screen) and keeps the top
     /// `k_lines` in a bounded insertion list. The second pass materializes

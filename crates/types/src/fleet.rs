@@ -3,7 +3,7 @@
 //!
 //! Population experiments (the paper's Figures 1–2 spreads, the 8 % mean
 //! Vdd-reduction claim) simulate hundreds of independent dies. Each die's
-//! entire variation map is a pure function of its [`ChipConfig::seed`]
+//! entire variation map is a pure function of its `ChipConfig::seed`
 //! (see `vs-platform`), so a fleet is fully described by one
 //! [`FleetSeed`] plus a chip count: chip `i` runs with the die seed
 //! `FleetSeed::chip_seed(ChipId(i))`.
@@ -15,7 +15,7 @@
 //!    scheduling, or simulation order, so a fleet result is bit-identical
 //!    no matter how it is sharded.
 //! 2. **Stream separation.** Chip seeds are domain-separated from every
-//!    other use of [`hash_key`](crate::rng::hash_key) by a dedicated
+//!    other use of [`hash_key`] by a dedicated
 //!    stream tag, so a chip's RNG streams never collide with another
 //!    chip's (or with fleet-level draws).
 

@@ -3,7 +3,7 @@
 //! A single-chip experiment assigns workloads by hand; a fleet of hundreds
 //! of chips needs a *policy*: a deterministic rule mapping `(chip, core)`
 //! to a workload. The policy draws any randomness from a caller-provided
-//! [`CounterRng`](vs_types::rng::CounterRng) that the fleet layer derives
+//! [`CounterRng`] that the fleet layer derives
 //! from `(fleet_seed, chip_id)`, so assignment — like everything else — is
 //! independent of worker count and scheduling order.
 
