@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vs_cache::hierarchy::CoreCaches;
-use vs_cache::{CacheGeometry, FaultInjector, Injector};
+use vs_cache::{Cache, CacheGeometry, FaultInjector, Injector};
 use vs_ecc::{CorrectableError, EccEventLog, SecDed, UncorrectableError};
 use vs_pdn::{DomainSupply, LoadCurrent, Pdn, VoltageRegulator};
 use vs_power::{EnergyMeter, FanSpeed, PowerModel, ThermalParams, ThermalState};
@@ -106,6 +106,82 @@ impl ProbeOutcome {
     }
 }
 
+/// One SRAM structure of one core, as the failure kernel sees it: the
+/// shared cell bank, the failure LUT and weak-line table derived from it,
+/// and the working-set draws of its lines.
+#[derive(Debug)]
+struct Structure {
+    bank: Arc<CellBank>,
+    lut: FailureLut,
+    table: Option<WeakLineTable>,
+    /// The 2 s working-set phase `phase_draws` were drawn for.
+    phase: Option<u64>,
+    /// Per bank line, the uniform that decides whether the line is in the
+    /// workload's working set during `phase`.
+    phase_draws: Vec<f64>,
+}
+
+impl Structure {
+    /// The structure in `slot` (`kind` of `core`), building its cell bank
+    /// on first use.
+    fn of<'a>(
+        slot: &'a mut Option<Structure>,
+        variation: &ChipVariation,
+        config: &ChipConfig,
+        core: CoreId,
+        kind: CacheKind,
+    ) -> &'a mut Structure {
+        slot.get_or_insert_with(|| {
+            let geometry = CacheGeometry::for_kind(kind);
+            Structure::new(Arc::new(CellBank::build(
+                variation,
+                core,
+                kind,
+                config.mode,
+                geometry.sets,
+                geometry.ways,
+                geometry.words_per_line(),
+                config.weak_lines_tracked,
+            )))
+        })
+    }
+
+    fn new(bank: Arc<CellBank>) -> Structure {
+        Structure {
+            bank,
+            lut: FailureLut::new(),
+            table: None,
+            phase: None,
+            phase_draws: Vec::new(),
+        }
+    }
+
+    /// Fills `phase_draws` with the working-set uniforms of every bank
+    /// line for `phase`, unless they already hold them: one draw per line
+    /// per phase from the keyed stream a per-tick draw would use.
+    fn draw_phase(&mut self, seed: u64, phase: u64) {
+        if self.phase != Some(phase) {
+            let (core, kind) = (self.bank.core().0 as u64, self.bank.kind().stream_id());
+            self.phase_draws.clear();
+            self.phase_draws
+                .extend(self.bank.lines().iter().map(|line| {
+                    let (set, way) = (line.location.set as u64, line.location.way as u64);
+                    CounterRng::from_key(seed, &[0xF007, core, kind, set, way, phase]).next_f64()
+                }));
+            self.phase = Some(phase);
+        }
+    }
+}
+
+/// A line owned by an ECC monitor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MonitorLine {
+    kind: CacheKind,
+    location: SetWay,
+    /// The line's index in its structure's cell bank, if it is tracked.
+    bank_line: Option<usize>,
+}
+
 /// Per-core simulation state.
 struct CoreState {
     caches: CoreCaches,
@@ -116,7 +192,10 @@ struct CoreState {
     last_activity: f64,
     /// Lines currently owned by an ECC monitor (excluded from workload
     /// traffic).
-    monitor_lines: Vec<(CacheKind, SetWay)>,
+    monitor_lines: Vec<MonitorLine>,
+    /// Per [`CacheKind`] (indexed by `kind as usize`), the structure's
+    /// kernel state, built on first use.
+    structures: [Option<Structure>; CacheKind::ALL.len()],
 }
 
 impl fmt::Debug for CoreState {
@@ -139,12 +218,8 @@ pub struct Chip {
     domains: Vec<DomainSupply>,
     domain_v_eff_mv: Vec<f64>,
     cores: Vec<CoreState>,
-    weak_tables: HashMap<(CoreId, CacheKind), WeakLineTable>,
-    /// Structure-of-arrays cell banks (the batched failure kernel's view
-    /// of the weak lines), shared across chips of the same die.
-    banks: BankMap,
-    /// Per-voltage-step failure LUTs derived from the banks.
-    luts: HashMap<(CoreId, CacheKind), FailureLut>,
+    /// Per core, the logic floor at the configured mode.
+    logic_floors: Vec<Millivolts>,
     log: EccEventLog,
     now: SimTime,
     energy: EnergyMeter,
@@ -197,7 +272,11 @@ impl Chip {
                 crash: None,
                 last_activity: 0.0,
                 monitor_lines: Vec::new(),
+                structures: Default::default(),
             })
+            .collect();
+        let logic_floors = (0..config.num_cores)
+            .map(|i| variation.logic_floor(CoreId(i), config.mode))
             .collect();
         let n_domains = config.num_domains();
         let nominal_mv = f64::from(nominal.0);
@@ -206,9 +285,7 @@ impl Chip {
             cores,
             domains,
             domain_v_eff_mv: vec![nominal_mv; n_domains],
-            weak_tables: HashMap::new(),
-            banks: BankMap::new(),
-            luts: HashMap::new(),
+            logic_floors,
             log: EccEventLog::new(),
             now: SimTime::ZERO,
             energy: EnergyMeter::new(),
@@ -272,8 +349,10 @@ impl Chip {
     /// aging transitions call it so stale operating points do not pin
     /// memory.
     pub fn invalidate_failure_luts(&mut self) {
-        for lut in self.luts.values_mut() {
-            lut.invalidate();
+        for state in &mut self.cores {
+            for structure in state.structures.iter_mut().flatten() {
+                structure.lut.invalidate();
+            }
         }
     }
 
@@ -335,7 +414,7 @@ impl Chip {
 
     /// The logic floor of a core at the current mode.
     pub fn logic_floor(&self, core: CoreId) -> Millivolts {
-        self.variation.logic_floor(core, self.config.mode)
+        self.logic_floors[core.0]
     }
 
     /// Whether a core has crashed, and how.
@@ -423,43 +502,53 @@ impl Chip {
 
     // ----- weak-line tables and cell banks ------------------------------
 
+    /// The kernel state of one structure, building its cell bank on
+    /// first use.
+    fn structure(&mut self, core: CoreId, kind: CacheKind) -> &mut Structure {
+        Structure::of(
+            &mut self.cores[core.0].structures[kind as usize],
+            &self.variation,
+            &self.config,
+            core,
+            kind,
+        )
+    }
+
     /// The SoA cell bank of one structure (built lazily, cached, shared
     /// across same-die chips via [`Chip::preload_banks`]).
     pub fn cell_bank(&mut self, core: CoreId, kind: CacheKind) -> Arc<CellBank> {
-        let key = (core, kind);
-        if !self.banks.contains_key(&key) {
-            let geometry = CacheGeometry::for_kind(kind);
-            let bank = CellBank::build(
-                &self.variation,
-                core,
-                kind,
-                self.config.mode,
-                geometry.sets,
-                geometry.ways,
-                geometry.words_per_line(),
-                self.config.weak_lines_tracked,
-            );
-            self.banks.insert(key, Arc::new(bank));
-        }
-        Arc::clone(&self.banks[&key])
+        Arc::clone(&self.structure(core, kind).bank)
     }
 
     /// Snapshot of this chip's cell banks, for sharing with other chips
     /// modelling the same die (cheap: the banks themselves are behind
     /// `Arc`s).
     pub fn export_banks(&self) -> BankMap {
-        self.banks.clone()
+        self.cores
+            .iter()
+            .flat_map(|state| state.structures.iter().flatten())
+            .map(|s| ((s.bank.core(), s.bank.kind()), Arc::clone(&s.bank)))
+            .collect()
     }
 
     /// Adopts pre-built cell banks from another chip of the same die.
     ///
     /// Banks built for a different operating mode are ignored (their cell
     /// voltages would be wrong for this chip); matching ones replace any
-    /// lazily-built local copies.
+    /// lazily-built local copies. Banks of the same die and mode are
+    /// identical, so the LUT, weak-line table and working-set draws
+    /// already derived from a replaced copy stay valid.
     pub fn preload_banks(&mut self, banks: &BankMap) {
-        for (key, bank) in banks {
-            if bank.mode() == self.config.mode {
-                self.banks.insert(*key, Arc::clone(bank));
+        for (&(core, kind), bank) in banks {
+            if bank.mode() != self.config.mode {
+                continue;
+            }
+            let Some(state) = self.cores.get_mut(core.0) else {
+                continue;
+            };
+            match &mut state.structures[kind as usize] {
+                Some(structure) => structure.bank = Arc::clone(bank),
+                slot => *slot = Some(Structure::new(Arc::clone(bank))),
             }
         }
     }
@@ -467,13 +556,10 @@ impl Chip {
     /// The weak-line table of one structure (built lazily from the cell
     /// bank, cached).
     pub fn weak_table(&mut self, core: CoreId, kind: CacheKind) -> &WeakLineTable {
-        let key = (core, kind);
-        if !self.weak_tables.contains_key(&key) {
-            let bank = self.cell_bank(core, kind);
-            self.weak_tables
-                .insert(key, WeakLineTable::from_bank(&bank));
-        }
-        &self.weak_tables[&key]
+        let structure = self.structure(core, kind);
+        structure
+            .table
+            .get_or_insert_with(|| WeakLineTable::from_bank(&structure.bank))
     }
 
     // ----- ECC monitor support ------------------------------------------
@@ -487,30 +573,32 @@ impl Chip {
     /// Panics if `kind` is not an L2 structure.
     pub fn designate_monitor_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) {
         assert!(kind.is_l2(), "monitors target L2 lines, got {kind}");
+        let bank_line = self.structure(core, kind).bank.find(location);
         let state = &mut self.cores[core.0];
-        let cache = match kind {
-            CacheKind::L2Data => &mut state.caches.l2d,
-            CacheKind::L2Instruction => &mut state.caches.l2i,
-            _ => unreachable!(),
-        };
+        let cache = l2_cache(&mut state.caches, kind).expect("kind is L2");
         cache.disable_line(location);
         let words = cache.geometry().words_per_line();
         cache.store_at(location, u64::MAX, &monitor_pattern(words));
-        if !state.monitor_lines.contains(&(kind, location)) {
-            state.monitor_lines.push((kind, location));
+        let monitor = MonitorLine {
+            kind,
+            location,
+            bank_line,
+        };
+        if !state.monitor_lines.contains(&monitor) {
+            state.monitor_lines.push(monitor);
         }
     }
 
     /// Releases a previously designated monitor line back to normal use.
     pub fn release_monitor_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) {
         let state = &mut self.cores[core.0];
-        let cache = match kind {
-            CacheKind::L2Data => &mut state.caches.l2d,
-            CacheKind::L2Instruction => &mut state.caches.l2i,
-            _ => return,
+        let Some(cache) = l2_cache(&mut state.caches, kind) else {
+            return;
         };
         cache.enable_line(location);
-        state.monitor_lines.retain(|e| *e != (kind, location));
+        state
+            .monitor_lines
+            .retain(|m| (m.kind, m.location) != (kind, location));
     }
 
     /// Performs one monitor probe burst against a designated line:
@@ -537,22 +625,24 @@ impl Chip {
         let mode = self.config.mode;
         let temperature = self.temperature();
         let v_eff = self.domain_v_eff_mv[self.config.domain_of(core).0];
-        {
+        let line_idx = {
             let state = &self.cores[core.0];
-            assert!(
-                state.monitor_lines.contains(&(kind, location)),
-                "line {location} of {kind} is not designated for monitoring"
-            );
+            let monitor = state
+                .monitor_lines
+                .iter()
+                .find(|m| (m.kind, m.location) == (kind, location));
+            let Some(monitor) = monitor else {
+                panic!("line {location} of {kind} is not designated for monitoring");
+            };
             if state.crash.is_some() {
                 return ProbeOutcome::default();
             }
-        }
+            monitor.bank_line
+        };
         if accesses == 0 {
             return ProbeOutcome::default();
         }
 
-        let bank = self.cell_bank(core, kind);
-        let line_idx = bank.find(location);
         let age_hours = self.age_hours;
         let aging = if age_hours > 0.0 {
             self.line_aging_shift_mv(core, kind, location)
@@ -562,14 +652,34 @@ impl Chip {
         // Shifting every cell up by the aging delta is equivalent to
         // querying at `v_eff − aging` (see `line_aging_shift_mv`).
         let v_query = v_eff - aging;
+        let now = self.now;
+        let line = LineAddress::new(core, kind, location);
+        let n_real = accesses.min(self.config.monitor_real_reads);
+        let n_analytic = accesses - n_real;
+        let mut outcome = ProbeOutcome::default();
+
+        // The tracked line's bank and LUT serve the whole probe: the
+        // envelope check, the real reads and the analytic remainder.
+        let CoreState {
+            caches,
+            rng,
+            structures,
+            ..
+        } = &mut self.cores[core.0];
+        let Structure { bank, lut, .. } = Structure::of(
+            &mut structures[kind as usize],
+            &self.variation,
+            &self.config,
+            core,
+            kind,
+        );
 
         // Envelope fast path: when even the whole burst cannot produce a
         // statistically visible event (evaluated at the conservative
         // quantized corner), skip sampling entirely. The probe still
         // counts its accesses, so telemetry matches the slow path.
         if let Some(li) = line_idx {
-            let lut = self.luts.entry((core, kind)).or_default();
-            if lut.negligible(&bank, li, v_query, temperature, accesses as f64) {
+            if lut.negligible(bank, li, v_query, temperature, accesses as f64) {
                 return ProbeOutcome {
                     accesses,
                     correctable: 0,
@@ -578,82 +688,67 @@ impl Chip {
             }
         }
 
-        let mut outcome = ProbeOutcome::default();
-        let n_real = accesses.min(self.config.monitor_real_reads);
-
         // Real data-path reads: the banked LUT sampler when the line is
         // tracked, the scalar injector otherwise (monitor lines normally
         // come from the weak-line table, so the fallback is rare).
-        {
-            let state = &mut self.cores[core.0];
-            let cache = match kind {
-                CacheKind::L2Data => &mut state.caches.l2d,
-                CacheKind::L2Instruction => &mut state.caches.l2i,
-                _ => unreachable!("designation enforces L2"),
-            };
-            for _ in 0..n_real {
-                let read = match line_idx {
-                    Some(li) => {
-                        let lut = self.luts.entry((core, kind)).or_default();
-                        let mut injector = BankLineInjector {
-                            bank: &bank,
-                            lut,
-                            line: li,
-                            v_query_mv: v_query,
-                            temperature,
-                            rng: &mut state.rng,
-                        };
-                        cache.read_at(location, &mut injector)
-                    }
-                    None => {
-                        let mut injector =
-                            FaultInjector::new(&self.variation, core, mode, v_eff, &mut state.rng)
-                                .with_temperature(temperature)
-                                .with_aging_hours(age_hours);
-                        cache.read_at(location, &mut injector)
-                    }
+        let cache = l2_cache(caches, kind).expect("designation enforces L2");
+        for _ in 0..n_real {
+            let read = match line_idx {
+                Some(li) => {
+                    let mut injector = BankLineInjector {
+                        bank,
+                        lut,
+                        line: li,
+                        v_query_mv: v_query,
+                        temperature,
+                        rng,
+                    };
+                    cache.read_at(location, &mut injector)
                 }
-                .expect("designated line is always resident");
-                outcome.accesses += 1;
-                outcome.correctable += read.correctable_count() as u64;
-                if read.has_uncorrectable() {
-                    outcome.uncorrectable += 1;
+                None => {
+                    let mut injector = FaultInjector::new(&self.variation, core, mode, v_eff, rng)
+                        .with_temperature(temperature)
+                        .with_aging_hours(age_hours);
+                    cache.read_at(location, &mut injector)
                 }
-                for event in &read.events {
-                    let line = LineAddress::new(core, kind, location);
-                    match event.outcome {
-                        vs_ecc::DecodeOutcome::Corrected { bit, syndrome, .. } => {
-                            self.log.record_correctable(CorrectableError {
-                                at: self.now,
-                                line,
-                                word: event.word,
-                                bit,
-                                syndrome,
-                            });
-                        }
-                        vs_ecc::DecodeOutcome::Uncorrectable { syndrome } => {
-                            self.log.record_uncorrectable(UncorrectableError {
-                                at: self.now,
-                                line,
-                                word: event.word,
-                                syndrome,
-                            });
-                        }
-                        vs_ecc::DecodeOutcome::Clean { .. } => {}
+            }
+            .expect("designated line is always resident");
+            outcome.accesses += 1;
+            outcome.correctable += read.correctable_count() as u64;
+            if read.has_uncorrectable() {
+                outcome.uncorrectable += 1;
+            }
+            for event in &read.events {
+                match event.outcome {
+                    vs_ecc::DecodeOutcome::Corrected { bit, syndrome, .. } => {
+                        self.log.record_correctable(CorrectableError {
+                            at: now,
+                            line,
+                            word: event.word,
+                            bit,
+                            syndrome,
+                        });
                     }
+                    vs_ecc::DecodeOutcome::Uncorrectable { syndrome } => {
+                        self.log.record_uncorrectable(UncorrectableError {
+                            at: now,
+                            line,
+                            word: event.word,
+                            syndrome,
+                        });
+                    }
+                    vs_ecc::DecodeOutcome::Clean { .. } => {}
                 }
             }
         }
 
         // Analytic remainder, sampled from the same distribution (the
         // LUT triple when tracked, the allocating path otherwise).
-        let n_analytic = accesses - n_real;
         if n_analytic > 0 {
             let (p_ce, p_ue, representative) = match line_idx {
                 Some(li) => {
-                    let lut = self.luts.entry((core, kind)).or_default();
-                    let (_, p_ce, p_ue) = lut.line_probabilities(&bank, li, v_query, temperature);
-                    (p_ce, p_ue, bank_weakest_word(&bank, li))
+                    let (_, p_ce, p_ue) = lut.line_probabilities(bank, li, v_query, temperature);
+                    (p_ce, p_ue, bank_weakest_word(bank, li))
                 }
                 None => {
                     let line = self.monitor_weak_line(core, kind, location);
@@ -675,8 +770,8 @@ impl Chip {
                 // probe burst at most) to keep the log bounded; counters
                 // carry the full totals.
                 self.log.record_correctable(CorrectableError {
-                    at: self.now,
-                    line: LineAddress::new(core, kind, location),
+                    at: now,
+                    line,
                     word,
                     bit,
                     syndrome,
@@ -892,12 +987,15 @@ impl Chip {
         tick_ms: f64,
     ) -> (u64, bool) {
         let mode = self.config.mode;
+        let seed = self.config.seed;
         let temperature = self.temperature();
         let reuse = self.config.uniform_reuse_fraction;
         let rf_rate = self.config.rf_weak_access_per_ms;
-        let phase = self.now.as_millis() / 2000;
+        let age_hours = self.age_hours;
+        let now = self.now;
+        let phase = now.as_millis() / 2000;
 
-        let mut kinds: Vec<(CacheKind, f64, f64)> = vec![
+        let kinds = [
             (
                 CacheKind::L2Data,
                 demand.l2_accesses_per_ms * (1.0 - demand.instruction_fraction),
@@ -908,23 +1006,47 @@ impl Chip {
                 demand.l2_accesses_per_ms * demand.instruction_fraction,
                 demand.footprint_fraction,
             ),
+            // Register files only matter at the nominal (timing-limited)
+            // point; their "footprint" is the whole array.
+            (CacheKind::RegisterFileInt, 0.0, 1.0),
+            (CacheKind::RegisterFileFp, 0.0, 1.0),
         ];
-        // Register files only matter at the nominal (timing-limited)
-        // point; their "footprint" is the whole array.
-        if mode == VddMode::Nominal && demand.activity > 0.0 {
-            kinds.push((CacheKind::RegisterFileInt, 0.0, 1.0));
-            kinds.push((CacheKind::RegisterFileFp, 0.0, 1.0));
-        }
+        let tracked = if mode == VddMode::Nominal && demand.activity > 0.0 {
+            4
+        } else {
+            2
+        };
 
         let mut total_ce = 0u64;
         let mut any_ue = false;
-        for (kind, rate_per_ms, footprint) in kinds {
-            let bank = self.cell_bank(core, kind);
+        for &(kind, rate_per_ms, footprint) in &kinds[..tracked] {
+            let CoreState {
+                rng,
+                monitor_lines,
+                structures,
+                ..
+            } = &mut self.cores[core.0];
+            let structure = Structure::of(
+                &mut structures[kind as usize],
+                &self.variation,
+                &self.config,
+                core,
+                kind,
+            );
+            structure.draw_phase(seed, phase);
+            let Structure {
+                bank,
+                lut,
+                phase_draws,
+                ..
+            } = structure;
             let total_lines = bank.total_lines();
-            for li in 0..bank.lines().len() {
-                let line = bank.lines()[li];
+            for (li, line) in bank.lines().iter().enumerate() {
                 let location = line.location;
-                if self.cores[core.0].monitor_lines.contains(&(kind, location)) {
+                if monitor_lines
+                    .iter()
+                    .any(|m| (m.kind, m.location) == (kind, location))
+                {
                     continue; // monitor-owned: holds no workload data
                 }
                 // Expected accesses this line receives this tick.
@@ -937,27 +1059,16 @@ impl Chip {
                     continue;
                 }
                 // Is the line in the current working-set phase?
-                let mut phase_rng = CounterRng::from_key(
-                    self.config.seed,
-                    &[
-                        0xF007,
-                        core.0 as u64,
-                        kind.stream_id(),
-                        location.set as u64,
-                        location.way as u64,
-                        phase,
-                    ],
-                );
-                if !phase_rng.bernoulli(footprint) {
+                if !in_working_set(phase_draws[li], footprint) {
                     continue;
                 }
-                let aging = if self.age_hours > 0.0 {
-                    self.line_aging_shift_mv(core, kind, location)
+                let aging = if age_hours > 0.0 {
+                    self.variation
+                        .aging_shift_mv(core, kind, location, age_hours)
                 } else {
                     0.0
                 };
                 let v_query = v_eff - aging;
-                let lut = self.luts.entry((core, kind)).or_default();
                 // Envelope fast path: when the tick's whole expected
                 // traffic cannot produce a statistically visible event
                 // (conservative quantized corner), skip the per-line
@@ -965,13 +1076,13 @@ impl Chip {
                 // once a line is far below the rail nothing beneath it
                 // errs either (generous slack for noise-factor
                 // variation before breaking).
-                if lut.negligible(&bank, li, v_query, temperature, expected + 1.0) {
+                if lut.negligible(bank, li, v_query, temperature, expected + 1.0) {
                     if line.weakest_vc_mv < v_eff - 60.0 {
                         break;
                     }
                     continue;
                 }
-                let (_, p_ce, p_ue) = lut.line_probabilities(&bank, li, v_query, temperature);
+                let (_, p_ce, p_ue) = lut.line_probabilities(bank, li, v_query, temperature);
                 if p_ce <= 0.0 && p_ue <= 0.0 {
                     if line.weakest_vc_mv < v_eff - 60.0 {
                         break;
@@ -979,20 +1090,18 @@ impl Chip {
                     continue;
                 }
                 // Number of accesses: integer part plus Bernoulli remainder.
-                let state = &mut self.cores[core.0];
-                let n = expected.floor() as u64 + u64::from(state.rng.bernoulli(expected.fract()));
+                let n = expected.floor() as u64 + u64::from(rng.bernoulli(expected.fract()));
                 if n == 0 {
                     continue;
                 }
-                let ce = state.rng.binomial(n, p_ce);
-                let ue = state.rng.binomial(n, p_ue);
+                let ce = rng.binomial(n, p_ce);
+                let ue = rng.binomial(n, p_ue);
                 if ce > 0 {
                     total_ce += ce;
-                    let (word, bit) = bank_weakest_word(&bank, li);
-                    let line_addr = LineAddress::new(core, kind, location);
+                    let (word, bit) = bank_weakest_word(bank, li);
                     let event = CorrectableError {
-                        at: self.now,
-                        line: line_addr,
+                        at: now,
+                        line: LineAddress::new(core, kind, location),
                         word,
                         bit,
                         syndrome: single_bit_syndrome(bit),
@@ -1005,9 +1114,9 @@ impl Chip {
                 }
                 if ue > 0 {
                     any_ue = true;
-                    let (word, _) = bank_weakest_word(&bank, li);
+                    let (word, _) = bank_weakest_word(bank, li);
                     self.log.record_uncorrectable(UncorrectableError {
-                        at: self.now,
+                        at: now,
                         line: LineAddress::new(core, kind, location),
                         word,
                         syndrome: 0b11,
@@ -1059,6 +1168,28 @@ pub(crate) fn monitor_pattern(words: usize) -> Vec<u64> {
             }
         })
         .collect()
+}
+
+/// The L2 cache of `kind` in a core's hierarchy; `None` for other kinds.
+fn l2_cache(caches: &mut CoreCaches, kind: CacheKind) -> Option<&mut Cache> {
+    match kind {
+        CacheKind::L2Data => Some(&mut caches.l2d),
+        CacheKind::L2Instruction => Some(&mut caches.l2i),
+        _ => None,
+    }
+}
+
+/// [`CounterRng::bernoulli`]`(footprint)` decided by its already drawn
+/// uniform `u`: the same short-circuits at `footprint ≤ 0` and
+/// `footprint ≥ 1` (which draw nothing), then `u < footprint`.
+fn in_working_set(u: f64, footprint: f64) -> bool {
+    if footprint <= 0.0 {
+        false
+    } else if footprint >= 1.0 {
+        true
+    } else {
+        u < footprint
+    }
 }
 
 /// Injector that samples a tracked line's flips from the banked
@@ -1286,6 +1417,66 @@ mod tests {
         let own = nominal.cell_bank(CoreId(0), CacheKind::L2Data);
         assert!(!Arc::ptr_eq(&own, &banks[&(CoreId(0), CacheKind::L2Data)]));
         assert_eq!(own.mode(), VddMode::Nominal);
+    }
+
+    #[test]
+    fn cached_phase_draws_decide_like_the_keyed_bernoulli() {
+        // The per-phase uniform must reproduce the per-tick keyed draw's
+        // decision, including `bernoulli`'s no-draw short-circuits at
+        // p ≤ 0 and p ≥ 1.
+        let mut chip = Chip::new(small_config(5));
+        let seed = chip.config().seed;
+        let mut decisions = 0;
+        for core in [CoreId(0), CoreId(1)] {
+            for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
+                let bank = chip.cell_bank(core, kind);
+                for phase in 0..3u64 {
+                    let structure = chip.structure(core, kind);
+                    structure.draw_phase(seed, phase);
+                    let draws = structure.phase_draws.clone();
+                    assert_eq!(draws.len(), bank.lines().len());
+                    for (line, &u) in bank.lines().iter().zip(&draws) {
+                        for f in [-0.1, 0.0, 0.3, 1.0, 1.2] {
+                            let want = CounterRng::from_key(
+                                seed,
+                                &[
+                                    0xF007,
+                                    core.0 as u64,
+                                    kind.stream_id(),
+                                    line.location.set as u64,
+                                    line.location.way as u64,
+                                    phase,
+                                ],
+                            )
+                            .bernoulli(f);
+                            assert_eq!(
+                                in_working_set(u, f),
+                                want,
+                                "{core:?} {kind:?} {} phase {phase} f {f}",
+                                line.location
+                            );
+                            decisions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(decisions, 2 * 2 * 8 * 3 * 5);
+    }
+
+    #[test]
+    fn precomputed_logic_floors_match_the_variation() {
+        for config in [ChipConfig::low_voltage(9), ChipConfig::nominal(9)] {
+            let mode = config.mode;
+            let chip = Chip::new(config);
+            for core in (0..chip.config().num_cores).map(CoreId) {
+                assert_eq!(
+                    chip.logic_floor(core),
+                    chip.variation().logic_floor(core, mode),
+                    "{core:?} {mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   line-level `(clean, correctable, uncorrectable)` probability triples,
 //!   and per-word *subset CDFs* that sample a whole word's flip outcome
 //!   with a **single** RNG draw plus a short CDF walk, instead of one
-//!   Bernoulli draw per tracked cell.
+//!   Bernoulli draw per tracked cell. Both live in flat per-line grids —
+//!   one row per °C bucket, each a lazily grown millivolt window — so a
+//!   lookup is index arithmetic, not a hash probe; a word CDF takes `2^k`
+//!   floats.
 //! * an **envelope fast path** — [`FailureLut::negligible`] evaluates the
 //!   line triple at the floor of the query voltage (a provable
 //!   over-estimate, since failure probability is monotonically decreasing
@@ -38,7 +41,6 @@
 
 use crate::failure::AccessContext;
 use crate::variation::{ChipVariation, WeakCell, WordCells, BITS_PER_WORD};
-use std::collections::HashMap;
 use vs_types::rng::CounterRng;
 use vs_types::{CacheKind, Celsius, CoreId, FlipMask, SetWay, VddMode};
 
@@ -391,28 +393,103 @@ fn word_probabilities_from(ps: &[f64]) -> (f64, f64, f64) {
     (p_none, p_one, p_multi)
 }
 
-/// Cumulative distribution over the `2^k` flip subsets of one word at one
-/// quantized operating point.
-#[derive(Debug, Clone)]
-struct WordCdf {
-    cdf: [f64; 1 << MAX_CELLS_PER_WORD],
-    outcomes: usize,
+/// Marks a window slot, or a line without rows, that holds nothing yet.
+const EMPTY: u32 = u32::MAX;
+
+/// A millivolt window of one row: arena slots `start..start + len` hold
+/// the entry indices of the keys `base..base + len`, or [`EMPTY`].
+#[derive(Debug, Default)]
+struct Window {
+    base: i32,
+    start: u32,
+    len: u32,
+}
+
+impl Window {
+    /// The arena slot of `key`, growing the window to cover it. A window
+    /// that must grow moves to the end of the arena with room to spare on
+    /// the side it grew, keeping every cached key at its own slot; growth
+    /// below `base` shifts the old slots up by the keys added beneath.
+    #[inline]
+    fn slot<'a>(&mut self, arena: &'a mut Vec<u32>, key: i32) -> &'a mut u32 {
+        let (len, end) = (self.len as i32, self.base + self.len as i32);
+        if len == 0 || key < self.base || key >= end {
+            let (lo, hi) = if len == 0 {
+                (key, key + 1)
+            } else if key < self.base {
+                (key - len, end)
+            } else {
+                (self.base, key + 1 + len)
+            };
+            let start = arena.len();
+            arena.resize(start + (hi - lo) as usize, EMPTY);
+            if len > 0 {
+                let old = self.start as usize;
+                let shift = (self.base - lo) as usize;
+                arena.copy_within(old..old + len as usize, start + shift);
+            }
+            *self = Window {
+                base: lo,
+                start: start as u32,
+                len: (hi - lo) as u32,
+            };
+        }
+        &mut arena[self.start as usize + (key - self.base) as usize]
+    }
+}
+
+/// The millivolt windows of one tracked line at one 1 °C bucket.
+#[derive(Debug)]
+struct Row {
+    temp_q: i16,
+    /// The line's next row, or [`EMPTY`].
+    next: u32,
+    /// Per mV, the index of its triple in [`FailureLut`]'s `probs`.
+    probs: Window,
+    /// Per mV, the index of its block of word CDFs in `cdfs`.
+    cdfs: Window,
 }
 
 /// Per-voltage-step failure lookup tables for one [`CellBank`].
 ///
-/// Keys quantize the query point onto the regulator's discrete millivolt
-/// grid (`v.round()`) and 1 °C temperature buckets; the worst-case
-/// probability error of the rounding is `0.5 / (4 · read_noise_mv)` — the
-/// logistic's maximum slope times half a step. Entries are computed
-/// lazily and live until [`FailureLut::invalidate`] is called (required
-/// whenever the effective cell voltages shift, e.g. on aging or
-/// recalibration-epoch changes).
+/// Queries quantize onto the regulator's discrete millivolt grid
+/// (`v.round()`) and 1 °C temperature buckets; the worst-case probability
+/// error of the rounding is `0.5 / (4 · read_noise_mv)` — the logistic's
+/// maximum slope times half a step.
+///
+/// The tables are flat per-line grids indexed by those quantized points,
+/// not hash maps: each tracked line has one row per °C bucket, and each
+/// row holds a millivolt window over the line triples and one over the
+/// word CDFs queried so far. The windows grow lazily on either side, so a
+/// query below the first one queried extends the window downwards. All
+/// windows share one slot arena and all entries sit in two dense arrays,
+/// the word CDFs at `2^k` floats each for `k` tracked cells per word, so
+/// a table set is a handful of allocations however many points it
+/// caches. Entries are computed on first use and live until
+/// [`FailureLut::invalidate`] drops them all (required whenever the
+/// effective cell voltages shift, e.g. on aging or recalibration-epoch
+/// changes).
+///
+/// Grids are indexed by line number, so one table set serves one bank, or
+/// banks of one shape whose line numbers are meant to share entries.
 #[derive(Debug, Default)]
 pub struct FailureLut {
     epoch: u64,
-    line_probs: HashMap<(u32, i32, i16), (f64, f64, f64)>,
-    word_cdfs: HashMap<(u32, u32, i32, i16), WordCdf>,
+    /// Per tracked line, the index of its newest row in `rows`, or
+    /// [`EMPTY`].
+    heads: Vec<u32>,
+    rows: Vec<Row>,
+    /// The slots of every row's windows.
+    slots: Vec<u32>,
+    /// `(clean, correctable, uncorrectable)` triples, one per queried
+    /// point.
+    probs: Vec<(f64, f64, f64)>,
+    /// Blocks of `words_per_line` CDFs of `2^k` floats each, one block per
+    /// queried (line, °C, mV) point. A CDF not built yet is all zeros; a
+    /// built one ends at exactly 1.
+    cdfs: Vec<f64>,
+    /// Word CDFs built since the last invalidation.
+    cdf_entries: usize,
 }
 
 impl FailureLut {
@@ -427,28 +504,54 @@ impl FailureLut {
         self.epoch
     }
 
-    /// Number of cached entries `(line triples, word CDFs)`.
+    /// Number of cached entries `(line triples, word CDFs)`: exactly the
+    /// distinct quantized points queried since the last invalidation.
     pub fn len(&self) -> (usize, usize) {
-        (self.line_probs.len(), self.word_cdfs.len())
+        (self.probs.len(), self.cdf_entries)
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.line_probs.is_empty() && self.word_cdfs.is_empty()
+        self.probs.is_empty() && self.cdf_entries == 0
     }
 
     /// Drops every cached entry and bumps the epoch. Call when the
     /// underlying cell voltages move (aging applied, recalibration).
     pub fn invalidate(&mut self) {
-        self.line_probs.clear();
-        self.word_cdfs.clear();
-        self.epoch += 1;
+        *self = FailureLut {
+            epoch: self.epoch + 1,
+            ..FailureLut::default()
+        };
     }
 
     /// Quantizes a query point onto the LUT grid.
     #[inline]
     pub fn quantize(v_eff_mv: f64, temperature: Celsius) -> (i32, i16) {
         (v_eff_mv.round() as i32, temperature.0.round() as i16)
+    }
+
+    /// The index of `line`'s row at the °C bucket `temp_q`, created if
+    /// missing.
+    #[inline]
+    fn row(&mut self, bank: &CellBank, line: usize, temp_q: i16) -> usize {
+        if line >= self.heads.len() {
+            self.heads.resize(bank.lines().len().max(line + 1), EMPTY);
+        }
+        let mut at = self.heads[line];
+        while at != EMPTY && self.rows[at as usize].temp_q != temp_q {
+            at = self.rows[at as usize].next;
+        }
+        if at == EMPTY {
+            at = self.rows.len() as u32;
+            self.rows.push(Row {
+                temp_q,
+                next: self.heads[line],
+                probs: Window::default(),
+                cdfs: Window::default(),
+            });
+            self.heads[line] = at;
+        }
+        at as usize
     }
 
     /// The `(clean, correctable, uncorrectable)` triple for one read of a
@@ -461,12 +564,17 @@ impl FailureLut {
         temperature: Celsius,
     ) -> (f64, f64, f64) {
         let (mv_q, temp_q) = Self::quantize(v_eff_mv, temperature);
-        *self
-            .line_probs
-            .entry((line as u32, mv_q, temp_q))
-            .or_insert_with(|| {
-                bank.line_probabilities(line, f64::from(mv_q), Celsius(f64::from(temp_q)))
-            })
+        let row = self.row(bank, line, temp_q);
+        let slot = self.rows[row].probs.slot(&mut self.slots, mv_q);
+        if *slot == EMPTY {
+            *slot = self.probs.len() as u32;
+            self.probs.push(bank.line_probabilities(
+                line,
+                f64::from(mv_q),
+                Celsius(f64::from(temp_q)),
+            ));
+        }
+        self.probs[*slot as usize]
     }
 
     /// Samples one read of a tracked word with a **single RNG draw**: the
@@ -486,21 +594,30 @@ impl FailureLut {
         rng: &mut CounterRng,
     ) -> FlipMask {
         let (mv_q, temp_q) = Self::quantize(v_eff_mv, temperature);
-        let cdf = self
-            .word_cdfs
-            .entry((line as u32, word, mv_q, temp_q))
-            .or_insert_with(|| {
-                build_word_cdf(
-                    bank,
-                    line,
-                    word,
-                    f64::from(mv_q),
-                    Celsius(f64::from(temp_q)),
-                )
-            });
+        let outcomes = 1usize << bank.cells_per_word();
+        let block = bank.words_per_line() * outcomes;
+        let row = self.row(bank, line, temp_q);
+        let slot = self.rows[row].cdfs.slot(&mut self.slots, mv_q);
+        if *slot == EMPTY {
+            *slot = (self.cdfs.len() / block) as u32;
+            self.cdfs.resize(self.cdfs.len() + block, 0.0);
+        }
+        let at = *slot as usize * block + word as usize * outcomes;
+        let cdf = &mut self.cdfs[at..at + outcomes];
+        if cdf[outcomes - 1] == 0.0 {
+            build_word_cdf(
+                bank,
+                line,
+                word,
+                f64::from(mv_q),
+                Celsius(f64::from(temp_q)),
+                cdf,
+            );
+            self.cdf_entries += 1;
+        }
         let r = rng.next_f64();
         let mut subset = 0usize;
-        while cdf.cdf[subset] <= r && subset + 1 < cdf.outcomes {
+        while cdf[subset] <= r && subset + 1 < outcomes {
             subset += 1;
         }
         let bits = bank.word_bits(line, word);
@@ -541,14 +658,15 @@ impl FailureLut {
 }
 
 /// Enumerates the `2^k` flip subsets of one word at one operating point
-/// and accumulates their probabilities into a CDF.
+/// and accumulates their probabilities into `cdf` (`2^k` floats).
 fn build_word_cdf(
     bank: &CellBank,
     line: usize,
     word: u32,
     v_eff_mv: f64,
     temperature: Celsius,
-) -> WordCdf {
+    cdf: &mut [f64],
+) {
     let ctx = bank.context(line, v_eff_mv, temperature);
     let vcs = bank.word_vcs(line, word);
     let k = vcs.len();
@@ -557,7 +675,6 @@ fn build_word_cdf(
         *slot = ctx.flip_probability(*vc);
     }
     let outcomes = 1usize << k;
-    let mut cdf = [0.0_f64; 1 << MAX_CELLS_PER_WORD];
     let mut acc = 0.0;
     for (subset, slot) in cdf.iter_mut().enumerate().take(outcomes) {
         let mut p = 1.0;
@@ -573,7 +690,6 @@ fn build_word_cdf(
     }
     // Absorb floating-point residue so every draw in [0, 1) lands.
     cdf[outcomes - 1] = 1.0;
-    WordCdf { cdf, outcomes }
 }
 
 #[cfg(test)]
@@ -840,6 +956,168 @@ mod tests {
         assert!((multis as f64 / n - p2).abs() < 0.005);
         // One cached CDF, one draw per sample.
         assert_eq!(lut.len().1, 1);
+    }
+
+    /// One LUT read the way the hash-map tables answered it: the CDF of
+    /// the quantized point built afresh, then one draw walked through it.
+    fn reference_sample(
+        b: &CellBank,
+        line: usize,
+        word: u32,
+        v_eff_mv: f64,
+        temperature: Celsius,
+        rng: &mut CounterRng,
+    ) -> FlipMask {
+        let (mv_q, t_q) = FailureLut::quantize(v_eff_mv, temperature);
+        let outcomes = 1usize << b.cells_per_word();
+        let mut cdf = [0.0_f64; 1 << MAX_CELLS_PER_WORD];
+        build_word_cdf(
+            b,
+            line,
+            word,
+            f64::from(mv_q),
+            Celsius(f64::from(t_q)),
+            &mut cdf[..outcomes],
+        );
+        let r = rng.next_f64();
+        let mut subset = 0usize;
+        while cdf[subset] <= r && subset + 1 < outcomes {
+            subset += 1;
+        }
+        let mut mask = FlipMask::EMPTY;
+        for (j, &bit) in b.word_bits(line, word).iter().enumerate() {
+            if subset & (1 << j) != 0 {
+                mask.set(bit);
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn grid_lut_matches_direct_evaluation_over_a_die_population() {
+        // Per die: a seeded walk that starts at one millivolt, descends
+        // below it (the windows grow downwards), jumps far above it,
+        // spreads over three °C buckets, and invalidates midway.
+        const QUERIES: usize = 240;
+        for die in 0..8u64 {
+            let v = ChipVariation::new(0x61D + die, SramParams::default());
+            let b = CellBank::build(
+                &v,
+                CoreId(die as usize % 2),
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                SETS,
+                WAYS,
+                WORDS,
+                8,
+            );
+            let lines = b.lines().len() as u64;
+            let v0 = b.lines()[0].weakest_vc_mv;
+            let mut walk = CounterRng::from_key(die, &[0x9A1D]);
+            let mut sampler = CounterRng::from_key(die, &[0x5A]);
+            let mut lut = FailureLut::new();
+            let mut line_points = std::collections::HashSet::new();
+            let mut word_points = std::collections::HashSet::new();
+            for q in 0..QUERIES {
+                if q == QUERIES / 2 {
+                    lut.invalidate();
+                    line_points.clear();
+                    word_points.clear();
+                }
+                let jitter = walk.next_f64();
+                let v_eff = match q % (QUERIES / 2) {
+                    0 => v0,
+                    q if q < 40 => v0 - q as f64 * 0.8 - jitter,
+                    q if q < 80 => v0 + 25.0 + 30.0 * jitter,
+                    _ => v0 - 35.0 + 70.0 * jitter,
+                };
+                let temperature = Celsius(48.6 + 2.8 * walk.next_f64());
+                let line = walk.next_below(lines) as usize;
+                let word = walk.next_below(WORDS as u64) as u32;
+                let (mv_q, t_q) = FailureLut::quantize(v_eff, temperature);
+
+                let got = lut.line_probabilities(&b, line, v_eff, temperature);
+                let want = b.line_probabilities(line, f64::from(mv_q), Celsius(f64::from(t_q)));
+                assert_eq!(
+                    [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                    [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                    "die {die} query {q}: line {line} at {mv_q} mV, {t_q} °C"
+                );
+                line_points.insert((line, mv_q, t_q));
+
+                let mut reference = sampler.clone();
+                let got = lut.sample_word(&b, line, word, v_eff, temperature, &mut sampler);
+                let want = reference_sample(&b, line, word, v_eff, temperature, &mut reference);
+                assert_eq!(got, want, "die {die} query {q}: word {word} of line {line}");
+                assert_eq!(sampler, reference, "one draw per sample");
+                word_points.insert((line, word, mv_q, t_q));
+
+                assert_eq!(lut.len(), (line_points.len(), word_points.len()));
+            }
+            let buckets: std::collections::HashSet<i16> =
+                line_points.iter().map(|&(_, _, t)| t).collect();
+            assert_eq!(buckets.len(), 3, "die {die} spans three °C buckets");
+        }
+    }
+
+    #[test]
+    fn lut_sampler_outcome_classes_pass_chi_square() {
+        // Per-word outcome classes (no flip, one, two or more) of the LUT
+        // sampler against `CellBank::word_probabilities` at the quantized
+        // point, on a (V, T, aging shift) grid of 3 × 2 × 2 points around
+        // the word whose rarest class is most common midway between its
+        // two weakest cells. Aging enters as the chip applies it: a query
+        // at `v − shift`.
+        const DRAWS: u64 = 20_000;
+        // χ² 0.999 quantile at 24 degrees of freedom (12 points × 2).
+        const CRITICAL: f64 = 51.18;
+        let b = bank();
+        let midway = |line: usize, word: u32| {
+            let vcs = b.word_vcs(line, word);
+            (vcs[0] + vcs[1]) / 2.0
+        };
+        let rarest = |line: usize, word: u32| {
+            let ctx = b.context(line, midway(line, word), Celsius(50.0));
+            let (p0, p1, p2) = b.word_probabilities(line, word, &ctx);
+            p0.min(p1).min(p2)
+        };
+        let (line, word) = (0..b.lines().len())
+            .flat_map(|l| (0..WORDS as u32).map(move |w| (l, w)))
+            .max_by(|&(la, wa), &(lb, wb)| rarest(la, wa).total_cmp(&rarest(lb, wb)))
+            .unwrap();
+        let centre = midway(line, word);
+        let mut rng = CounterRng::from_key(0xC412, &[]);
+        let mut lut = FailureLut::new();
+        let mut chi2 = 0.0;
+        let mut points = 0;
+        for dv in [-2.0, 0.4, 2.0] {
+            for temperature in [Celsius(45.0), Celsius(55.0)] {
+                for shift in [0.0, 1.5] {
+                    let v_query = centre + dv - shift;
+                    let (mv_q, t_q) = FailureLut::quantize(v_query, temperature);
+                    let ctx = b.context(line, f64::from(mv_q), Celsius(f64::from(t_q)));
+                    let (p0, p1, p2) = b.word_probabilities(line, word, &ctx);
+                    let mut counts = [0u64; 3];
+                    for _ in 0..DRAWS {
+                        let flips = lut
+                            .sample_word(&b, line, word, v_query, temperature, &mut rng)
+                            .count();
+                        counts[(flips as usize).min(2)] += 1;
+                    }
+                    for (observed, p) in counts.into_iter().zip([p0, p1, p2]) {
+                        let expected = DRAWS as f64 * p;
+                        assert!(
+                            expected >= 5.0,
+                            "dv {dv} {temperature:?} shift {shift}: class expectation {expected}"
+                        );
+                        chi2 += (observed as f64 - expected).powi(2) / expected;
+                    }
+                    points += 1;
+                }
+            }
+        }
+        assert_eq!(points, 12);
+        assert!(chi2 < CRITICAL, "χ² = {chi2} over 24 degrees of freedom");
     }
 
     #[test]
