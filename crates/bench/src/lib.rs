@@ -12,7 +12,6 @@
 pub mod crashmatrix;
 pub mod figures;
 pub mod report;
-pub mod timing;
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

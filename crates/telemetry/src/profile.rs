@@ -420,9 +420,9 @@ mod tests {
     #[test]
     fn percentile_boundary_rank_is_not_a_raw_bucket_edge() {
         // Regression: 32 chip walls straddling the 2^31 ns bucket edge
-        // reported p50 = 2147483648 exactly (the raw edge, landing in
-        // BENCH_fleet.json looking like an i32 overflow) whenever the
-        // rank fell on a cumulative-count boundary.
+        // reported p50 = 2147483648 exactly (the raw edge, which looks
+        // like an i32 overflow in a results file) whenever the rank fell
+        // on a cumulative-count boundary.
         let mut h = LatencyHistogram::new();
         for _ in 0..16 {
             h.observe_ns(1_900_000_000);
