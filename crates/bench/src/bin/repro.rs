@@ -118,18 +118,18 @@
 //!   (the client forgets its idempotency key across transport retries)
 //!   so CI can check the oracle catches it and shrinks it stably.
 //! * `--crash-matrix [CHIPS]` is the crash-consistency model checker
-//!   (see `vs_bench::crashmatrix`): record the store protocol of a
-//!   `CHIPS`-chip sweep (default 16) on a simulated filesystem that
-//!   numbers every mutation, enumerate every crash point — each
+//!   (see `vs_bench::crashmatrix`): record a `CHIPS`-chip sweep
+//!   (default 16) of the real fleet runner on a simulated filesystem
+//!   that numbers every mutation, enumerate every crash point — each
 //!   operation under dropped/retained pending data plus torn-prefix
 //!   variants of every write — and at each point reboot the exact
 //!   `vs-fleetd` recovery (fsck scrub in repair mode, then streaming
 //!   compaction) and check the durability invariants: no panic,
 //!   journal-acked chips survive byte-equal, compacted recovery equals
 //!   the lenient journal merge, a second boot is a no-op, fingerprints
-//!   agree with filenames. A violation is delta-debugged to a minimal
-//!   chip subset and its earliest violating crash point; stdout is
-//!   byte-identical for any `--workers` count. The `planted-crash`
+//!   agree with filenames. A violation is shrunk to the smallest chip
+//!   count that still violates and its earliest violating crash point;
+//!   stdout is byte-identical for any `--workers` count. The `planted-crash`
 //!   cargo feature skips the fsync-before-rename in atomic writes
 //!   (checkpoint saves and compaction) so CI can prove the checker
 //!   catches exactly that bug.
@@ -184,6 +184,7 @@ use vs_bench::figures::{characterization, mechanisms, noise, power, supporting, 
 use vs_bench::Scale;
 use vs_faults::{chaos_plan, minimize, ChaosProfile, FaultPlan, FaultSpec};
 use vs_fleet::{ControllerVariant, FleetConfig, FleetError, FleetRunner};
+use vs_guard::parse_duration;
 use vs_sentinel::{SentinelMode, Violation};
 use vs_telemetry::{
     EventFilter, EventMetrics, HumanProgress, JsonlProgress, JsonlSink, ProgressSink,
@@ -277,7 +278,7 @@ fn main() {
     let mut checkpoint: Option<String> = None;
     let mut journal: Option<String> = None;
     let mut deadline: Option<std::time::Duration> = None;
-    let mut inject: Option<FaultSpec> = None;
+    let mut inject: Option<String> = None;
     let mut max_retries: Option<u32> = None;
     let mut fail_fast = false;
     let mut sentinel: Option<SentinelMode> = None;
@@ -360,10 +361,11 @@ fn main() {
             }
             "--inject" => {
                 i += 1;
-                inject = Some(match args.get(i) {
-                    Some(s) => FaultSpec::parse(s).unwrap_or_else(|e| die(&e)),
-                    None => die("--inject needs a fault spec (e.g. seeded:42)"),
-                });
+                let text = args
+                    .get(i)
+                    .unwrap_or_else(|| die("--inject needs a fault spec (e.g. seeded:42)"));
+                FaultSpec::parse(text).unwrap_or_else(|e| die(&e));
+                inject = Some(text.clone());
             }
             "--max-retries" => {
                 i += 1;
@@ -491,7 +493,11 @@ fn main() {
     }
 
     if let Some(cases) = chaos_daemon_cases {
-        let replay = inject.map(|spec| spec.materialize(1));
+        let replay = inject.map(|text| {
+            FaultSpec::parse(&text)
+                .expect("--inject was validated when parsed")
+                .materialize(1)
+        });
         run_chaos_daemon(cases, seed, workers, break_dedup, quiet, replay);
         return;
     }
@@ -561,7 +567,8 @@ fn main() {
 
 /// Fault-injection and degradation switches.
 struct FleetResilience {
-    inject: Option<FaultSpec>,
+    /// The raw `--inject` text, already validated.
+    inject: Option<String>,
     max_retries: Option<u32>,
     fail_fast: bool,
     sentinel: Option<SentinelMode>,
@@ -571,17 +578,6 @@ struct FleetResilience {
 struct FleetGuard {
     journal: Option<String>,
     deadline: Option<std::time::Duration>,
-}
-
-/// Parses `30s` / `500ms` / plain seconds (`30`) into a duration.
-fn parse_duration(s: &str) -> Option<std::time::Duration> {
-    let (digits, unit): (&str, fn(u64) -> std::time::Duration) = match s {
-        _ if s.ends_with("ms") => (&s[..s.len() - 2], std::time::Duration::from_millis),
-        _ if s.ends_with('s') => (&s[..s.len() - 1], std::time::Duration::from_secs),
-        _ => (s, std::time::Duration::from_secs),
-    };
-    let n: u64 = digits.parse().ok()?;
-    (n > 0).then(|| unit(n))
 }
 
 /// Fleet observability switches (tracing, metrics, progress).
@@ -608,19 +604,20 @@ fn run_fleet(
     resilience: &FleetResilience,
     obs: &FleetObs,
 ) {
-    let mut config = match scale {
-        // Paper-faithful 8-core dies.
-        Scale::Full => FleetConfig::new(FleetSeed(seed), num_chips),
-        // 2-core dies with short runs: smoke-test scale.
-        Scale::Quick => FleetConfig::small(FleetSeed(seed), num_chips),
-    };
-    config.variant = variant;
-    if scale == Scale::Quick {
-        config.run_duration = SimTime::from_millis(500);
-    }
-    if let Some(spec) = &resilience.inject {
-        config.faults = spec.materialize(num_chips);
-    }
+    // The daemon's sweep → config mapping: paper-faithful 8-core dies,
+    // or at `--quick` 2-core dies with 500 ms runs.
+    let quick = scale == Scale::Quick;
+    let config = vs_fleetd::config_for(&vs_fleetd::SweepSpec {
+        seed,
+        chips: num_chips,
+        variant,
+        quick,
+        run_ms: if quick { 500 } else { 0 },
+        sentinel: resilience.sentinel.is_some(),
+        inject: resilience.inject.clone().unwrap_or_default(),
+        key: String::new(),
+        deadline_ms: 0,
+    });
 
     let mut runner = FleetRunner::new(config.clone(), workers).with_fail_fast(resilience.fail_fast);
     if let Some(retries) = resilience.max_retries {
@@ -727,9 +724,10 @@ fn run_fleet(
     if obs.metrics {
         // Deterministic: derived purely from the sim-tick event stream.
         println!("\n## metrics (simulated time, deterministic)\n");
+        let metrics = EventMetrics::from_events(&trace.events);
         print!(
             "{}",
-            EventMetrics::from_events(&trace.events).registry().render()
+            vs_obs::render_prometheus(metrics.registry(), vs_obs::names::PROM_PREFIX)
         );
     }
     if !result.postmortems.is_empty() {
@@ -919,11 +917,11 @@ fn run_chaos_daemon(
 }
 
 /// Crash-consistency model checking of the fleet store (see
-/// [`vs_bench::crashmatrix`]): record the store protocol of a sweep on
-/// a simulated filesystem, enumerate every crash point, and check that
+/// [`vs_bench::crashmatrix`]): record a fleet-runner sweep on a
+/// simulated filesystem, enumerate every crash point, and check that
 /// the daemon's boot recovery holds every durability invariant at each
-/// one. A violation is delta-debugged to a minimal chip subset and its
-/// earliest violating point.
+/// one. A violation is shrunk to the smallest violating chip count and
+/// its earliest violating point.
 ///
 /// Everything on stdout is deterministic in `(chips, seed)` —
 /// byte-identical for any `--workers` count. Timings go to stderr.
@@ -931,11 +929,8 @@ fn run_crash_matrix(chips: u64, seed: u64, workers: usize, quiet: bool) {
     use vs_bench::crashmatrix;
 
     let config = crashmatrix::matrix_config(seed, chips);
-    let summaries: Vec<_> = (0..chips)
-        .map(|c| vs_fleet::simulate_chip(&config, vs_types::ChipId(c)))
-        .collect();
     let start = Instant::now();
-    let rec = crashmatrix::record(&config, &summaries);
+    let rec = crashmatrix::record(&config);
     println!(
         "# voltspec crash matrix — {chips} chips, seed {seed}, {} recorded mutations \
          ({} write barriers)\n",
@@ -972,9 +967,9 @@ fn run_crash_matrix(chips: u64, seed: u64, workers: usize, quiet: bool) {
         println!("  … and {} more", findings.len() - SHOWN);
     }
 
-    // Delta-debug to a 1-minimal chip subset, then its earliest
+    // The smallest chip count that still violates, then its earliest
     // violating crash point: the smallest workload that still breaks.
-    let (min_chips, min_rec, first) = crashmatrix::shrink(&config, &summaries, workers);
+    let (min_chips, min_rec, first) = crashmatrix::shrink(&config, workers);
     println!("\nminimal reproducer:");
     println!("  chips: {min_chips:?} (seed {seed})");
     println!(

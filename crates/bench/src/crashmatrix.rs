@@ -1,16 +1,17 @@
 //! Crash-consistency model checking of the fleet store.
 //!
-//! The checker has three parts, ALICE-style. *Record*: run the store
-//! protocol of a sweep — journal appends, periodic checkpoint saves,
-//! a final streaming compaction — against a [`SimFs`] that numbers
-//! every filesystem mutation. *Enumerate*: every operation index under
-//! every pending-data fate, plus torn-prefix variants of each write
+//! The checker has three parts, ALICE-style. *Record*: run a sweep
+//! through the real [`FleetRunner`] — journal appends, periodic
+//! checkpoint saves with journal truncation, the final save — against
+//! a [`SimFs`] that numbers every filesystem mutation. *Enumerate*:
+//! every operation index under every pending-data fate, plus
+//! torn-prefix variants of each write
 //! ([`vs_guard::crashcheck::enumerate`]). *Check*: for each crash point,
 //! materialize the disk image a reboot would find, run the exact boot
 //! recovery `vs-fleetd` runs ([`FleetStore::boot_recover`] — fsck scrub
 //! in repair mode, then streaming compaction), and test the durability
-//! invariants below. A violating matrix is shrunk with [`vs_faults::ddmin`]
-//! to a minimal chip subset and its earliest violating crash point.
+//! invariants below. A violating matrix is shrunk to the smallest chip
+//! count that still violates and its earliest violating crash point.
 //!
 //! Invariants checked at every crash point:
 //!
@@ -22,7 +23,7 @@
 //! 4. a second boot is a no-op: no further repairs, no byte changes;
 //! 5. every surviving store file's header fingerprint matches its name.
 //!
-//! Everything here is deterministic in `(config, chips)`: the recorded
+//! Everything here is deterministic in the config: the recorded
 //! operation stream, the enumerated points, and every violation string
 //! are byte-identical for any worker count.
 
@@ -31,8 +32,7 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vs_fleet::{
-    compact_streaming_on, load_checkpoint_report_on, replay_journal_on, save_checkpoint_on,
-    ChipJournal, ChipSummary, FleetConfig,
+    load_checkpoint_report_on, replay_journal_on, ChipSummary, FleetConfig, FleetRunner,
 };
 use vs_fleetd::FleetStore;
 use vs_guard::crashcheck::{self, CrashFinding, CrashPoint};
@@ -44,9 +44,10 @@ use vs_types::{FleetSeed, SimTime};
 /// across machines.
 pub const SIM_STORE: &str = "/vsim/store";
 
-/// How many chip completions the recorded protocol batches between
-/// checkpoint saves (mirroring the runner's periodic save cadence).
-const CHECKPOINT_EVERY: usize = 4;
+/// How many chip completions the recorded sweep batches between
+/// checkpoint saves. Smaller than the runner's default of 32, so a
+/// handful of chips already crosses several save-and-truncate cycles.
+const CHECKPOINT_EVERY: u64 = 4;
 
 /// The quick-scale fleet config every crash-matrix run uses: small dies
 /// and short runs, so recording a workload costs milliseconds while the
@@ -92,40 +93,38 @@ impl Recording {
     }
 }
 
-/// Records the store protocol of a sweep over `summaries` onto a fresh
-/// [`SimFs`]: journal create, per-chip fsynced appends (each followed by
-/// an `ack chip=N` mark), a checkpoint save plus journal truncation
-/// every `CHECKPOINT_EVERY` chips, and one final streaming compaction.
+/// Records a one-worker sweep of `config` through the real
+/// [`FleetRunner`] onto a fresh [`SimFs`]: journal create, per-chip
+/// fsynced appends (each followed by an `ack chip=N` mark), a checkpoint
+/// save plus journal truncation every `CHECKPOINT_EVERY` chips, and the
+/// final save plus truncation.
 ///
 /// A fault-free `SimFs` cannot fail, so recording errors are programmer
 /// errors and panic.
-pub fn record(config: &FleetConfig, summaries: &[ChipSummary]) -> Recording {
+pub fn record(config: &FleetConfig) -> Recording {
     let sim = Arc::new(SimFs::new());
     let vfs: VfsHandle = Arc::clone(&sim) as VfsHandle;
-    let dir = Path::new(SIM_STORE);
-    vfs.create_dir_all(dir).expect("SimFs mkdir");
-    let fingerprint = config.fingerprint();
-    let ckpt = dir.join(format!("{fingerprint:016x}.ckpt"));
-    let jpath = dir.join(format!("{fingerprint:016x}.journal"));
-
-    let mut journal = ChipJournal::create_on(&vfs, &jpath, fingerprint).expect("journal create");
-    let mut done: Vec<ChipSummary> = Vec::new();
-    for (i, summary) in summaries.iter().enumerate() {
-        journal.append(summary).expect("journal append");
-        done.push(summary.clone());
-        if (i + 1) % CHECKPOINT_EVERY == 0 {
-            save_checkpoint_on(&vfs, &ckpt, fingerprint, &done).expect("checkpoint save");
-            journal = ChipJournal::create_on(&vfs, &jpath, fingerprint).expect("journal truncate");
-        }
-    }
-    drop(journal);
-    compact_streaming_on(&vfs, &ckpt, &jpath).expect("final compaction");
-
-    Recording {
+    vfs.create_dir_all(Path::new(SIM_STORE))
+        .expect("SimFs mkdir");
+    let mut rec = Recording {
         sim,
-        expected: summaries.iter().map(|s| (s.chip.0, s.clone())).collect(),
-        fingerprint,
-    }
+        expected: BTreeMap::new(),
+        fingerprint: config.fingerprint(),
+    };
+    let result = FleetRunner::new(config.clone(), 1)
+        .with_vfs(vfs)
+        .with_checkpoint(rec.checkpoint_path())
+        .with_journal(rec.journal_path())
+        .with_checkpoint_every(CHECKPOINT_EVERY)
+        .run()
+        .expect("recorded sweep");
+    assert!(result.degradation.is_clean(), "{}", result.degradation);
+    rec.expected = result
+        .summaries
+        .into_iter()
+        .map(|s| (s.chip.0, s))
+        .collect();
+    rec
 }
 
 /// Checks every store invariant at one crash point of a recording.
@@ -307,42 +306,28 @@ pub fn explore_recording(rec: &Recording, workers: usize) -> (usize, Vec<CrashFi
     (points.len(), findings)
 }
 
-/// Shrinks a violating matrix to a minimal reproducer: the ddmin-minimal
-/// chip subset whose recorded workload still violates, its recording,
-/// and the earliest violating crash point of that recording.
+/// Shrinks a violating matrix to a minimal reproducer: the smallest
+/// chip count whose recorded sweep still violates, its chips, its
+/// recording, and its earliest violating crash point.
 ///
-/// The oracle re-records the subset's workload and re-explores its full
-/// matrix — pure in `(config, subset)`, so the reproducer is
+/// Each candidate re-records a sweep of `0..n` chips and re-explores its
+/// full matrix — pure in `(config, n)`, so the reproducer is
 /// byte-identical for any worker count.
 ///
 /// # Panics
 ///
-/// Panics if `summaries`'s own matrix has no violation (the caller
-/// shrinks only after finding one).
-pub fn shrink(
-    config: &FleetConfig,
-    summaries: &[ChipSummary],
-    workers: usize,
-) -> (Vec<u64>, Recording, CrashFinding) {
-    let select = |subset: &[u64]| -> Vec<ChipSummary> {
-        summaries
-            .iter()
-            .filter(|s| subset.contains(&s.chip.0))
-            .cloned()
-            .collect()
-    };
-    let ids: Vec<u64> = summaries.iter().map(|s| s.chip.0).collect();
-    let minimal = vs_faults::ddmin(&ids, |subset| {
-        let rec = record(config, &select(subset));
-        !explore_recording(&rec, workers).1.is_empty()
-    });
-    let rec = record(config, &select(&minimal));
-    let (_, findings) = explore_recording(&rec, workers);
-    let first = findings
-        .into_iter()
-        .next()
-        .expect("ddmin-minimal subset still violates");
-    (minimal, rec, first)
+/// Panics if `config`'s own matrix has no violation (the caller shrinks
+/// only after finding one).
+pub fn shrink(config: &FleetConfig, workers: usize) -> (Vec<u64>, Recording, CrashFinding) {
+    (1..=config.num_chips)
+        .find_map(|chips| {
+            let mut sized = config.clone();
+            sized.num_chips = chips;
+            let rec = record(&sized);
+            let first = explore_recording(&rec, workers).1.into_iter().next()?;
+            Some(((0..chips).collect(), rec, first))
+        })
+        .expect("the full sweep violates")
 }
 
 /// Counts the write barriers (syncs) in a recording — a cheap smoke
@@ -358,26 +343,18 @@ pub fn sync_ops(rec: &Recording) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vs_fleet::simulate_chip;
-    use vs_types::ChipId;
-
-    fn summaries(config: &FleetConfig, chips: u64) -> Vec<ChipSummary> {
-        (0..chips)
-            .map(|c| simulate_chip(config, ChipId(c)))
-            .collect()
-    }
 
     #[test]
     fn recording_is_deterministic() {
         let config = matrix_config(11, 5);
-        let sums = summaries(&config, 5);
-        let a = record(&config, &sums);
-        let b = record(&config, &sums);
+        let a = record(&config);
+        let b = record(&config);
         let labels =
             |r: &Recording| -> Vec<String> { r.sim.ops().iter().map(|op| op.label()).collect() };
         assert_eq!(labels(&a), labels(&b));
         assert_eq!(a.sim.marks(), b.sim.marks());
         assert!(sync_ops(&a) >= 5, "every journal append fsyncs");
+        assert_eq!(a.expected.len(), 5, "every chip is expected after recovery");
     }
 
     #[test]
@@ -387,7 +364,7 @@ mod tests {
     )]
     fn clean_matrix_has_no_violations() {
         let config = matrix_config(7, 5);
-        let rec = record(&config, &summaries(&config, 5));
+        let rec = record(&config);
         let (points, findings) = explore_recording(&rec, 2);
         assert!(
             points > 50,
@@ -406,15 +383,14 @@ mod tests {
     #[cfg(feature = "planted-crash")]
     fn planted_fsync_bug_is_caught_and_shrunk() {
         let config = matrix_config(7, 5);
-        let sums = summaries(&config, 5);
-        let rec = record(&config, &sums);
+        let rec = record(&config);
         let (_, findings) = explore_recording(&rec, 2);
         assert!(
             !findings.is_empty(),
             "skipping fsync-before-rename must violate durability"
         );
-        let (chips1, _, first1) = shrink(&config, &sums, 1);
-        let (chips4, _, first4) = shrink(&config, &sums, 4);
+        let (chips1, _, first1) = shrink(&config, 1);
+        let (chips4, _, first4) = shrink(&config, 4);
         assert_eq!(
             chips1, chips4,
             "reproducer chip set is worker-count invariant"

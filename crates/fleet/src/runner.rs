@@ -67,9 +67,8 @@ use vs_obs::flight::{
 use vs_obs::span::{job_span, lane_of, lane_span, ROOT};
 use vs_sentinel::{SentinelConfig, SentinelMode, SentinelMonitor, Violation};
 use vs_telemetry::{
-    to_jsonl, EventCategory, EventFilter, EventRing, FleetProfile, LatencyHistogram,
-    ProgressReport, ProgressSink, SilentProgress, SpanLevel, Stopwatch, TelemetryEvent,
-    WorkerProfile,
+    to_jsonl, EventCategory, EventFilter, FleetProfile, LatencyHistogram, ProgressReport,
+    ProgressSink, SilentProgress, SpanLevel, Stopwatch, TelemetryEvent, WorkerProfile,
 };
 use vs_types::{ChipId, SimTime};
 
@@ -238,26 +237,18 @@ fn backoff(attempt: u32) -> Duration {
 }
 
 /// What one claimed chip produced.
-enum JobOutcome {
-    /// The job succeeded (possibly after retries).
-    Done {
-        summary: ChipSummary,
-        events: Vec<TelemetryEvent>,
-        failed_attempts: u32,
-        /// Attempt indices the watchdog cancelled before success.
-        fired_attempts: Vec<u32>,
-    },
-    /// The job failed every attempt; the chip is quarantined.
-    Failed {
-        chip: ChipId,
-        attempts: u32,
-        error: String,
-        /// Attempt indices the watchdog cancelled.
-        fired_attempts: Vec<u32>,
-    },
-    /// The run-wide token was cancelled mid-job; the chip is neither done
-    /// nor failed, and the run winds down with partial results.
-    Cancelled,
+struct JobOutcome {
+    chip: ChipId,
+    /// The summary and event stream (possibly after retries), or the
+    /// last failure once retries ran out (the chip is quarantined).
+    /// `None` when the run-wide token was cancelled mid-job: the chip is
+    /// neither done nor failed, and the run winds down with partial
+    /// results.
+    result: Option<Result<(ChipSummary, Vec<TelemetryEvent>), String>>,
+    /// Attempts that failed (every attempt, for a quarantined chip).
+    failed_attempts: u32,
+    /// Attempt indices the watchdog cancelled.
+    fired_attempts: Vec<u32>,
 }
 
 /// Drives a fleet of chips across a pool of worker threads.
@@ -511,25 +502,7 @@ impl FleetRunner {
         // plan; consumed by `save_with_retry` in (deterministic) save
         // order.
         let mut injected_io = self.config.faults.checkpoint_io_errors();
-        // Three filter layers. `emit_filter` is what the returned trace
-        // keeps: the caller's filter, widened by the span category when
-        // span tracing is armed (spans are additive — stripping them
-        // yields the caller's exact trace). `job_filter` is what jobs
-        // *record*: the sentinel must see its input categories and the
-        // flight recorder must see everything, so both widen it further;
-        // the extra events are stripped back down to `emit_filter`
-        // before they reach the returned trace.
-        let emit_filter = match self.spans {
-            Some(_) => filter.union(EventFilter::of(&[EventCategory::Span])),
-            None => filter,
-        };
-        let mut job_filter = emit_filter;
-        if self.sentinel.is_some() {
-            job_filter = job_filter.union(SentinelConfig::required_categories());
-        }
-        if self.flight.is_some() {
-            job_filter = job_filter.union(EventFilter::all());
-        }
+        let (emit_filter, job_filter) = self.filters(filter);
         let mut violations: Vec<Violation> = Vec::new();
         let mut postmortems: Vec<PathBuf> = Vec::new();
 
@@ -704,7 +677,7 @@ impl FleetRunner {
                         let mut failed_attempts = 0u32;
                         let mut fired_attempts: Vec<u32> = Vec::new();
                         let busy = Stopwatch::start();
-                        let out = loop {
+                        let result = loop {
                             // Fresh supervision per attempt: the job's
                             // token is a child of the run token, so both
                             // the watchdog (directly) and Ctrl-C
@@ -745,45 +718,23 @@ impl FleetRunner {
                                 }));
                             let fired = handle.as_ref().is_some_and(|h| h.fired());
                             drop(handle);
-                            match attempt {
-                                Ok(Some((summary, events))) => {
-                                    break JobOutcome::Done {
-                                        summary,
-                                        events,
-                                        failed_attempts,
-                                        fired_attempts,
-                                    }
-                                }
+                            let error = match attempt {
+                                Ok(Some(done)) => break Some(Ok(done)),
                                 Ok(None) if fired && !run_token.is_cancelled() => {
                                     // The watchdog cancelled a hung or
                                     // too-slow attempt: a failure like any
                                     // other, minus the panic.
                                     fired_attempts.push(failed_attempts);
-                                    failed_attempts = failed_attempts.saturating_add(1);
-                                    if failed_attempts > max_retries {
-                                        break JobOutcome::Failed {
-                                            chip,
-                                            attempts: failed_attempts,
-                                            error: "watchdog: job exceeded its deadline".to_owned(),
-                                            fired_attempts,
-                                        };
-                                    }
-                                    std::thread::sleep(backoff(failed_attempts));
+                                    "watchdog: job exceeded its deadline".to_owned()
                                 }
-                                Ok(None) => break JobOutcome::Cancelled,
-                                Err(payload) => {
-                                    failed_attempts = failed_attempts.saturating_add(1);
-                                    if failed_attempts > max_retries {
-                                        break JobOutcome::Failed {
-                                            chip,
-                                            attempts: failed_attempts,
-                                            error: describe_panic(payload.as_ref()),
-                                            fired_attempts,
-                                        };
-                                    }
-                                    std::thread::sleep(backoff(failed_attempts));
-                                }
+                                Ok(None) => break None,
+                                Err(payload) => describe_panic(payload.as_ref()),
+                            };
+                            failed_attempts = failed_attempts.saturating_add(1);
+                            if failed_attempts > max_retries {
+                                break Some(Err(error));
                             }
+                            std::thread::sleep(backoff(failed_attempts));
                         };
                         let busy_ns = busy.elapsed_ns();
                         stats.busy_ns += busy_ns;
@@ -792,6 +743,12 @@ impl FleetRunner {
                         // A send can only fail if the receiver hung up,
                         // which only happens on fail-fast abort; the
                         // remaining work is moot either way.
+                        let out = JobOutcome {
+                            chip,
+                            result,
+                            failed_attempts,
+                            fired_attempts,
+                        };
                         let send = Stopwatch::start();
                         let disconnected = tx.send(out).is_err();
                         stats.steal_ns += send.elapsed_ns();
@@ -808,178 +765,93 @@ impl FleetRunner {
             let mut since_save = 0u64;
             let mut completed = resumed;
             for outcome in rx {
-                match outcome {
-                    JobOutcome::Done {
-                        summary,
-                        mut events,
-                        failed_attempts,
-                        fired_attempts,
-                    } => {
-                        let watchdog_fires = fired_attempts.len();
-                        if !fired_attempts.is_empty() {
-                            degradation
-                                .watchdog_fired
-                                .push((summary.chip, fired_attempts.len() as u32));
-                            if filter.accepts(EventCategory::Guard) {
-                                for attempt in fired_attempts {
-                                    guard_events.push(TelemetryEvent::WatchdogFired {
-                                        chip: summary.chip,
-                                        attempt,
-                                    });
-                                }
-                            }
-                        }
-                        if failed_attempts > 0 {
-                            degradation.retried.push((summary.chip, failed_attempts));
-                        }
-                        // Walk the chip's stream through the sentinel
-                        // before stripping it back down to the caller's
-                        // filter. Violations are re-sorted by chip id at
-                        // the end of the run, so completion order (and
-                        // therefore worker count) cannot leak into them.
-                        let mut chip_violations: Vec<Violation> = Vec::new();
-                        if let Some(scfg) = &self.sentinel {
-                            let mut monitor = SentinelMonitor::for_chip(*scfg, summary.chip);
-                            for e in &events {
-                                monitor.observe(e);
-                            }
-                            monitor.finish();
-                            chip_violations = monitor.into_violations();
-                        }
-                        // Flight recorder: dump the postmortem *before*
-                        // stream stripping and before a fail-fast abort,
-                        // so the bundle always holds the full-taxonomy
-                        // event window of the trigger.
-                        if let Some(dir) = &self.flight {
-                            let trigger = if !chip_violations.is_empty() {
-                                Some((PostmortemTrigger::Violation, chip_violations[0].to_string()))
-                            } else if watchdog_fires > 0 {
-                                Some((
-                                    PostmortemTrigger::Watchdog,
-                                    format!(
-                                        "watchdog cancelled {watchdog_fires} attempt(s) \
-                                         before success"
-                                    ),
-                                ))
-                            } else {
-                                None
-                            };
-                            if let Some((trigger, detail)) = trigger {
-                                let mut bundle =
-                                    PostmortemBundle::new(trigger, summary.chip.0, fingerprint);
-                                bundle.detail = detail;
-                                bundle.violations =
-                                    chip_violations.iter().map(|v| v.to_string()).collect();
-                                let mut ring = EventRing::new(DEFAULT_FLIGHT_CAPACITY);
-                                for e in &events {
-                                    ring.push(*e);
-                                }
-                                bundle.dropped = ring.dropped();
-                                for e in ring.drain() {
-                                    bundle.push_event(&e);
-                                }
-                                match write_bundle_on(&self.vfs, dir, &bundle) {
-                                    Ok(p) => postmortems.push(p),
-                                    Err(e) => degradation
-                                        .checkpoint_failures
-                                        .push(format!("postmortem write failed: {e}")),
-                                }
-                            }
-                        }
-                        if let Some(scfg) = &self.sentinel {
-                            if !chip_violations.is_empty() && scfg.mode == SentinelMode::FailFast {
-                                fatal = Some(FleetError::InvariantViolation {
-                                    violation: chip_violations.remove(0),
-                                });
-                                break;
-                            }
-                        }
-                        violations.append(&mut chip_violations);
-                        if job_filter != emit_filter {
-                            events.retain(|e| emit_filter.accepts(e.category()));
-                        }
-                        completed += 1;
-                        on_chip(&summary);
-                        progress.chip_done(&ProgressReport {
-                            chip: summary.chip,
-                            completed,
-                            total: self.config.num_chips,
-                        });
-                        if !events.is_empty() {
-                            traces.push((summary.chip, events));
-                        }
-                        // Journal first, checkpoint second: when this
-                        // iteration ends the chip is durable even if the
-                        // process dies before the next periodic save.
-                        if let Some(j) = journal.as_mut() {
-                            if let Err(e) = j.append(&summary) {
-                                degradation
-                                    .checkpoint_failures
-                                    .push(format!("journal append failed: {e}"));
-                            }
-                        }
-                        done.push(summary);
-                        since_save += 1;
-                        if since_save >= self.checkpoint_every {
-                            since_save = 0;
-                            match self.save_with_retry(fingerprint, &done, &mut injected_io) {
-                                Ok(()) => {
-                                    self.compact_journal(
-                                        fingerprint,
-                                        done.len() as u64,
-                                        &mut journal,
-                                        &mut degradation,
-                                        filter,
-                                        &mut compactions,
-                                    );
-                                }
-                                Err(e) => {
-                                    degradation.checkpoint_failures.push(e.to_string());
-                                }
-                            }
-                        }
+                // The one completion step: a finished and a quarantined
+                // chip share the watchdog and retry bookkeeping and the
+                // postmortem; only what follows it differs.
+                let JobOutcome {
+                    chip,
+                    result: Some(result),
+                    failed_attempts,
+                    fired_attempts,
+                } = outcome
+                else {
+                    degradation.interrupted = true;
+                    continue;
+                };
+                let fires = fired_attempts.len();
+                if fires > 0 {
+                    degradation.watchdog_fired.push((chip, fires as u32));
+                    if filter.accepts(EventCategory::Guard) {
+                        guard_events.extend(
+                            fired_attempts
+                                .into_iter()
+                                .map(|attempt| TelemetryEvent::WatchdogFired { chip, attempt }),
+                        );
                     }
-                    JobOutcome::Failed {
+                }
+                if failed_attempts > 0 && result.is_ok() {
+                    degradation.retried.push((chip, failed_attempts));
+                }
+                // Walk a finished chip's stream through the sentinel before
+                // stripping it back down to the caller's filter.
+                // Violations are re-sorted by chip id at the end of the
+                // run, so completion order (and therefore worker count)
+                // cannot leak into them.
+                let mut chip_violations = match (&self.sentinel, &result) {
+                    (Some(scfg), Ok((_, events))) => {
+                        let mut monitor = SentinelMonitor::for_chip(*scfg, chip);
+                        for e in events {
+                            monitor.observe(e);
+                        }
+                        monitor.finish();
+                        monitor.into_violations()
+                    }
+                    _ => Vec::new(),
+                };
+                // The postmortem goes out *before* stream stripping and
+                // before a fail-fast abort, so the bundle always holds the
+                // full-taxonomy event window of the trigger. A quarantined
+                // chip gets a metadata-only bundle: the attempt's recorder
+                // died with it, and inventing a partial stream would break
+                // bundle determinism.
+                let trigger = match &result {
+                    Err(error) => {
+                        let trigger = if error.starts_with("watchdog") {
+                            PostmortemTrigger::Watchdog
+                        } else {
+                            PostmortemTrigger::Panic
+                        };
+                        let detail =
+                            format!("chip quarantined after {failed_attempts} attempts: {error}");
+                        Some((trigger, detail))
+                    }
+                    Ok(_) => match chip_violations.first() {
+                        Some(v) => Some((PostmortemTrigger::Violation, v.to_string())),
+                        None if fires > 0 => Some((
+                            PostmortemTrigger::Watchdog,
+                            format!("watchdog cancelled {fires} attempt(s) before success"),
+                        )),
+                        None => None,
+                    },
+                };
+                if let Some(trigger) = trigger {
+                    let events = result.as_ref().map_or(&[][..], |(_, events)| events);
+                    self.postmortem(
                         chip,
-                        attempts,
-                        error,
-                        fired_attempts,
-                    } => {
-                        if !fired_attempts.is_empty() {
-                            degradation
-                                .watchdog_fired
-                                .push((chip, fired_attempts.len() as u32));
-                            if filter.accepts(EventCategory::Guard) {
-                                for attempt in fired_attempts {
-                                    guard_events
-                                        .push(TelemetryEvent::WatchdogFired { chip, attempt });
-                                }
-                            }
-                        }
-                        // A quarantined chip gets a metadata-only bundle:
-                        // the attempt's recorder died with it, and
-                        // inventing a partial stream would break bundle
-                        // determinism.
-                        if let Some(dir) = &self.flight {
-                            let trigger = if error.starts_with("watchdog") {
-                                PostmortemTrigger::Watchdog
-                            } else {
-                                PostmortemTrigger::Panic
-                            };
-                            let mut bundle = PostmortemBundle::new(trigger, chip.0, fingerprint);
-                            bundle.detail =
-                                format!("chip quarantined after {attempts} attempts: {error}");
-                            match write_bundle_on(&self.vfs, dir, &bundle) {
-                                Ok(p) => postmortems.push(p),
-                                Err(e) => degradation
-                                    .checkpoint_failures
-                                    .push(format!("postmortem write failed: {e}")),
-                            }
-                        }
+                        trigger,
+                        &chip_violations,
+                        events,
+                        &mut postmortems,
+                        &mut degradation,
+                    );
+                }
+                let (summary, mut events) = match result {
+                    Ok(done) => done,
+                    Err(error) => {
                         if self.fail_fast {
                             fatal = Some(FleetError::JobFailed {
                                 chip,
-                                attempts,
+                                attempts: failed_attempts,
                                 error,
                             });
                             // Dropping the receiver disconnects every
@@ -988,9 +860,55 @@ impl FleetRunner {
                             break;
                         }
                         degradation.quarantined.push(chip);
+                        continue;
                     }
-                    JobOutcome::Cancelled => {
-                        degradation.interrupted = true;
+                };
+                if let Some(scfg) = &self.sentinel {
+                    if !chip_violations.is_empty() && scfg.mode == SentinelMode::FailFast {
+                        fatal = Some(FleetError::InvariantViolation {
+                            violation: chip_violations.remove(0),
+                        });
+                        break;
+                    }
+                }
+                violations.append(&mut chip_violations);
+                if job_filter != emit_filter {
+                    events.retain(|e| emit_filter.accepts(e.category()));
+                }
+                completed += 1;
+                on_chip(&summary);
+                progress.chip_done(&ProgressReport {
+                    chip,
+                    completed,
+                    total: self.config.num_chips,
+                });
+                if !events.is_empty() {
+                    traces.push((chip, events));
+                }
+                // Journal first, checkpoint second: when this iteration
+                // ends the chip is durable even if the process dies
+                // before the next periodic save.
+                if let Some(j) = journal.as_mut() {
+                    if let Err(e) = j.append(&summary) {
+                        degradation
+                            .checkpoint_failures
+                            .push(format!("journal append failed: {e}"));
+                    }
+                }
+                done.push(summary);
+                since_save += 1;
+                if since_save >= self.checkpoint_every {
+                    since_save = 0;
+                    match self.save_with_retry(fingerprint, &done, &mut injected_io) {
+                        Ok(()) => self.compact_journal(
+                            fingerprint,
+                            done.len() as u64,
+                            &mut journal,
+                            &mut degradation,
+                            filter,
+                            &mut compactions,
+                        ),
+                        Err(e) => degradation.checkpoint_failures.push(e.to_string()),
                     }
                 }
             }
@@ -1108,6 +1026,59 @@ impl FleetRunner {
             },
             FleetTrace { events, profile },
         ))
+    }
+
+    /// The run's two event filters: what the returned trace keeps (the
+    /// caller's `filter`, plus spans when armed) and what jobs record
+    /// (that, plus the sentinel's input categories and, for the flight
+    /// recorder, the full taxonomy). Recorded extras are stripped back to
+    /// the first before they reach the trace, so arming an observer
+    /// changes no trace bytes.
+    fn filters(&self, filter: EventFilter) -> (EventFilter, EventFilter) {
+        let armed = |on: bool, categories| if on { categories } else { EventFilter::none() };
+        let emit = filter.union(armed(
+            self.spans.is_some(),
+            EventFilter::of(&[EventCategory::Span]),
+        ));
+        let record = emit
+            .union(armed(
+                self.sentinel.is_some(),
+                SentinelConfig::required_categories(),
+            ))
+            .union(armed(self.flight.is_some(), EventFilter::all()));
+        (emit, record)
+    }
+
+    /// Writes one chip's postmortem bundle when the flight recorder is
+    /// armed: the trigger and its detail, the chip's violations, and the
+    /// last [`DEFAULT_FLIGHT_CAPACITY`] of its events. The written path
+    /// lands in `written`, a write failure in the degradation report.
+    fn postmortem(
+        &self,
+        chip: ChipId,
+        (trigger, detail): (PostmortemTrigger, String),
+        violations: &[Violation],
+        events: &[TelemetryEvent],
+        written: &mut Vec<PathBuf>,
+        degradation: &mut DegradationReport,
+    ) {
+        let Some(dir) = &self.flight else {
+            return;
+        };
+        let mut bundle = PostmortemBundle::new(trigger, chip.0, self.config.fingerprint());
+        bundle.detail = detail;
+        bundle.violations = violations.iter().map(|v| v.to_string()).collect();
+        let skip = events.len().saturating_sub(DEFAULT_FLIGHT_CAPACITY);
+        bundle.dropped = skip as u64;
+        for e in &events[skip..] {
+            bundle.push_event(e);
+        }
+        match write_bundle_on(&self.vfs, dir, &bundle) {
+            Ok(path) => written.push(path),
+            Err(e) => degradation
+                .checkpoint_failures
+                .push(format!("postmortem write failed: {e}")),
+        }
     }
 
     /// Saves the checkpoint, retrying transient I/O errors with bounded

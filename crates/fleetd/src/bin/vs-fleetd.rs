@@ -21,9 +21,9 @@ use std::io::{self, BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 use vs_fleetd::server::{serve_jsonl, serve_unix};
 use vs_fleetd::{FleetStore, Scheduler, SchedulerConfig};
+use vs_guard::parse_duration;
 
 fn die(msg: &str) -> ! {
     eprintln!("vs-fleetd: {msg}");
@@ -33,16 +33,6 @@ fn die(msg: &str) -> ! {
          [--torture SPEC]"
     );
     std::process::exit(2);
-}
-
-fn parse_duration(s: &str) -> Option<Duration> {
-    if let Some(ms) = s.strip_suffix("ms") {
-        return ms.parse().ok().map(Duration::from_millis);
-    }
-    if let Some(secs) = s.strip_suffix('s') {
-        return secs.parse().ok().map(Duration::from_secs);
-    }
-    None
 }
 
 fn main() -> ExitCode {
@@ -168,20 +158,14 @@ fn main() -> ExitCode {
     }
 
     // Torture mode: the store-surface counts of the spec's daemon
-    // atoms become a counted fault plan over the store directory,
-    // installed after boot recovery on the store's own filesystem
-    // handle — the one every job's checkpoint, journal and postmortem
-    // writes go through.
+    // atoms become a counted fault plan over the store, installed after
+    // boot recovery.
     if let Some(spec) = torture {
         let plan = match vs_faults::FaultSpec::parse(&spec) {
             Ok(parsed) => parsed.materialize(1),
             Err(e) => die(&format!("bad --torture spec: {e}")),
         };
-        let fs_plan = vs_guard::fsfault::FsFaultPlan {
-            enospc: plan.daemon_fault_count(vs_faults::DaemonFaultKind::Enospc),
-            short_writes: plan.daemon_fault_count(vs_faults::DaemonFaultKind::ShortWrite),
-            fsync_failures: plan.daemon_fault_count(vs_faults::DaemonFaultKind::FsyncFail),
-        };
+        let fs_plan = store.install_faults(&plan);
         if !quiet {
             eprintln!(
                 "vs-fleetd: torture mode: {} enospc, {} short writes, {} fsync failures \
@@ -192,7 +176,6 @@ fn main() -> ExitCode {
                 store_dir.display()
             );
         }
-        store.vfs().faults().install(&store_dir, fs_plan);
     }
 
     let scheduler = Arc::new(Scheduler::start(config, store));

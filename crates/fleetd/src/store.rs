@@ -27,10 +27,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use vs_faults::{DaemonFaultKind, FaultPlan};
 use vs_fleet::{
     checkpoint_chips_on, compact_streaming_on, CheckpointError, CompactionReport, FleetConfig,
 };
 use vs_guard::durable::quarantine;
+use vs_guard::fsfault::FsFaultPlan;
 use vs_guard::vfs::{self, VfsHandle};
 
 /// Monotonic counters the store's scrub and recovery paths bump, read
@@ -98,6 +100,20 @@ impl FleetStore {
     /// The store's scrub/quarantine counters (shared across clones).
     pub fn counters(&self) -> &Arc<StoreCounters> {
         &self.counters
+    }
+
+    /// Installs the store-surface counts of `plan`'s `daemon:` atoms
+    /// (`enospc`, `short-write`, `fsync`) as a counted fault plan over
+    /// the store directory, on the handle every job's checkpoint, journal
+    /// and postmortem writes go through. Returns what was installed.
+    pub fn install_faults(&self, plan: &FaultPlan) -> FsFaultPlan {
+        let faults = FsFaultPlan {
+            enospc: plan.daemon_fault_count(DaemonFaultKind::Enospc),
+            short_writes: plan.daemon_fault_count(DaemonFaultKind::ShortWrite),
+            fsync_failures: plan.daemon_fault_count(DaemonFaultKind::FsyncFail),
+        };
+        self.vfs.faults().install(&self.dir, faults);
+        faults
     }
 
     /// The checkpoint path owned by `config`.

@@ -41,7 +41,6 @@ use std::thread;
 use std::time::Duration;
 use vs_faults::{DaemonFaultKind, FaultPlan};
 use vs_fleet::ControllerVariant;
-use vs_guard::fsfault::FsFaultPlan;
 
 /// How many injected transport faults of each kind were consumed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -240,14 +239,7 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     // installed on the store's own filesystem handle — the one every job
     // of this daemon writes through.
     let store = FleetStore::open(&store_dir).map_err(|e| format!("open store: {e}"))?;
-    store.vfs().faults().install(
-        &store_dir,
-        FsFaultPlan {
-            enospc: case.plan.daemon_fault_count(DaemonFaultKind::Enospc),
-            short_writes: case.plan.daemon_fault_count(DaemonFaultKind::ShortWrite),
-            fsync_failures: case.plan.daemon_fault_count(DaemonFaultKind::FsyncFail),
-        },
-    );
+    store.install_faults(case.plan);
     let sched = Arc::new(Scheduler::start(
         SchedulerConfig {
             workers: 1,

@@ -87,4 +87,4 @@ mod watchdog;
 pub use cancel::{install_ctrl_c, CancelToken};
 pub use crc32::crc32;
 pub use journal::{frame, unframe, FrameError, JournalWriter};
-pub use watchdog::{HeartbeatHandle, Watchdog};
+pub use watchdog::{parse_duration, HeartbeatHandle, Watchdog};

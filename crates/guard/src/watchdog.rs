@@ -184,9 +184,34 @@ fn watch(shared: &Shared, poll: Duration) {
     }
 }
 
+/// Parses a watchdog budget: `500ms`, `30s`, or bare seconds (`30`).
+/// Zero and anything else is rejected — a zero budget would cancel
+/// every attempt before its first heartbeat.
+pub fn parse_duration(s: &str) -> Option<Duration> {
+    let (digits, unit): (&str, fn(u64) -> Duration) = match s {
+        _ if s.ends_with("ms") => (&s[..s.len() - 2], Duration::from_millis),
+        _ if s.ends_with('s') => (&s[..s.len() - 1], Duration::from_secs),
+        _ => (s, Duration::from_secs),
+    };
+    let n: u64 = digits.parse().ok()?;
+    (n > 0).then(|| unit(n))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn durations_parse_units_and_reject_zero_and_garbage() {
+        assert_eq!(parse_duration("500ms"), Some(Duration::from_millis(500)));
+        assert_eq!(parse_duration("30s"), Some(Duration::from_secs(30)));
+        assert_eq!(parse_duration("30"), Some(Duration::from_secs(30)));
+        for bad in [
+            "0", "0s", "0ms", "", "s", "ms", "-1s", "1.5s", "30m", "fast",
+        ] {
+            assert_eq!(parse_duration(bad), None, "{bad:?} must be rejected");
+        }
+    }
 
     #[test]
     fn beating_jobs_are_left_alone() {

@@ -19,7 +19,7 @@
 //!   fixed-bucket histograms, snapshotable at any sim tick;
 //!   [`EventMetrics`] derives the standard set (error-rate distribution,
 //!   step sizes, time-between-emergencies) straight from an event stream.
-//! * **Profiling** — [`Profiler`], [`WorkerProfile`], and [`FleetProfile`]
+//! * **Profiling** — [`Stopwatch`], [`WorkerProfile`], and [`FleetProfile`]
 //!   measure wall-clock time for the fleet runner (per-worker
 //!   busy/steal/idle, per-chip job latency).
 //!
@@ -46,10 +46,7 @@ mod sink;
 
 pub use event::{EventCategory, EventFilter, SpanLevel, StepDirection, TelemetryEvent};
 pub use metrics::{CounterId, EventMetrics, FixedHistogram, GaugeId, HistogramId, MetricsRegistry};
-pub use profile::{
-    format_ns, scale_ns, FleetProfile, LatencyHistogram, Profiler, SpanStats, Stopwatch,
-    WorkerProfile,
-};
+pub use profile::{format_ns, scale_ns, FleetProfile, LatencyHistogram, Stopwatch, WorkerProfile};
 pub use progress::{HumanProgress, JsonlProgress, ProgressReport, ProgressSink, SilentProgress};
 pub use recorder::{Recorder, DEFAULT_CAPACITY};
 pub use ring::EventRing;

@@ -9,7 +9,6 @@
 //! and time-between-emergencies distributions).
 
 use crate::event::{StepDirection, TelemetryEvent};
-use std::fmt::Write as _;
 use vs_types::SimTime;
 
 /// Handle of a registered counter.
@@ -238,47 +237,6 @@ impl MetricsRegistry {
             let id = self.histogram(name, h.lo, h.hi, h.buckets.len());
             self.histograms[id.0].1.merge(h);
         }
-    }
-
-    /// Renders a point-in-time, name-sorted, human-readable summary.
-    /// Derived purely from simulated quantities, so the same events render
-    /// to the same bytes anywhere.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut counters: Vec<&(String, u64)> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        if !counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in counters {
-                let _ = writeln!(out, "  {name:<40} {v}");
-            }
-        }
-        let mut gauges: Vec<&(String, f64)> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        if !gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in gauges {
-                let _ = writeln!(out, "  {name:<40} {v:.3}");
-            }
-        }
-        let mut histograms: Vec<&(String, FixedHistogram)> = self.histograms.iter().collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, h) in histograms {
-            let mean = h.mean().map_or("-".to_owned(), |m| format!("{m:.4}"));
-            let _ = writeln!(out, "histogram {name} (n={}, mean={mean}):", h.count);
-            if h.underflow > 0 {
-                let _ = writeln!(out, "  < {:<12.3} {}", h.lo, h.underflow);
-            }
-            for (lo, hi, c) in h.bins() {
-                if c > 0 {
-                    let _ = writeln!(out, "  [{lo:.3}, {hi:.3})  {c}");
-                }
-            }
-            if h.overflow > 0 {
-                let _ = writeln!(out, "  >= {:<11.3} {}", h.hi, h.overflow);
-            }
-        }
-        out
     }
 }
 
@@ -565,9 +523,6 @@ mod tests {
         let gaps = r.histogram_value("controller.emergency_gap_ms").unwrap();
         assert_eq!(gaps.count, 1, "one gap between two emergencies");
         assert!((gaps.mean().unwrap() - 100.0).abs() < 1e-9);
-        let render = r.render();
-        assert!(render.contains("controller.emergencies"));
-        assert!(render.contains("histogram monitor.error_rate"));
     }
 
     #[test]

@@ -53,86 +53,6 @@ impl Stopwatch {
     }
 }
 
-/// Accumulated statistics of one named span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanStats {
-    /// Times the span ran.
-    pub count: u64,
-    /// Total nanoseconds across runs.
-    pub total_ns: u64,
-    /// Fastest single run.
-    pub min_ns: u64,
-    /// Slowest single run.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Folds one run into the stats.
-    pub fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Mean nanoseconds per run (`None` when never run).
-    pub fn mean_ns(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.total_ns as f64 / self.count as f64)
-        }
-    }
-}
-
-/// Named wall-clock span accumulators.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    spans: Vec<(String, SpanStats)>,
-}
-
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Records one run of `name` taking `ns` nanoseconds.
-    pub fn record(&mut self, name: &str, ns: u64) {
-        match self.spans.iter_mut().find(|(n, _)| n == name) {
-            Some((_, stats)) => stats.record(ns),
-            None => {
-                let mut stats = SpanStats::default();
-                stats.record(ns);
-                self.spans.push((name.to_owned(), stats));
-            }
-        }
-    }
-
-    /// Times `f` as one run of span `name` and returns its result.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.record(name, sw.elapsed_ns());
-        out
-    }
-
-    /// The accumulated spans, in registration order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStats)> {
-        self.spans.iter().map(|(n, s)| (n.as_str(), s))
-    }
-
-    /// Looks up one span's stats.
-    pub fn span(&self, name: &str) -> Option<&SpanStats> {
-        self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-}
-
 /// A log2-bucketed latency histogram (nanoseconds).
 ///
 /// Bucket `i` holds samples in `[2^i us-ish, ...)`: concretely the bucket
@@ -219,44 +139,6 @@ impl LatencyHistogram {
         }
         self.count += other.count;
         self.total_ns += other.total_ns;
-    }
-
-    /// Approximate percentile in nanoseconds (`None` when empty).
-    ///
-    /// `p` is in `[0, 100]`. Nearest-rank: the percentile is the `k`-th
-    /// smallest sample, located in its bucket and interpolated at the
-    /// midpoint convention; the observed min/max clamp the bucket span.
-    /// The estimate always stays inside the bucket that actually holds
-    /// the `k`-th sample — a rank landing exactly on a cumulative-count
-    /// boundary used to come back as the next bucket's raw power-of-two
-    /// edge (e.g. exactly `2^31` ns for ~2 s chip walls), which read
-    /// like an integer-overflow artifact in exported benches. Good
-    /// enough for bench trajectories (p50/p99 across thousands of
-    /// chips); not a substitute for exact order statistics.
-    pub fn percentile_ns(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (p.clamp(0.0, 100.0) / 100.0) * self.count as f64;
-        let k = (rank.ceil() as u64).clamp(1, self.count);
-        if k == self.count {
-            // The highest-ranked sample is the observed maximum exactly.
-            return Some(self.max_ns);
-        }
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= k {
-                let lo = (1024u64 << i).max(self.min_ns).min(self.max_ns);
-                let hi = (1024u64 << (i + 1)).min(self.max_ns).max(lo);
-                let within = (((k - seen) as f64 - 0.5) / c as f64).clamp(0.0, 1.0);
-                return Some(lo + ((hi - lo) as f64 * within) as u64);
-            }
-            seen += c;
-        }
-        Some(self.max_ns)
     }
 
     /// Non-empty buckets as `(bucket_floor_ns, count)`.
@@ -352,30 +234,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_stats_accumulate() {
-        let mut s = SpanStats::default();
-        s.record(10);
-        s.record(30);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.total_ns, 40);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 30);
-        assert_eq!(s.mean_ns(), Some(20.0));
-    }
-
-    #[test]
-    fn profiler_times_closures() {
-        let mut p = Profiler::new();
-        let v = p.time("work", || 41 + 1);
-        assert_eq!(v, 42);
-        p.record("work", 100);
-        let s = p.span("work").unwrap();
-        assert_eq!(s.count, 2);
-        assert!(p.span("missing").is_none());
-        assert_eq!(p.spans().count(), 1);
-    }
-
-    #[test]
     fn latency_histogram_buckets_by_magnitude() {
         let mut h = LatencyHistogram::new();
         h.observe_ns(500); // sub-us clamps to the first bucket
@@ -392,66 +250,6 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 4);
         assert_eq!(h.range_ns(), Some((100, 2_000_000)));
-    }
-
-    #[test]
-    fn percentiles_are_monotonic_and_bounded() {
-        assert_eq!(LatencyHistogram::new().percentile_ns(50.0), None);
-
-        let mut h = LatencyHistogram::new();
-        for ns in [2_000u64, 3_000, 5_000, 80_000, 2_000_000] {
-            h.observe_ns(ns);
-        }
-        let p50 = h.percentile_ns(50.0).unwrap();
-        let p99 = h.percentile_ns(99.0).unwrap();
-        assert!(p50 <= p99, "percentiles must be monotonic: {p50} > {p99}");
-        let (min, max) = h.range_ns().unwrap();
-        assert!(p50 >= min && p50 <= max);
-        assert!(p99 >= min && p99 <= max);
-        assert_eq!(h.percentile_ns(100.0), Some(max));
-
-        // A single sample pins every percentile to the bucket holding it.
-        let mut one = LatencyHistogram::new();
-        one.observe_ns(10_000);
-        let p = one.percentile_ns(50.0).unwrap();
-        assert!((10_000..=20_000).contains(&p), "got {p}");
-    }
-
-    #[test]
-    fn percentile_boundary_rank_is_not_a_raw_bucket_edge() {
-        // Regression: 32 chip walls straddling the 2^31 ns bucket edge
-        // reported p50 = 2147483648 exactly (the raw edge, which looks
-        // like an i32 overflow in a results file) whenever the rank fell
-        // on a cumulative-count boundary.
-        let mut h = LatencyHistogram::new();
-        for _ in 0..16 {
-            h.observe_ns(1_900_000_000);
-        }
-        for _ in 0..16 {
-            h.observe_ns(2_500_000_000);
-        }
-        let p50 = h.percentile_ns(50.0).unwrap();
-        assert_ne!(
-            p50,
-            1u64 << 31,
-            "boundary rank must not snap to the raw bucket edge"
-        );
-        let (min, max) = h.range_ns().unwrap();
-        assert!(p50 >= min && p50 <= max, "p50 {p50} outside [{min}, {max}]");
-    }
-
-    #[test]
-    fn percentiles_keep_full_u64_precision_for_long_walls() {
-        // Chip walls beyond 2.1 s (i32-nanosecond territory) and beyond
-        // 4.3 s (u32 territory) must survive end to end.
-        let mut h = LatencyHistogram::new();
-        for _ in 0..8 {
-            h.observe_ns(5_000_000_000);
-        }
-        let p50 = h.percentile_ns(50.0).unwrap();
-        assert_eq!(p50, 5_000_000_000, "identical samples pin the estimate");
-        assert!(p50 > u64::from(u32::MAX));
-        assert_eq!(h.percentile_ns(99.0), Some(5_000_000_000));
     }
 
     #[test]

@@ -344,3 +344,101 @@ fn watchdog_bundles_carry_identical_event_bytes() {
         "bundle names are deterministic"
     );
 }
+
+/// Every observer armed at once — sentinel, spans, flight recorder —
+/// beside a deadline, a checkpoint and a journal, on a sweep with an
+/// injected voltage DUE and a hang. The observers share one completion
+/// step in the runner, so this is where they could interfere:
+///
+/// * the trace minus `span` events is the plain run's trace (the plain
+///   run keeps the deadline, checkpoint and journal: the hang needs a
+///   watchdog to end, and store writes emit guard events);
+/// * traces, violations and bundle bytes are identical on 1 and 4
+///   workers;
+/// * a larger sweep resumed from the written checkpoint and journal
+///   matches a fresh run of it.
+#[test]
+fn all_observers_armed_together_stay_byte_neutral_and_resumable() {
+    let config_for = |chips: u64| {
+        let mut config = tiny_config(31, chips);
+        config.faults = FaultSpec::parse("due@100ms:d0:chip1,hang:chip2x1")
+            .unwrap()
+            .materialize(chips);
+        config
+    };
+    let guarded = |config: FleetConfig, workers: usize, dir: &PathBuf| {
+        FleetRunner::new(config, workers)
+            .with_deadline(Duration::from_millis(300))
+            .with_checkpoint(dir.join("sweep.ckpt"))
+            .with_journal(dir.join("sweep.journal"))
+    };
+    // Narrower than what the sentinel and the flight recorder record, so
+    // the runner must strip their extra categories back out.
+    let filter = EventFilter::of(&[
+        EventCategory::Controller,
+        EventCategory::Fault,
+        EventCategory::Guard,
+    ]);
+    let armed = |config: FleetConfig, workers: usize, dir: &PathBuf| {
+        let sentinel = config.sentinel_config();
+        guarded(config, workers, dir)
+            .with_sentinel(sentinel)
+            .with_spans(3)
+            .with_flight_recorder(dir.join("postmortem"))
+            .run_reporting(filter, &mut SilentProgress)
+            .unwrap()
+    };
+    let bundles = |dir: &PathBuf| {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir.join("postmortem"))
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = fs::read(&path).unwrap();
+                (PathBuf::from(path.file_name().unwrap()), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+
+    let plain_dir = scratch("all-armed-plain");
+    let (plain, plain_trace) = guarded(config_for(6), 1, &plain_dir)
+        .run_reporting(filter, &mut SilentProgress)
+        .unwrap();
+    let dir_1 = scratch("all-armed-w1");
+    let dir_4 = scratch("all-armed-w4");
+    let (one, trace_1) = armed(config_for(6), 1, &dir_1);
+    let (four, trace_4) = armed(config_for(6), 4, &dir_4);
+
+    assert_eq!(one.summaries, plain.summaries);
+    assert_eq!(one.degradation.watchdog_fired, vec![(ChipId(2), 1)]);
+    let stripped: Vec<_> = trace_1
+        .events
+        .iter()
+        .filter(|e| e.category() != EventCategory::Span)
+        .cloned()
+        .collect();
+    assert_eq!(
+        stripped, plain_trace.events,
+        "observers change no trace bytes"
+    );
+
+    assert_eq!(trace_1.to_jsonl(), trace_4.to_jsonl());
+    assert_eq!(one.violations, four.violations);
+    let bundles_1 = bundles(&dir_1);
+    assert!(!bundles_1.is_empty(), "the watchdog-hit chip left a bundle");
+    assert_eq!(
+        bundles_1,
+        bundles(&dir_4),
+        "bundle bytes must not depend on sharding"
+    );
+
+    // Grow the sweep: the six stored chips resume, two more simulate.
+    let (resumed, _) = armed(config_for(8), 4, &dir_1);
+    let fresh = FleetRunner::new(config_for(8), 1)
+        .with_deadline(Duration::from_millis(300))
+        .run()
+        .unwrap();
+    assert_eq!((resumed.resumed, resumed.simulated), (6, 2));
+    assert_eq!(resumed.summaries, fresh.summaries);
+}
