@@ -323,6 +323,24 @@ impl Cache {
         })
     }
 
+    /// Stamps `reads` reads of the line at `location` on the LRU clock
+    /// without running the data path: afterwards the access counter and
+    /// the line's stamp are where that many [`Cache::read_at`] calls would
+    /// leave them. For a caller that samples the reads' ECC outcomes
+    /// itself (the ECC monitor's burst probe). Returns `false`, stamping
+    /// nothing, if nothing is resident there.
+    pub fn touch_at(&mut self, location: SetWay, reads: u64) -> bool {
+        if !self.is_resident(location) {
+            return false;
+        }
+        if reads > 0 {
+            self.tick += reads;
+            let idx = self.slot_index(location);
+            self.slots[idx].as_mut().expect("checked resident").lru = self.tick;
+        }
+        true
+    }
+
     /// Stores a line directly at a location, bypassing LRU (used by the
     /// ECC monitor, which owns its de-configured line outright).
     ///
@@ -403,6 +421,28 @@ mod tests {
         assert!(c.probe(a).is_some(), "recently used line must survive");
         assert!(c.probe(b).is_none(), "LRU line must be evicted");
         assert!(c.probe(d).is_some());
+    }
+
+    #[test]
+    fn touch_stamps_like_reads() {
+        let stride = small_cache().geometry().same_set_stride();
+        let (a, b, d) = (0x40, 0x40 + stride, 0x40 + 2 * stride);
+        let mut read = small_cache();
+        read.fill(a, &line_data(1));
+        read.fill(b, &line_data(2));
+        let mut touched = read.clone();
+        let loc = read.probe(a).unwrap();
+        for _ in 0..3 {
+            read.read_at(loc, &mut NoFaults).unwrap();
+        }
+        assert!(touched.touch_at(loc, 3));
+        assert!(touched.touch_at(loc, 0));
+        assert_eq!(touched.tick, read.tick);
+        assert_eq!(touched.slots, read.slots);
+        touched.fill(d, &line_data(3));
+        assert!(touched.probe(a).is_some() && touched.probe(b).is_none());
+        touched.flush();
+        assert!(!touched.touch_at(loc, 1), "nothing resident to stamp");
     }
 
     #[test]

@@ -6,15 +6,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vs_cache::hierarchy::CoreCaches;
-use vs_cache::{Cache, CacheGeometry, FaultInjector, Injector};
-use vs_ecc::{CorrectableError, EccEventLog, SecDed, UncorrectableError};
+use vs_cache::{Cache, CacheGeometry, FaultInjector};
+use vs_ecc::{CorrectableError, DecodeOutcome, EccEventLog, SecDed, UncorrectableError};
 use vs_pdn::{DomainSupply, LoadCurrent, Pdn, VoltageRegulator};
 use vs_power::{EnergyMeter, FanSpeed, PowerModel, ThermalParams, ThermalState};
 use vs_sram::{CellBank, ChipVariation, FailureLut};
 use vs_types::rng::CounterRng;
 use vs_types::{
-    CacheKind, Celsius, CoreId, DomainId, FlipMask, LineAddress, Millivolts, SetWay, SimTime,
-    VddMode, Watts,
+    CacheKind, CoreId, DomainId, FlipMask, LineAddress, Millivolts, SetWay, SimTime, VddMode, Watts,
 };
 use vs_workload::{Demand, Workload};
 
@@ -606,15 +605,19 @@ impl Chip {
     /// voltage.
     ///
     /// The first few reads go through the real encoded data path (pattern
-    /// storage, fault injection, Hsiao decode); the remainder are sampled
-    /// from the identical analytic distribution. Correctable and
+    /// storage, fault injection, Hsiao decode); on a tracked line they are
+    /// drawn as one [`FailureLut::sample_burst`] and each flip mask is
+    /// decoded on its own, which classifies the read exactly as decoding
+    /// the stored codeword with the mask applied. The remainder are
+    /// sampled from the identical analytic distribution. Correctable and
     /// uncorrectable counts land both in the returned [`ProbeOutcome`] and
     /// in the chip log.
     ///
     /// # Panics
     ///
     /// Panics if the line was not designated via
-    /// [`Chip::designate_monitor_line`].
+    /// [`Chip::designate_monitor_line`], or if a probe with real reads
+    /// finds it no longer resident.
     pub fn monitor_probe(
         &mut self,
         core: CoreId,
@@ -656,7 +659,10 @@ impl Chip {
         let line = LineAddress::new(core, kind, location);
         let n_real = accesses.min(self.config.monitor_real_reads);
         let n_analytic = accesses - n_real;
-        let mut outcome = ProbeOutcome::default();
+        let mut outcome = ProbeOutcome {
+            accesses,
+            ..ProbeOutcome::default()
+        };
 
         // The tracked line's bank and LUT serve the whole probe: the
         // envelope check, the real reads and the analytic remainder.
@@ -680,64 +686,57 @@ impl Chip {
         // counts its accesses, so telemetry matches the slow path.
         if let Some(li) = line_idx {
             if lut.negligible(bank, li, v_query, temperature, accesses as f64) {
-                return ProbeOutcome {
-                    accesses,
-                    correctable: 0,
-                    uncorrectable: 0,
-                };
+                return outcome;
             }
         }
 
-        // Real data-path reads: the banked LUT sampler when the line is
-        // tracked, the scalar injector otherwise (monitor lines normally
-        // come from the weak-line table, so the fallback is rare).
+        // Real data-path reads. A tracked line draws the whole burst from
+        // its LUT row and decodes each flip mask alone: the stored
+        // pattern is a codeword and the code is linear, so the mask's
+        // syndrome is the read's. An untracked line (rare: monitor lines
+        // come from the weak-line table) reads through the cache with the
+        // scalar injector.
         let cache = l2_cache(caches, kind).expect("designation enforces L2");
-        for _ in 0..n_real {
-            let read = match line_idx {
-                Some(li) => {
-                    let mut injector = BankLineInjector {
-                        bank,
-                        lut,
-                        line: li,
-                        v_query_mv: v_query,
-                        temperature,
-                        rng,
-                    };
-                    cache.read_at(location, &mut injector)
-                }
-                None => {
+        match line_idx {
+            _ if n_real == 0 => {}
+            Some(li) => {
+                assert!(
+                    cache.touch_at(location, n_real),
+                    "designated line is always resident"
+                );
+                let code = SecDed::hsiao_72_64();
+                let log = &mut self.log;
+                let mut last_ue_read = None;
+                let visit = |read, word, mask: FlipMask| {
+                    if mask.is_empty() {
+                        return;
+                    }
+                    let decoded = code.decode(mask.0);
+                    if decoded.is_correctable_error() {
+                        outcome.correctable += 1;
+                    } else if decoded.is_uncorrectable() && last_ue_read != Some(read) {
+                        last_ue_read = Some(read);
+                        outcome.uncorrectable += 1;
+                    }
+                    record_event(log, now, line, word, decoded);
+                };
+                lut.sample_burst(bank, li, v_query, temperature, n_real, rng, visit);
+            }
+            None => {
+                for _ in 0..n_real {
                     let mut injector = FaultInjector::new(&self.variation, core, mode, v_eff, rng)
                         .with_temperature(temperature)
                         .with_aging_hours(age_hours);
-                    cache.read_at(location, &mut injector)
-                }
-            }
-            .expect("designated line is always resident");
-            outcome.accesses += 1;
-            outcome.correctable += read.correctable_count() as u64;
-            if read.has_uncorrectable() {
-                outcome.uncorrectable += 1;
-            }
-            for event in &read.events {
-                match event.outcome {
-                    vs_ecc::DecodeOutcome::Corrected { bit, syndrome, .. } => {
-                        self.log.record_correctable(CorrectableError {
-                            at: now,
-                            line,
-                            word: event.word,
-                            bit,
-                            syndrome,
-                        });
+                    let read = cache
+                        .read_at(location, &mut injector)
+                        .expect("designated line is always resident");
+                    outcome.correctable += read.correctable_count() as u64;
+                    if read.has_uncorrectable() {
+                        outcome.uncorrectable += 1;
                     }
-                    vs_ecc::DecodeOutcome::Uncorrectable { syndrome } => {
-                        self.log.record_uncorrectable(UncorrectableError {
-                            at: now,
-                            line,
-                            word: event.word,
-                            syndrome,
-                        });
+                    for event in &read.events {
+                        record_event(&mut self.log, now, line, event.word, event.outcome);
                     }
-                    vs_ecc::DecodeOutcome::Clean { .. } => {}
                 }
             }
         }
@@ -760,7 +759,6 @@ impl Chip {
             let state = &mut self.cores[core.0];
             let ce = state.rng.binomial(n_analytic, p_ce);
             let ue = state.rng.binomial(n_analytic, p_ue);
-            outcome.accesses += n_analytic;
             outcome.correctable += ce;
             outcome.uncorrectable += ue;
             if ce > 0 {
@@ -1192,30 +1190,35 @@ fn in_working_set(u: f64, footprint: f64) -> bool {
     }
 }
 
-/// Injector that samples a tracked line's flips from the banked
-/// per-voltage-step LUT: one uniform draw per word against a cached
-/// subset CDF, instead of re-deriving the word's cells and walking
-/// per-cell Bernoulli trials on every read.
-struct BankLineInjector<'a> {
-    bank: &'a CellBank,
-    lut: &'a mut FailureLut,
-    line: usize,
-    /// Aging-adjusted query voltage, in millivolts.
-    v_query_mv: f64,
-    temperature: Celsius,
-    rng: &'a mut CounterRng,
-}
-
-impl Injector for BankLineInjector<'_> {
-    fn flip_mask(&mut self, _kind: CacheKind, _location: SetWay, word: u32) -> FlipMask {
-        self.lut.sample_word(
-            self.bank,
-            self.line,
-            word,
-            self.v_query_mv,
-            self.temperature,
-            self.rng,
-        )
+/// Logs one word's decode outcome of a monitor read: a corrected flip as
+/// a correctable error, a detected multi-bit error as an uncorrectable
+/// one; a clean word logs nothing.
+fn record_event(
+    log: &mut EccEventLog,
+    at: SimTime,
+    line: LineAddress,
+    word: u32,
+    outcome: DecodeOutcome,
+) {
+    match outcome {
+        DecodeOutcome::Corrected { bit, syndrome, .. } => {
+            log.record_correctable(CorrectableError {
+                at,
+                line,
+                word,
+                bit,
+                syndrome,
+            });
+        }
+        DecodeOutcome::Uncorrectable { syndrome } => {
+            log.record_uncorrectable(UncorrectableError {
+                at,
+                line,
+                word,
+                syndrome,
+            });
+        }
+        DecodeOutcome::Clean { .. } => {}
     }
 }
 
@@ -1235,18 +1238,16 @@ fn bank_weakest_word(bank: &CellBank, line: usize) -> (u32, u32) {
     best
 }
 
-/// The Hsiao (72,64) syndrome a single flip of `bit` produces.
+/// The Hsiao (72,64) syndrome a single flip of `bit` produces: the
+/// bit's parity-check column.
 fn single_bit_syndrome(bit: u32) -> u32 {
-    let code = SecDed::hsiao_72_64();
-    match code.decode(code.inject(code.encode(0), &[bit])) {
-        vs_ecc::DecodeOutcome::Corrected { syndrome, .. } => syndrome,
-        _ => unreachable!("single flips are always correctable"),
-    }
+    SecDed::hsiao_72_64().syndrome(1u128 << bit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vs_types::Celsius;
     use vs_workload::{Idle, StressTest};
 
     /// A small config so unit tests stay fast: two cores on one domain.
@@ -1531,6 +1532,156 @@ mod tests {
             "expected a mid-ramp error rate near Vc, got {rate}"
         );
         assert!(chip.log().correctable_count() > 0);
+    }
+
+    /// An injector drawing each word of a tracked line from the LUT, one
+    /// [`FailureLut::sample_word`] call per word read.
+    struct LutInjector<'a> {
+        bank: &'a CellBank,
+        lut: FailureLut,
+        line: usize,
+        v_query_mv: f64,
+        temperature: Celsius,
+        rng: &'a mut CounterRng,
+    }
+
+    impl vs_cache::Injector for LutInjector<'_> {
+        fn flip_mask(&mut self, _: CacheKind, _: SetWay, word: u32) -> vs_types::FlipMask {
+            self.lut.sample_word(
+                self.bank,
+                self.line,
+                word,
+                self.v_query_mv,
+                self.temperature,
+                self.rng,
+            )
+        }
+    }
+
+    /// A chip with the weakest L2D line of core 0 designated for the
+    /// monitor, the rail at `dv` mV from that line's weakest cell, and the
+    /// silicon aged until the line's cells have shifted up by `shift` mV.
+    fn probed_chip(real_reads: u64, dv: i32, shift: f64) -> (Chip, SetWay) {
+        let mut chip = Chip::new(ChipConfig {
+            monitor_real_reads: real_reads,
+            ..small_config(5)
+        });
+        let weakest = chip
+            .weak_table(CoreId(0), CacheKind::L2Data)
+            .weakest()
+            .clone();
+        chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
+        if shift > 0.0 {
+            chip.set_age_hours(1_000.0);
+            let per_khour =
+                chip.line_aging_shift_mv(CoreId(0), CacheKind::L2Data, weakest.location);
+            chip.set_age_hours(1_000.0 * shift / per_khour);
+        }
+        let target = weakest.weakest_vc_mv.round() as i32 + dv;
+        chip.request_domain_voltage(DomainId(0), Millivolts(target));
+        chip.tick();
+        (chip, weakest.location)
+    }
+
+    #[test]
+    fn burst_probe_matches_reads_through_the_cache() {
+        const READS: u64 = 64;
+        let (mut ces, mut ues, mut shared_ue_reads) = (0, 0, false);
+        // Down the weakest cell's ramp, then (aged, so the query voltage
+        // falls below the logic floor's reach) into the words' second
+        // cells, where reads turn uncorrectable.
+        let ramp = [(12, 0.0), (9, 0.0), (4, 0.0), (0, 0.0), (-6, 0.0)];
+        let aged = [
+            (-40, 60.0),
+            (-40, 90.0),
+            (-40, 120.0),
+            (-40, 140.0),
+            (-40, 160.0),
+        ];
+        for (dv, shift) in ramp.into_iter().chain(aged) {
+            let (mut chip, location) = probed_chip(READS, dv, shift);
+            let line = LineAddress::new(CoreId(0), CacheKind::L2Data, location);
+
+            // The reference: every read through `Cache::read_at`.
+            let bank = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+            let mut rng = chip.cores[0].rng.clone();
+            let mut cache = chip.cores[0].caches.l2d.clone();
+            let aging = chip.line_aging_shift_mv(CoreId(0), CacheKind::L2Data, location);
+            let mut injector = LutInjector {
+                line: bank.find(location).expect("the weakest line is tracked"),
+                bank: &bank,
+                lut: FailureLut::new(),
+                v_query_mv: chip.domain_v_eff_mv(DomainId(0)) - aging,
+                temperature: chip.temperature(),
+                rng: &mut rng,
+            };
+            let mut want = ProbeOutcome::default();
+            let (mut want_ce, mut want_ue) = (Vec::new(), Vec::new());
+            for _ in 0..READS {
+                let read = cache.read_at(location, &mut injector).unwrap();
+                want.accesses += 1;
+                want.correctable += read.correctable_count() as u64;
+                want.uncorrectable += u64::from(read.has_uncorrectable());
+                for e in &read.events {
+                    match e.outcome {
+                        DecodeOutcome::Corrected { bit, syndrome, .. } => {
+                            want_ce.push((e.word, bit, syndrome));
+                        }
+                        DecodeOutcome::Uncorrectable { syndrome } => {
+                            want_ue.push((e.word, syndrome));
+                        }
+                        DecodeOutcome::Clean { .. } => unreachable!("clean words log nothing"),
+                    }
+                }
+            }
+
+            let got = chip.monitor_probe(CoreId(0), CacheKind::L2Data, location, READS);
+            assert_eq!(got, want, "dv {dv}");
+            let log = chip.log();
+            assert!(log.correctable().iter().all(|e| e.line == line));
+            assert!(log.uncorrectable().iter().all(|e| e.line == line));
+            let got_ce: Vec<_> = log
+                .correctable()
+                .iter()
+                .map(|e| (e.word, e.bit, e.syndrome))
+                .collect();
+            let got_ue: Vec<_> = log
+                .uncorrectable()
+                .iter()
+                .map(|e| (e.word, e.syndrome))
+                .collect();
+            assert_eq!(got_ce, want_ce, "dv {dv}: correctable log");
+            assert_eq!(got_ue, want_ue, "dv {dv}: uncorrectable log");
+            assert_eq!(chip.cores[0].rng, rng, "dv {dv}: RNG position");
+            ces += got.correctable;
+            ues += got.uncorrectable;
+            shared_ue_reads |= want_ue.len() as u64 > want.uncorrectable;
+        }
+        assert!(ces > 0 && ues > 0, "the ramp must raise both kinds");
+        assert!(
+            shared_ue_reads,
+            "some read must hold several uncorrectable words"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "designated line is always resident")]
+    fn burst_probe_requires_the_line_resident() {
+        let (mut chip, location) = probed_chip(64, 0, 0.0);
+        chip.core_caches_mut(CoreId(0)).l2d.flush();
+        chip.monitor_probe(CoreId(0), CacheKind::L2Data, location, 64);
+    }
+
+    #[test]
+    fn single_bit_syndrome_is_the_decoded_flip() {
+        let code = SecDed::hsiao_72_64();
+        for bit in 0..code.codeword_bits() {
+            let decoded = code.decode(code.inject(code.encode(0), &[bit]));
+            let DecodeOutcome::Corrected { syndrome, .. } = decoded else {
+                panic!("bit {bit}: a single flip must be correctable, got {decoded:?}");
+            };
+            assert_eq!(single_bit_syndrome(bit), syndrome, "bit {bit}");
+        }
     }
 
     #[test]

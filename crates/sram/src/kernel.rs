@@ -20,7 +20,9 @@
 //!   Bernoulli draw per tracked cell. Both live in flat per-line grids —
 //!   one row per °C bucket, each a lazily grown millivolt window — so a
 //!   lookup is index arithmetic, not a hash probe; a word CDF takes `2^k`
-//!   floats.
+//!   floats. [`FailureLut::sample_burst`] draws a run of whole-line reads
+//!   against one resolved block of word CDFs, in the order and with the
+//!   draws of the per-word [`FailureLut::sample_word`] calls it replaces.
 //! * an **envelope fast path** — [`FailureLut::negligible`] evaluates the
 //!   line triple at the floor of the query voltage (a provable
 //!   over-estimate, since failure probability is monotonically decreasing
@@ -37,7 +39,10 @@
 //!   cutoff) without allocating;
 //! * the LUT path agrees with the analytic path within the quantization
 //!   bound `0.5 / (4 · read_noise)` — half a millivolt of rounding times
-//!   the logistic's maximum slope.
+//!   the logistic's maximum slope;
+//! * [`FailureLut::sample_burst`] yields the masks, the RNG position and
+//!   the cached-entry counts of the equivalent [`FailureLut::sample_word`]
+//!   calls, bit for bit.
 
 use crate::failure::AccessContext;
 use crate::variation::{ChipVariation, WeakCell, WordCells, BITS_PER_WORD};
@@ -594,15 +599,72 @@ impl FailureLut {
         rng: &mut CounterRng,
     ) -> FlipMask {
         let (mv_q, temp_q) = Self::quantize(v_eff_mv, temperature);
-        let outcomes = 1usize << bank.cells_per_word();
-        let block = bank.words_per_line() * outcomes;
+        let block = self.cdf_block(bank, line, mv_q, temp_q);
+        self.draw_word(bank, line, word, block, (mv_q, temp_q), rng)
+    }
+
+    /// Samples `reads` whole-line reads of a tracked line: `visit(read,
+    /// word, mask)` sees the `reads × words_per_line` masks, reads outer
+    /// and words inner, exactly as that many [`FailureLut::sample_word`]
+    /// calls in that order would draw them. The line's block of word CDFs
+    /// is resolved once per burst instead of once per word; each word's
+    /// CDF is still built on first use, so [`FailureLut::len`] and the
+    /// RNG position end where the per-word calls leave them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_burst(
+        &mut self,
+        bank: &CellBank,
+        line: usize,
+        v_eff_mv: f64,
+        temperature: Celsius,
+        reads: u64,
+        rng: &mut CounterRng,
+        mut visit: impl FnMut(u64, u32, FlipMask),
+    ) {
+        if reads == 0 {
+            return;
+        }
+        let point = Self::quantize(v_eff_mv, temperature);
+        let block = self.cdf_block(bank, line, point.0, point.1);
+        for read in 0..reads {
+            for word in 0..bank.words_per_line() as u32 {
+                visit(
+                    read,
+                    word,
+                    self.draw_word(bank, line, word, block, point, rng),
+                );
+            }
+        }
+    }
+
+    /// The offset in `cdfs` of `line`'s block of word CDFs at the
+    /// quantized point, allocated (unbuilt) if missing.
+    #[inline]
+    fn cdf_block(&mut self, bank: &CellBank, line: usize, mv_q: i32, temp_q: i16) -> usize {
+        let block = bank.words_per_line() << bank.cells_per_word();
         let row = self.row(bank, line, temp_q);
         let slot = self.rows[row].cdfs.slot(&mut self.slots, mv_q);
         if *slot == EMPTY {
             *slot = (self.cdfs.len() / block) as u32;
             self.cdfs.resize(self.cdfs.len() + block, 0.0);
         }
-        let at = *slot as usize * block + word as usize * outcomes;
+        *slot as usize * block
+    }
+
+    /// One draw of `word` from the CDF block at `block` for the quantized
+    /// point `(mv_q, temp_q)`, building the word's CDF on first use.
+    #[inline]
+    fn draw_word(
+        &mut self,
+        bank: &CellBank,
+        line: usize,
+        word: u32,
+        block: usize,
+        (mv_q, temp_q): (i32, i16),
+        rng: &mut CounterRng,
+    ) -> FlipMask {
+        let outcomes = 1usize << bank.cells_per_word();
+        let at = block + word as usize * outcomes;
         let cdf = &mut self.cdfs[at..at + outcomes];
         if cdf[outcomes - 1] == 0.0 {
             build_word_cdf(
@@ -1121,6 +1183,57 @@ mod tests {
         }
         assert_eq!(points, 12);
         assert!(chi2 < CRITICAL, "χ² = {chi2} over 24 degrees of freedom");
+    }
+
+    #[test]
+    fn burst_sampler_matches_per_word_calls() {
+        let b = bank();
+        let line = 0;
+        // On the grid, so that the first two cases share a quantized point.
+        let v0 = b.lines()[line].weakest_vc_mv.round();
+        let (mut burst, mut per_word) = (FailureLut::new(), FailureLut::new());
+        let mut rng = CounterRng::from_key(0xB0257, &[]);
+        let mut reference = rng.clone();
+        let mut flips = 0;
+        // A fresh block, the same block cached, a block one word of which
+        // was already built, a second °C row of the line, and an empty
+        // burst.
+        let cases = [
+            (v0 - 2.0, Celsius(50.0), 6, None),
+            (v0 - 2.2, Celsius(50.2), 9, None),
+            (v0 + 1.0, Celsius(50.0), 4, Some(5)),
+            (v0 - 2.0, Celsius(51.0), 7, None),
+            (v0 - 9.0, Celsius(51.0), 0, None),
+        ];
+        for (case, (v_eff, temperature, reads, prebuilt)) in cases.into_iter().enumerate() {
+            if let Some(word) = prebuilt {
+                let got = burst.sample_word(&b, line, word, v_eff, temperature, &mut rng);
+                let want = per_word.sample_word(&b, line, word, v_eff, temperature, &mut reference);
+                assert_eq!(got, want);
+            }
+            let mut got = Vec::new();
+            burst.sample_burst(&b, line, v_eff, temperature, reads, &mut rng, |r, w, m| {
+                got.push((r, w, m));
+            });
+            let mut want = Vec::new();
+            for read in 0..reads {
+                for word in 0..WORDS as u32 {
+                    let mask =
+                        per_word.sample_word(&b, line, word, v_eff, temperature, &mut reference);
+                    want.push((read, word, mask));
+                }
+            }
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(rng, reference, "case {case}: RNG position");
+            assert_eq!(burst.len(), per_word.len(), "case {case}: cached entries");
+            flips += got.iter().filter(|(_, _, m)| !m.is_empty()).count();
+        }
+        assert_eq!(
+            burst.len().1,
+            3 * WORDS,
+            "three (°C, mV) points fully built"
+        );
+        assert!(flips > 0, "the cases must draw some flips");
     }
 
     #[test]

@@ -154,6 +154,18 @@ impl CounterRng {
     /// normal approximation (rounded and clamped) is used for large counts,
     /// which is accurate to well under the resolution of any experiment in
     /// this workspace.
+    ///
+    /// The summation counts, draw for draw, the trials whose
+    /// [`CounterRng::next_f64`] falls below `p`, without converting a
+    /// single draw to a float: `next_f64` is `x · 2^-53` for the top 53
+    /// bits `x` of a draw, both factors exact, so `x · 2^-53 < p` holds
+    /// exactly when the integer `x` is below `⌈p · 2^53⌉` (the product is
+    /// exact too, being a power-of-two scaling). The counter advances by
+    /// `n` either way, so the stream after the call is the one `n`
+    /// [`CounterRng::bernoulli`] calls leave. A NaN `p` counts nothing
+    /// (its threshold casts to 0), as `next_f64() < NaN` never holds. On
+    /// x86-64 hosts with AVX-512 the count runs in a vectorised copy of
+    /// the same loop (see `count_below`), picked at run time.
     pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
         if p <= 0.0 || n == 0 {
             return 0;
@@ -168,12 +180,14 @@ impl CounterRng {
             let draw = self.next_gaussian_with(mean, var.sqrt()).round();
             return draw.clamp(0.0, n as f64) as u64;
         }
-        let mut successes = 0;
-        for _ in 0..n {
-            if self.bernoulli(p) {
-                successes += 1;
-            }
-        }
+        // ⌈p·2^53⌉ by truncation and one compare: `f64::ceil` is a libm
+        // call on baseline x86-64, as slow as a few trials. `p·2^53 <
+        // 2^53` fits an `i64`, whose conversions are single instructions.
+        let scaled = p * (1u64 << 53) as f64;
+        let floor = scaled as i64;
+        let threshold = (floor + i64::from((floor as f64) < scaled)) as u64;
+        let successes = count_below_dispatch(self.state, self.counter, n, threshold);
+        self.counter = self.counter.wrapping_add(n);
         successes
     }
 
@@ -182,6 +196,48 @@ impl CounterRng {
     pub fn substream(&self, parts: &[u64]) -> CounterRng {
         CounterRng::new(hash_key(self.state, parts))
     }
+}
+
+/// How many of the `n` draws at counters `counter, counter + 1, …` of
+/// the stream `state` have top 53 bits below `threshold`: the counting
+/// body of [`CounterRng::binomial`].
+///
+/// It is compiled twice, inlined into the portable caller and into the
+/// AVX-512 copy, where the 64-bit multiplies of `splitmix64` vectorise
+/// (`vpmullq`). Both copies run the same integer arithmetic, so they agree
+/// bit for bit.
+#[inline(always)]
+fn count_below(state: u64, counter: u64, n: u64, threshold: u64) -> u64 {
+    let mut count = 0;
+    for i in 0..n {
+        let draw = splitmix64(state ^ splitmix64(counter.wrapping_add(i)));
+        count += u64::from((draw >> 11) < threshold);
+    }
+    count
+}
+
+/// [`count_below`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn count_below_avx512(state: u64, counter: u64, n: u64, threshold: u64) -> u64 {
+    count_below(state, counter, n, threshold)
+}
+
+/// [`count_below`] through the fastest copy the host runs: the AVX-512
+/// one when the CPU reports the features it was compiled for, else the
+/// portable one.
+#[inline]
+fn count_below_dispatch(state: u64, counter: u64, n: u64, threshold: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx512f")
+        && std::is_x86_feature_detected!("avx512dq")
+        && std::is_x86_feature_detected!("avx512vl")
+    {
+        // SAFETY: the CPU reports every feature `count_below_avx512` is
+        // compiled with, which is its only requirement.
+        return unsafe { count_below_avx512(state, counter, n, threshold) };
+    }
+    count_below(state, counter, n, threshold)
 }
 
 #[cfg(test)]
@@ -314,6 +370,90 @@ mod tests {
         assert_eq!(rng.binomial(0, 0.5), 0);
         assert_eq!(rng.binomial(100, 0.0), 0);
         assert_eq!(rng.binomial(100, 1.0), 100);
+    }
+
+    /// `binomial` as it was written before the counting kernel: one
+    /// [`CounterRng::bernoulli`] draw per trial on the summation path.
+    fn reference_binomial(rng: &mut CounterRng, n: u64, p: f64) -> u64 {
+        if p <= 0.0 || n == 0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return n;
+        }
+        let mean = n as f64 * p;
+        let var = mean * (1.0 - p);
+        if mean > 64.0 && (n as f64 - mean) > 64.0 {
+            let draw = rng.next_gaussian_with(mean, var.sqrt()).round();
+            return draw.clamp(0.0, n as f64) as u64;
+        }
+        (0..n).filter(|_| rng.bernoulli(p)).count() as u64
+    }
+
+    #[test]
+    fn counting_binomial_matches_the_bernoulli_sum() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let mut ps = vec![
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            1.0e-300,
+            1.0e-12,
+            0.003,
+            0.3,
+            0.5,
+            0.25,
+            0.75,
+            12_345.0 / (1u64 << 53) as f64,
+            1.0 - f64::EPSILON,
+            below_one,
+            f64::NAN,
+            0.0,
+            -0.25,
+            1.0,
+            1.5,
+        ];
+        let mut grid = CounterRng::from_key(0xB1, &[]);
+        ps.extend((0..8).map(|_| grid.next_f64()));
+        let mut ns: Vec<u64> = vec![0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 100];
+        ns.extend([127, 128, 129, 130, 200, 246, 255, 256, 257, 1_000, 100_000]);
+        let counters = [0, 17, u64::MAX - 40, u64::MAX];
+        for (case, &counter) in counters.iter().enumerate() {
+            let start = CounterRng {
+                state: hash_key(case as u64, &[0xB10]),
+                counter,
+            };
+            for &n in &ns {
+                let mut ps = ps.clone();
+                // Dyadic thresholds landing exactly on the next draw's top
+                // 53 bits, and one step above them: `x < ⌈p·2^53⌉` must
+                // treat `next_f64() == p` as a failure.
+                let next = start.clone().next_f64();
+                ps.extend([next, next + 1.0 / (1u64 << 53) as f64]);
+                for &p in &ps {
+                    let (mut got, mut want) = (start.clone(), start.clone());
+                    assert_eq!(
+                        got.binomial(n, p),
+                        reference_binomial(&mut want, n, p),
+                        "n {n}, p {p:e}, counter {counter}"
+                    );
+                    assert_eq!(got.next_u64(), want.next_u64(), "n {n}, p {p:e}");
+
+                    // The portable body alone, against the per-trial loop
+                    // (whichever copy the dispatcher picked above).
+                    if p.is_nan() || (0.0 < p && p < 1.0) {
+                        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+                        let mut trials = start.clone();
+                        let want = (0..n).filter(|_| trials.bernoulli(p)).count() as u64;
+                        assert_eq!(
+                            count_below(start.state, start.counter, n, threshold),
+                            want,
+                            "portable body: n {n}, p {p:e}, counter {counter}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
