@@ -1361,7 +1361,7 @@ fn run_fleetd(args: &[String]) -> ! {
 /// `repro fleetd fsck STORE [--repair]`: the offline store doctor.
 ///
 /// Walks the store with the same scrub the daemon runs at boot
-/// ([`vs_fleetd::fsck`]): CRC every checkpoint and journal record, spot
+/// ([`vs_fleetd::FleetStore::scrub`]): CRC every checkpoint and journal record, spot
 /// orphan temp files, torn journal tails, headerless journals, and
 /// fingerprint divergence. With `--repair`, fixes what is safe and
 /// quarantines what is not into `STORE/quarantine/`. Exit `0` when the

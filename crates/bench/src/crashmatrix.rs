@@ -31,9 +31,7 @@ use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vs_fleet::{
-    load_checkpoint_report_on, replay_journal_on, ChipSummary, FleetConfig, FleetRunner,
-};
+use vs_fleet::{load_checkpoint_report_on, ChipSummary, FleetConfig, FleetRunner};
 use vs_fleetd::FleetStore;
 use vs_guard::crashcheck::{self, CrashFinding, CrashPoint};
 use vs_guard::vfs::{SimFs, SimImage, SimOp, VfsHandle};
@@ -42,7 +40,7 @@ use vs_types::{FleetSeed, SimTime};
 /// The simulated store directory every recorded workload writes under.
 /// Paths are simulation-internal, so output referencing them is stable
 /// across machines.
-pub const SIM_STORE: &str = "/vsim/store";
+pub(crate) const SIM_STORE: &str = "/vsim/store";
 
 /// How many chip completions the recorded sweep batches between
 /// checkpoint saves. Smaller than the runner's default of 32, so a
@@ -73,12 +71,12 @@ pub struct Recording {
 
 impl Recording {
     /// The recorded sweep's checkpoint path.
-    pub fn checkpoint_path(&self) -> PathBuf {
+    pub(crate) fn checkpoint_path(&self) -> PathBuf {
         Path::new(SIM_STORE).join(format!("{:016x}.ckpt", self.fingerprint))
     }
 
     /// The recorded sweep's journal path.
-    pub fn journal_path(&self) -> PathBuf {
+    pub(crate) fn journal_path(&self) -> PathBuf {
         Path::new(SIM_STORE).join(format!("{:016x}.journal", self.fingerprint))
     }
 
@@ -216,7 +214,7 @@ fn check_image(rec: &Recording, image: &SimImage, acked: &[u64]) -> Option<Strin
         let pre = Arc::new(SimFs::from_image(image));
         let prevfs: VfsHandle = Arc::clone(&pre) as VfsHandle;
         let base = load_checkpoint_report_on(&prevfs, &ckpt, fp);
-        let tail = replay_journal_on(&prevfs, &jpath, fp);
+        let tail = load_checkpoint_report_on(&prevfs, &jpath, fp);
         if let (Ok(base), Ok(tail)) = (base, tail) {
             let mut merged = base.summaries;
             for summary in tail.summaries {

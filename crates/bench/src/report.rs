@@ -3,16 +3,6 @@
 use std::fmt::Write as _;
 
 /// A simple left-aligned text table.
-///
-/// ```
-/// use vs_bench::report::Table;
-///
-/// let mut t = Table::new("demo", &["core", "vdd"]);
-/// t.row(&["core0", "736 mV"]);
-/// let text = t.render();
-/// assert!(text.contains("core0"));
-/// assert!(text.contains("vdd"));
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
@@ -22,7 +12,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| (*s).to_owned()).collect(),
@@ -35,7 +25,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Table {
+    pub(crate) fn row(&mut self, cells: &[&str]) -> &mut Table {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -47,7 +37,7 @@ impl Table {
     }
 
     /// Appends a row of owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Table {
+    pub(crate) fn row_owned(&mut self, cells: Vec<String>) -> &mut Table {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -58,17 +48,19 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Renders the table as aligned plain text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -116,7 +108,7 @@ impl Table {
 }
 
 /// Formats a float with the given number of decimals.
-pub fn fmt_f(x: f64, decimals: usize) -> String {
+pub(crate) fn fmt_f(x: f64, decimals: usize) -> String {
     if x.is_nan() {
         "n/a".to_owned()
     } else {
@@ -125,7 +117,7 @@ pub fn fmt_f(x: f64, decimals: usize) -> String {
 }
 
 /// Formats a fraction as a percentage string.
-pub fn fmt_pct(x: f64) -> String {
+pub(crate) fn fmt_pct(x: f64) -> String {
     if x.is_nan() {
         "n/a".to_owned()
     } else {

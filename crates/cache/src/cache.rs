@@ -113,18 +113,13 @@ impl Cache {
     }
 
     /// The structure kind.
-    pub fn kind(&self) -> CacheKind {
+    pub(crate) fn kind(&self) -> CacheKind {
         self.kind
     }
 
     /// The geometry.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geometry
-    }
-
-    /// (hits, misses) counters accumulated so far.
-    pub fn hit_miss_counts(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn slot_index(&self, location: SetWay) -> usize {
@@ -142,7 +137,7 @@ impl Cache {
     }
 
     /// Whether an address currently hits.
-    pub fn probe(&self, addr: u64) -> Option<SetWay> {
+    pub(crate) fn probe(&self, addr: u64) -> Option<SetWay> {
         let set = self.geometry.set_of(addr);
         let tag = self.geometry.tag_of(addr);
         for way in 0..self.geometry.ways {
@@ -175,11 +170,6 @@ impl Cache {
     /// a new weak line).
     pub fn enable_line(&mut self, location: SetWay) {
         self.disabled.retain(|l| *l != location);
-    }
-
-    /// The currently disabled lines.
-    pub fn disabled_lines(&self) -> &[SetWay] {
-        &self.disabled
     }
 
     fn is_disabled(&self, location: SetWay) -> bool {
@@ -401,8 +391,7 @@ mod tests {
     fn miss_returns_none_and_counts() {
         let mut c = small_cache();
         assert!(c.read(0x100, &mut NoFaults).is_none());
-        let (h, m) = c.hit_miss_counts();
-        assert_eq!((h, m), (0, 1));
+        assert_eq!((c.hits, c.misses), (0, 1));
     }
 
     #[test]
@@ -484,7 +473,7 @@ mod tests {
         let loc = c.fill(0x40, &line_data(1)).unwrap();
         c.disable_line(loc);
         assert!(!c.is_resident(loc));
-        assert_eq!(c.disabled_lines(), &[loc]);
+        assert_eq!(c.disabled, &[loc]);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl<'a> FaultInjector<'a> {
         }
     }
 
-    /// Sets the silicon temperature (builder style).
-    pub fn with_temperature(mut self, temperature: Celsius) -> FaultInjector<'a> {
-        self.temperature = temperature;
-        self
-    }
-
     /// Sets the accumulated aging (builder style).
     pub fn with_aging_hours(mut self, hours: f64) -> FaultInjector<'a> {
         self.aging_hours = hours;
@@ -92,7 +86,7 @@ impl<'a> FaultInjector<'a> {
     /// conditions. The read-noise slope carries the per-line variation
     /// factor, so different lines ramp with different steepness
     /// (Figure 13).
-    pub fn context(&self, kind: CacheKind, location: SetWay) -> AccessContext {
+    pub(crate) fn context(&self, kind: CacheKind, location: SetWay) -> AccessContext {
         let sp = self.chip.params().structure(kind, self.mode);
         let factor = self.chip.line_noise_factor(self.core, kind, location);
         AccessContext {

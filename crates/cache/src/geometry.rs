@@ -11,8 +11,9 @@ use vs_types::{CacheKind, SetWay};
 ///
 /// ```
 /// use vs_cache::CacheGeometry;
+/// use vs_types::CacheKind;
 ///
-/// let l2d = CacheGeometry::l2_data();
+/// let l2d = CacheGeometry::for_kind(CacheKind::L2Data);
 /// assert_eq!(l2d.sets * l2d.ways * l2d.line_bytes, 256 * 1024);
 /// assert_eq!(l2d.words_per_line(), 16);
 /// ```
@@ -58,27 +59,27 @@ impl CacheGeometry {
     }
 
     /// 4-way 16 KB L1 instruction cache, 64 B lines, 1-cycle.
-    pub fn l1_instruction() -> CacheGeometry {
+    pub(crate) fn l1_instruction() -> CacheGeometry {
         CacheGeometry::new(64, 4, 64, 1)
     }
 
     /// 4-way 16 KB L1 data cache, 64 B lines, 1-cycle.
-    pub fn l1_data() -> CacheGeometry {
+    pub(crate) fn l1_data() -> CacheGeometry {
         CacheGeometry::new(64, 4, 64, 1)
     }
 
     /// 8-way 256 KB L2 data cache, 128 B lines, 9-cycle.
-    pub fn l2_data() -> CacheGeometry {
+    pub(crate) fn l2_data() -> CacheGeometry {
         CacheGeometry::new(256, 8, 128, 9)
     }
 
     /// 8-way 512 KB L2 instruction cache, 128 B lines, 9-cycle.
-    pub fn l2_instruction() -> CacheGeometry {
+    pub(crate) fn l2_instruction() -> CacheGeometry {
         CacheGeometry::new(512, 8, 128, 9)
     }
 
     /// 32-way 32 MB unified L3, 128 B lines, 50-cycle.
-    pub fn l3_unified() -> CacheGeometry {
+    pub(crate) fn l3_unified() -> CacheGeometry {
         CacheGeometry::new(8192, 32, 128, 50)
     }
 
@@ -130,7 +131,7 @@ impl CacheGeometry {
 
     /// The stride between two addresses that map to the same set
     /// (`sets × line_bytes`).
-    pub fn same_set_stride(&self) -> u64 {
+    pub(crate) fn same_set_stride(&self) -> u64 {
         (self.sets * self.line_bytes) as u64
     }
 
@@ -141,7 +142,7 @@ impl CacheGeometry {
     }
 
     /// Validates that a coordinate lies inside this geometry.
-    pub fn contains(&self, location: SetWay) -> bool {
+    pub(crate) fn contains(&self, location: SetWay) -> bool {
         location.set < self.sets && location.way < self.ways
     }
 }

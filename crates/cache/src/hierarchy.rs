@@ -10,7 +10,7 @@
 //! 3. **Target L2** — re-access the original lines: they miss the L1 and
 //!    hit the L2, exercising the designated line's cells.
 //!
-//! [`CoreCaches::targeted_line_test`] reproduces that procedure faithfully
+//! `CoreCaches::targeted_line_test` reproduces that procedure faithfully
 //! against the simulated hierarchy (the hardware ECC monitor proper, which
 //! addresses the line directly, lives in `vs-spec`).
 
@@ -56,7 +56,7 @@ pub struct AccessOutcome {
 /// Memory is modelled as error-free; its content for a line is a pure
 /// function of the address so correctness checks can recompute expected
 /// values anywhere.
-pub fn memory_line(addr: u64, words: usize) -> Vec<u64> {
+pub(crate) fn memory_line(addr: u64, words: usize) -> Vec<u64> {
     (0..words as u64)
         .map(|w| {
             let x = addr
@@ -98,7 +98,7 @@ impl CoreCaches {
     }
 
     /// The (L1, L2) pair for a side.
-    pub fn side_mut(&mut self, side: Side) -> (&mut Cache, &mut Cache) {
+    pub(crate) fn side_mut(&mut self, side: Side) -> (&mut Cache, &mut Cache) {
         match side {
             Side::Instruction => (&mut self.l1i, &mut self.l2i),
             Side::Data => (&mut self.l1d, &mut self.l2d),
@@ -106,18 +106,10 @@ impl CoreCaches {
     }
 
     /// The L2 cache of a side.
-    pub fn l2(&self, side: Side) -> &Cache {
+    pub(crate) fn l2(&self, side: Side) -> &Cache {
         match side {
             Side::Instruction => &self.l2i,
             Side::Data => &self.l2d,
-        }
-    }
-
-    /// Mutable L2 cache of a side.
-    pub fn l2_mut(&mut self, side: Side) -> &mut Cache {
-        match side {
-            Side::Instruction => &mut self.l2i,
-            Side::Data => &mut self.l2d,
         }
     }
 
@@ -162,7 +154,7 @@ impl CoreCaches {
         }
     }
 
-    /// Step trace of a [`CoreCaches::targeted_line_test`].
+    /// Step trace of a `CoreCaches::targeted_line_test`.
     pub fn targeted_test_addresses(&self, side: Side, set: usize) -> TargetedTestPlan {
         let l2 = self.l2(side);
         let l1_geom = match side {
@@ -202,7 +194,7 @@ impl CoreCaches {
     /// All reads go through the fault injector, so at low voltage this test
     /// produces exactly the correctable-error feedback the firmware
     /// prototype observed.
-    pub fn targeted_line_test(
+    pub(crate) fn targeted_line_test(
         &mut self,
         side: Side,
         set: usize,

@@ -12,7 +12,7 @@
 //! evictions), the crate implements the two procedures the paper's firmware
 //! prototype relies on:
 //!
-//! * [`hierarchy::CoreCaches::targeted_line_test`] — the three-step L1
+//! * `CoreCaches::targeted_line_test` — the three-step L1
 //!   bypass of Figure 7 that exercises one designated L2 line from software;
 //! * [`sweep`] — the data-cache and instruction-cache calibration sweeps of
 //!   Figure 6 that locate the weakest line of each structure.
@@ -23,7 +23,7 @@
 //! use vs_cache::{Cache, CacheGeometry, NoFaults};
 //! use vs_types::{CacheKind, SetWay};
 //!
-//! let mut l2 = Cache::new(CacheKind::L2Data, CacheGeometry::l2_data());
+//! let mut l2 = Cache::new(CacheKind::L2Data, CacheGeometry::for_kind(CacheKind::L2Data));
 //! let addr = 0x4_0000;
 //! l2.fill(addr, &vec![0xABCD; 16]);
 //! let result = l2.read(addr, &mut NoFaults).expect("line is resident");

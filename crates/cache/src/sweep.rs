@@ -37,7 +37,8 @@ pub struct SweepReport {
 impl SweepReport {
     /// The first erring line encountered, if any — at the highest voltage
     /// that errs at all, this is the weakest line of the structure.
-    pub fn first_erring_line(&self) -> Option<SetWay> {
+    #[cfg(test)]
+    pub(crate) fn first_erring_line(&self) -> Option<SetWay> {
         self.erring_lines.first().map(|(l, _)| *l)
     }
 }
@@ -109,17 +110,6 @@ pub fn sweep_side(
         uncorrectable_lines: uncorrectable,
         accesses,
     }
-}
-
-/// Sweeps both sides and returns `(data_report, instruction_report)`.
-pub fn sweep_both(
-    caches: &mut CoreCaches,
-    injector: &mut dyn Injector,
-    reads_per_line: u32,
-) -> (SweepReport, SweepReport) {
-    let d = sweep_side(caches, Side::Data, injector, reads_per_line);
-    let i = sweep_side(caches, Side::Instruction, injector, reads_per_line);
-    (d, i)
 }
 
 #[cfg(test)]

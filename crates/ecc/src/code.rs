@@ -38,7 +38,8 @@ pub enum DecodeOutcome {
 
 impl DecodeOutcome {
     /// The decoded data, if the word was clean or corrected.
-    pub fn data(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn data(&self) -> Option<u64> {
         match *self {
             DecodeOutcome::Clean { data } | DecodeOutcome::Corrected { data, .. } => Some(data),
             DecodeOutcome::Uncorrectable { .. } => None,
@@ -161,12 +162,14 @@ impl SecDed {
     }
 
     /// Number of data bits per codeword.
-    pub fn data_bits(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn data_bits(&self) -> u32 {
         self.data_bits
     }
 
     /// Number of check bits per codeword.
-    pub fn check_bits(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn check_bits(&self) -> u32 {
         self.check_bits
     }
 

@@ -61,33 +61,6 @@ impl fmt::Display for UncorrectableError {
     }
 }
 
-/// Either kind of ECC event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EccEvent {
-    /// A corrected single-bit error.
-    Correctable(CorrectableError),
-    /// A detected-but-uncorrectable error.
-    Uncorrectable(UncorrectableError),
-}
-
-impl EccEvent {
-    /// The line that raised the event.
-    pub fn line(&self) -> LineAddress {
-        match self {
-            EccEvent::Correctable(e) => e.line,
-            EccEvent::Uncorrectable(e) => e.line,
-        }
-    }
-
-    /// When the event was raised.
-    pub fn at(&self) -> SimTime {
-        match self {
-            EccEvent::Correctable(e) => e.at,
-            EccEvent::Uncorrectable(e) => e.at,
-        }
-    }
-}
-
 /// A chip-wide log of ECC events, with the per-line and per-structure
 /// summaries the characterization experiments need.
 ///
@@ -169,20 +142,6 @@ impl EccEventLog {
             .map(|(line, n)| (*line, *n))
     }
 
-    /// Per-line correctable counts, sorted descending by count (ties broken
-    /// by address for determinism).
-    pub fn line_histogram(&self) -> Vec<(LineAddress, u64)> {
-        let mut entries: Vec<(LineAddress, u64)> =
-            self.per_line.iter().map(|(l, n)| (*l, *n)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries
-    }
-
-    /// Correctable events raised at or after `since`.
-    pub fn correctable_since(&self, since: SimTime) -> u64 {
-        self.correctable.iter().filter(|e| e.at >= since).count() as u64
-    }
-
     /// Drops all recorded events.
     pub fn clear(&mut self) {
         self.correctable.clear();
@@ -221,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn hottest_line_and_histogram() {
+    fn hottest_line() {
         let mut log = EccEventLog::new();
         for _ in 0..3 {
             log.record_correctable(ce(0, CacheKind::L2Data, 7, 1));
@@ -230,24 +189,11 @@ mod tests {
         let (line, n) = log.hottest_line().unwrap();
         assert_eq!(line.location.set, 7);
         assert_eq!(n, 3);
-        let hist = log.line_histogram();
-        assert_eq!(hist.len(), 2);
-        assert!(hist[0].1 >= hist[1].1);
     }
 
     #[test]
     fn hottest_line_empty() {
         assert!(EccEventLog::new().hottest_line().is_none());
-    }
-
-    #[test]
-    fn since_filter() {
-        let mut log = EccEventLog::new();
-        log.record_correctable(ce(0, CacheKind::L2Data, 1, 10));
-        log.record_correctable(ce(0, CacheKind::L2Data, 1, 20));
-        log.record_correctable(ce(0, CacheKind::L2Data, 1, 30));
-        assert_eq!(log.correctable_since(SimTime::from_millis(20)), 2);
-        assert_eq!(log.correctable_since(SimTime::ZERO), 3);
     }
 
     #[test]
@@ -263,13 +209,6 @@ mod tests {
         assert_eq!(log.correctable_count(), 0);
         log.clear();
         assert_eq!(log.uncorrectable_count(), 0);
-    }
-
-    #[test]
-    fn event_accessors() {
-        let e = EccEvent::Correctable(ce(2, CacheKind::L2Data, 4, 9));
-        assert_eq!(e.line().core, CoreId(2));
-        assert_eq!(e.at(), SimTime::from_millis(9));
     }
 
     #[test]

@@ -48,4 +48,4 @@ mod code;
 mod events;
 
 pub use code::{DecodeOutcome, SecDed};
-pub use events::{CorrectableError, EccEvent, EccEventLog, UncorrectableError};
+pub use events::{CorrectableError, EccEventLog, UncorrectableError};

@@ -17,7 +17,7 @@ use vs_types::{ChipId, SimTime};
 /// chip-level fault, a worker panic/hang schedule, the checkpoint
 /// I/O-error count, or a daemon-tier fault budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultAtom {
+pub(crate) enum FaultAtom {
     /// One scheduled chip-level fault.
     Event(ScheduledFault),
     /// `(chip, attempts)`: the chip's worker panics on its first
@@ -34,9 +34,9 @@ pub enum FaultAtom {
 
 impl FaultAtom {
     /// The atom as one `--inject` directive.
-    pub fn to_spec(&self) -> String {
+    pub(crate) fn to_spec(self) -> String {
         let mut out = String::new();
-        match *self {
+        match self {
             FaultAtom::Event(f) => write_event(&mut out, &f),
             FaultAtom::WorkerPanic(chip, attempts) => {
                 let _ = write!(out, "panic:chip{}", chip.0);
@@ -129,7 +129,7 @@ impl FaultPlan {
     /// Decomposes the plan into independently removable atoms, in a
     /// deterministic order: scheduled events first (in plan order), then
     /// panics, hangs, and the I/O-error count.
-    pub fn atoms(&self) -> Vec<FaultAtom> {
+    pub(crate) fn atoms(&self) -> Vec<FaultAtom> {
         let mut atoms: Vec<FaultAtom> = self
             .events()
             .iter()
@@ -159,7 +159,7 @@ impl FaultPlan {
 
     /// Rebuilds a plan from a subset of atoms (the inverse of
     /// [`FaultPlan::atoms`] when given all of them).
-    pub fn from_atoms(atoms: &[FaultAtom]) -> FaultPlan {
+    pub(crate) fn from_atoms(atoms: &[FaultAtom]) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for atom in atoms {
             match *atom {

@@ -13,7 +13,7 @@
 //!   effective voltage falls below a threshold, plus injected *worker*
 //!   panics that kill fleet jobs from the outside. Plans can be built
 //!   explicitly, parsed from a compact CLI spec ([`FaultSpec`]), or drawn
-//!   from a seed ([`FaultPlan::seeded`]).
+//!   from a seed (`FaultPlan::seeded`).
 //! * [`FaultInjector`] — the runtime half: polled once per simulation
 //!   tick with the current time and per-domain effective voltages, it
 //!   returns the [`FaultAction`]s firing that tick and tracks the active
@@ -24,7 +24,7 @@
 //!   above the last-known-safe voltage, and the per-domain rollback budget
 //!   after which a domain is quarantined.
 //! * **Chaos tooling** — [`chaos_plan`] draws seeded random compositions
-//!   of the whole grammar for soak testing; [`FaultAtom`] decomposes a
+//!   of the whole grammar for soak testing; `FaultAtom` decomposes a
 //!   plan into independently removable pieces, [`FaultPlan::to_spec_string`]
 //!   prints any plan back as a canonical `--inject` string, and
 //!   [`minimize`] delta-debugs a failing plan down to a 1-minimal
@@ -64,12 +64,9 @@ mod recovery;
 mod shrink;
 mod spec;
 
-pub use atom::FaultAtom;
 pub use chaos::{chaos_plan, daemon_chaos_plan, ChaosProfile};
 pub use injector::{FaultAction, FaultInjector};
-pub use plan::{
-    DaemonFaultKind, FaultKind, FaultPlan, FaultTrigger, InjectionProfile, ScheduledFault,
-};
+pub use plan::{DaemonFaultKind, FaultKind, FaultPlan, FaultTrigger, ScheduledFault};
 pub use recovery::RecoveryPolicy;
 pub use shrink::{ddmin, minimize};
 pub use spec::FaultSpec;

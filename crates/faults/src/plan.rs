@@ -83,7 +83,7 @@ pub enum DaemonFaultKind {
 
 impl DaemonFaultKind {
     /// Every kind, in canonical (spec-string and digest) order.
-    pub const ALL: [DaemonFaultKind; 7] = [
+    pub(crate) const ALL: [DaemonFaultKind; 7] = [
         DaemonFaultKind::TornFrame,
         DaemonFaultKind::StalledRead,
         DaemonFaultKind::Disconnect,
@@ -94,7 +94,7 @@ impl DaemonFaultKind {
     ];
 
     /// The spec-grammar label (`daemon:<label>:<count>`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DaemonFaultKind::TornFrame => "torn",
             DaemonFaultKind::StalledRead => "stall",
@@ -107,7 +107,7 @@ impl DaemonFaultKind {
     }
 
     /// Parses a spec-grammar label back to a kind.
-    pub fn parse(label: &str) -> Option<DaemonFaultKind> {
+    pub(crate) fn parse(label: &str) -> Option<DaemonFaultKind> {
         DaemonFaultKind::ALL
             .into_iter()
             .find(|k| k.label() == label)
@@ -133,9 +133,9 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
-/// Intensity knobs for [`FaultPlan::seeded`].
+/// Intensity knobs for `FaultPlan::seeded`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionProfile {
+pub(crate) struct InjectionProfile {
     /// Fraction of chips whose worker job panics (and is retried) once.
     pub panic_fraction: f64,
     /// Fraction of chips whose worker job panics *more* times than any
@@ -218,7 +218,7 @@ impl FaultPlan {
     }
 
     /// The injected worker hangs, as `(chip, attempts)` pairs.
-    pub fn worker_hangs(&self) -> &[(ChipId, u32)] {
+    pub(crate) fn worker_hangs(&self) -> &[(ChipId, u32)] {
         &self.hangs
     }
 
@@ -228,7 +228,7 @@ impl FaultPlan {
     }
 
     /// Adds a fault.
-    pub fn push(&mut self, fault: ScheduledFault) {
+    pub(crate) fn push(&mut self, fault: ScheduledFault) {
         self.events.push(fault);
     }
 
@@ -369,7 +369,7 @@ impl FaultPlan {
     }
 
     /// The daemon-tier fault budgets, `(kind, count)` in insertion order.
-    pub fn daemon_faults(&self) -> &[(DaemonFaultKind, u32)] {
+    pub(crate) fn daemon_faults(&self) -> &[(DaemonFaultKind, u32)] {
         &self.daemon
     }
 
@@ -403,7 +403,7 @@ impl FaultPlan {
     /// panics, DUEs, and forced crashes across `num_chips` chips, shaped
     /// by `profile`. The same `(seed, num_chips, profile)` always yields
     /// the same plan.
-    pub fn seeded(seed: u64, num_chips: u64, profile: InjectionProfile) -> FaultPlan {
+    pub(crate) fn seeded(seed: u64, num_chips: u64, profile: InjectionProfile) -> FaultPlan {
         let mut plan = FaultPlan::new();
         let span = profile
             .window_end

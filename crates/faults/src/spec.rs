@@ -11,7 +11,7 @@ use vs_types::{ChipId, CoreId, DomainId, Millivolts, SimTime};
 ///
 /// | directive | meaning |
 /// |---|---|
-/// | `seeded:SEED` | a seeded population-wide plan ([`FaultPlan::seeded`], default profile) |
+/// | `seeded:SEED` | a seeded population-wide plan (`FaultPlan::seeded`, default profile) |
 /// | `panic:chipN` | chip `N`'s worker job panics once (`xM` suffix: `M` times) |
 /// | `hang:chipN` | chip `N`'s worker job hangs once until the watchdog cancels it (`xM` suffix: `M` times) |
 /// | `io-error:N` | the first `N` checkpoint saves fail with an injected I/O error |

@@ -20,28 +20,13 @@ impl Distribution {
     /// # Panics
     ///
     /// Panics if any sample is NaN.
-    pub fn new(mut values: Vec<f64>) -> Distribution {
+    pub(crate) fn new(mut values: Vec<f64>) -> Distribution {
         assert!(
             values.iter().all(|v| !v.is_nan()),
             "distribution samples must not be NaN"
         );
         values.sort_by(f64::total_cmp);
         Distribution { sorted: values }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the distribution holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Smallest sample.
@@ -67,79 +52,19 @@ impl Distribution {
     /// order statistics — the same definition as
     /// [`vs_types::stats::percentile`], so fleet percentiles are directly
     /// comparable to single-run trace percentiles. `q` is clamped.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn percentile(&self, q: f64) -> Option<f64> {
         vs_types::stats::percentile_sorted(&self.sorted, q.clamp(0.0, 1.0))
     }
 
     /// `max / min` — the population spread ratio (the paper's "4× Vmin
     /// variation" metric). `None` when empty or when `min` is zero.
-    pub fn spread_ratio(&self) -> Option<f64> {
+    pub(crate) fn spread_ratio(&self) -> Option<f64> {
         let (lo, hi) = (self.min()?, self.max()?);
         if lo == 0.0 {
             None
         } else {
             Some(hi / lo)
         }
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)`, with explicit under/overflow.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Lower edge of the first bin.
-    pub lo: f64,
-    /// Upper edge of the last bin.
-    pub hi: f64,
-    /// Per-bin counts.
-    pub counts: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above `hi`.
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// Bins `values` into `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(values: &[f64], lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0, "a histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        let mut h = Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        };
-        let width = (hi - lo) / bins as f64;
-        for &v in values {
-            if v < lo {
-                h.underflow += 1;
-            } else if v >= hi {
-                h.overflow += 1;
-            } else {
-                let idx = (((v - lo) / width) as usize).min(bins - 1);
-                h.counts[idx] += 1;
-            }
-        }
-        h
-    }
-
-    /// Total samples binned (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(lower_edge, upper_edge, count)` per bin, for rendering.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts.iter().enumerate().map(move |(i, &c)| {
-            let lower = self.lo + width * i as f64;
-            (lower, lower + width, c)
-        })
     }
 }
 
@@ -257,11 +182,6 @@ impl PopulationStats {
         self.chip_energy_savings.mean().unwrap_or(0.0)
     }
 
-    /// Histogram of per-domain Vdd reductions over `[0, 20%)`.
-    pub fn reduction_histogram(&self, bins: usize) -> Histogram {
-        Histogram::new(self.domain_vdd_reduction.samples(), 0.0, 0.20, bins)
-    }
-
     /// Multi-line human-readable report for CLI output.
     pub fn report(&self, nominal: Millivolts) -> String {
         let mut out = String::new();
@@ -356,19 +276,6 @@ mod tests {
         assert_eq!(d.percentile(1.0), Some(3.0));
         assert_eq!(d.spread_ratio(), Some(3.0));
         assert!(Distribution::new(vec![]).mean().is_none());
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let h = Histogram::new(&[-1.0, 0.0, 0.5, 1.5, 9.9, 10.0], 0.0, 10.0, 10);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 1);
-        assert_eq!(h.counts[0], 2);
-        assert_eq!(h.counts[1], 1);
-        assert_eq!(h.counts[9], 1);
-        assert_eq!(h.total(), 6);
-        let edges: Vec<(f64, f64, u64)> = h.bins().collect();
-        assert_eq!(edges[0], (0.0, 1.0, 2));
     }
 
     #[test]

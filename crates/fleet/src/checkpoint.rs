@@ -41,7 +41,7 @@ use vs_types::ChipId;
 
 /// File-format magic: first line of every store file, checkpoint or
 /// journal.
-pub const STORE_MAGIC: &str = "voltspec-fleet-store v2";
+pub(crate) const STORE_MAGIC: &str = "voltspec-fleet-store v2";
 
 /// The two newline-terminated header lines of a store file bound to
 /// `fingerprint`.
@@ -127,7 +127,7 @@ impl From<FrameError> for CheckpointWarning {
     }
 }
 
-/// The result of a lenient [`load_report`] of a checkpoint or journal:
+/// The result of a lenient [`load_checkpoint_report`] of a checkpoint or journal:
 /// everything that decoded, plus a typed warning per skipped record
 /// (`(1-based line number, warning)`).
 #[derive(Debug)]
@@ -279,7 +279,7 @@ pub(crate) struct StoreReader {
 
 impl StoreReader {
     /// Opens `path` and checks its header.
-    pub fn open(vfs: &VfsHandle, path: &Path) -> Result<Self, CheckpointError> {
+    pub(crate) fn open(vfs: &VfsHandle, path: &Path) -> Result<Self, CheckpointError> {
         let mut lines = BufReader::new(vfs.open_read(path)?).lines();
         let magic = lines.next().transpose()?.unwrap_or_default();
         if magic != STORE_MAGIC {
@@ -304,7 +304,7 @@ impl StoreReader {
     /// recorded twice (a crash between the two steps of a compaction
     /// leaves journal duplicates, bit-identical since the simulation is
     /// deterministic) keeps its last record.
-    pub fn read_all(self) -> Result<(BTreeMap<u64, Record>, Warnings), CheckpointError> {
+    pub(crate) fn read_all(self) -> Result<(BTreeMap<u64, Record>, Warnings), CheckpointError> {
         let mut records = BTreeMap::new();
         let mut warnings = Vec::new();
         for item in self {
@@ -348,17 +348,17 @@ impl Iterator for StoreReader {
 /// named sibling temp file, fsynced, renamed over `path`, and the parent
 /// directory is fsynced — so after `Ok` the new checkpoint survives
 /// SIGKILL, and after any failure the previous one is intact.
-pub fn save(
+pub fn save_checkpoint(
     path: &Path,
     fingerprint: u64,
     summaries: &[ChipSummary],
 ) -> Result<(), CheckpointError> {
-    save_on(&vfs::std_fs(), path, fingerprint, summaries)
+    save_checkpoint_on(&vfs::std_fs(), path, fingerprint, summaries)
 }
 
-/// [`save`] against an explicit filesystem backend — the seam the
+/// [`save_checkpoint`] against an explicit filesystem backend — the seam the
 /// crash-consistency checker records through.
-pub fn save_on(
+pub fn save_checkpoint_on(
     vfs: &VfsHandle,
     path: &Path,
     fingerprint: u64,
@@ -385,12 +385,15 @@ pub fn save_on(
 /// with their 1-based line numbers, so the caller can report partial
 /// damage without abandoning the resume. A chip recorded twice keeps its
 /// last record. Never panics on arbitrary file bytes.
-pub fn load_report(path: &Path, fingerprint: u64) -> Result<CheckpointLoad, CheckpointError> {
-    load_report_on(&vfs::std_fs(), path, fingerprint)
+pub fn load_checkpoint_report(
+    path: &Path,
+    fingerprint: u64,
+) -> Result<CheckpointLoad, CheckpointError> {
+    load_checkpoint_report_on(&vfs::std_fs(), path, fingerprint)
 }
 
-/// [`load_report`] against an explicit filesystem backend.
-pub fn load_report_on(
+/// [`load_checkpoint_report`] against an explicit filesystem backend.
+pub fn load_checkpoint_report_on(
     vfs: &VfsHandle,
     path: &Path,
     fingerprint: u64,
@@ -412,11 +415,11 @@ pub fn load_report_on(
 /// Loads a checkpoint, verifying it belongs to the config with
 /// `fingerprint`. Returns the completed summaries (chip-id order).
 ///
-/// The lenient [`load_report`] with the warnings discarded: damaged
+/// The lenient [`load_checkpoint_report`] with the warnings discarded: damaged
 /// records (torn final write, failed checksum, undecodable payload) are
 /// skipped silently.
-pub fn load(path: &Path, fingerprint: u64) -> Result<Vec<ChipSummary>, CheckpointError> {
-    load_report(path, fingerprint).map(|l| l.summaries)
+pub fn load_checkpoint(path: &Path, fingerprint: u64) -> Result<Vec<ChipSummary>, CheckpointError> {
+    load_checkpoint_report(path, fingerprint).map(|l| l.summaries)
 }
 
 #[cfg(test)]
@@ -464,16 +467,16 @@ mod tests {
     fn round_trip_is_bit_exact() {
         let path = scratch("roundtrip.ckpt");
         let originals: Vec<ChipSummary> = (0..5).map(summary).collect();
-        save(&path, 0xABCD, &originals).unwrap();
-        let loaded = load(&path, 0xABCD).unwrap();
+        save_checkpoint(&path, 0xABCD, &originals).unwrap();
+        let loaded = load_checkpoint(&path, 0xABCD).unwrap();
         assert_eq!(originals, loaded);
     }
 
     #[test]
     fn fingerprint_mismatch_is_refused() {
         let path = scratch("fingerprint.ckpt");
-        save(&path, 1, &[summary(0)]).unwrap();
-        match load(&path, 2) {
+        save_checkpoint(&path, 1, &[summary(0)]).unwrap();
+        match load_checkpoint(&path, 2) {
             Err(CheckpointError::FingerprintMismatch { expected, found }) => {
                 assert_eq!(expected, 2);
                 assert_eq!(found, 1);
@@ -485,13 +488,13 @@ mod tests {
     #[test]
     fn truncated_final_record_is_skipped() {
         let path = scratch("truncated.ckpt");
-        save(&path, 7, &[summary(0), summary(1)]).unwrap();
+        save_checkpoint(&path, 7, &[summary(0), summary(1)]).unwrap();
         let mut text = fs::read_to_string(&path).unwrap();
         // Chop the last record mid-field.
         let cut = text.rfind("es=").unwrap();
         text.truncate(cut);
         fs::write(&path, text).unwrap();
-        let loaded = load(&path, 7).unwrap();
+        let loaded = load_checkpoint(&path, 7).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].chip, ChipId(0));
     }
@@ -499,14 +502,14 @@ mod tests {
     #[test]
     fn bad_crc_is_a_typed_warning_not_a_panic() {
         let path = scratch("badcrc.ckpt");
-        save(&path, 9, &[summary(0), summary(1), summary(2)]).unwrap();
+        save_checkpoint(&path, 9, &[summary(0), summary(1), summary(2)]).unwrap();
         // Corrupt one byte inside chip 1's record body.
         let mut text = fs::read_to_string(&path).unwrap();
         let pos = text.find("chip 1 ").unwrap() + "chip 1 seed=00000000d".len();
         unsafe { text.as_bytes_mut()[pos] ^= 0x01 };
         fs::write(&path, &text).unwrap();
 
-        let report = load_report(&path, 9).unwrap();
+        let report = load_checkpoint_report(&path, 9).unwrap();
         assert_eq!(report.summaries.len(), 2, "the damaged record is skipped");
         assert_eq!(report.summaries[0].chip, ChipId(0));
         assert_eq!(report.summaries[1].chip, ChipId(2));
@@ -515,19 +518,19 @@ mod tests {
         assert_eq!(*line_no, 4, "header is two lines, chip 1 is line 4");
         assert!(matches!(warning, CheckpointWarning::BadCrc { .. }));
         // The silent wrapper agrees on the surviving records.
-        assert_eq!(load(&path, 9).unwrap(), report.summaries);
+        assert_eq!(load_checkpoint(&path, 9).unwrap(), report.summaries);
     }
 
     #[test]
     fn malformed_records_are_warnings_not_errors() {
         let path = scratch("malformed.ckpt");
-        save(&path, 3, &[summary(0)]).unwrap();
+        save_checkpoint(&path, 3, &[summary(0)]).unwrap();
         let mut text = fs::read_to_string(&path).unwrap();
         // Whole frames (valid CRCs) around payloads that do not decode.
         text.push_str(&format!("{}\n", frame("chip 1 wat=huh")));
         text.push_str(&format!("{}\n", frame("not-a-record-at-all")));
         fs::write(&path, &text).unwrap();
-        let report = load_report(&path, 3).unwrap();
+        let report = load_checkpoint_report(&path, 3).unwrap();
         assert_eq!(report.summaries.len(), 1);
         assert_eq!(report.warnings.len(), 2);
         assert!(report
@@ -542,9 +545,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let target = dir.join("x.ckpt");
 
-        save(&target, 1, &[summary(0)]).unwrap();
-        save(&target, 1, &[summary(0), summary(1)]).unwrap();
-        assert_eq!(load(&target, 1).unwrap().len(), 2);
+        save_checkpoint(&target, 1, &[summary(0)]).unwrap();
+        save_checkpoint(&target, 1, &[summary(0), summary(1)]).unwrap();
+        assert_eq!(load_checkpoint(&target, 1).unwrap().len(), 2);
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -560,13 +563,19 @@ mod tests {
     fn garbage_is_rejected() {
         let path = scratch("garbage.ckpt");
         fs::write(&path, "not a checkpoint\n").unwrap();
-        assert!(matches!(load(&path, 0), Err(CheckpointError::Format(_))));
+        assert!(matches!(
+            load_checkpoint(&path, 0),
+            Err(CheckpointError::Format(_))
+        ));
     }
 
     #[test]
     fn missing_file_is_io_error() {
         let path = scratch("does-not-exist.ckpt");
         let _ = fs::remove_file(&path);
-        assert!(matches!(load(&path, 0), Err(CheckpointError::Io(_))));
+        assert!(matches!(
+            load_checkpoint(&path, 0),
+            Err(CheckpointError::Io(_))
+        ));
     }
 }

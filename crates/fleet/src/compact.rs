@@ -8,7 +8,7 @@
 //! absorb a handful of journal records is wasted memory.
 //!
 //! A journal is a checkpoint tail — same header, same framed records — so
-//! [`compact_streaming`] is a sorted merge of two framed streams: the
+//! [`compact_streaming_on`] is a sorted merge of two framed streams: the
 //! journal's records, deduplicated by chip id (memory O(journal window)),
 //! and the checkpoint's, streamed line by line in the chip-id order
 //! `save` writes. Record lines are copied verbatim, never re-encoded. The
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use vs_guard::durable::atomic_write;
-use vs_guard::vfs::{self, VfsHandle};
+use vs_guard::vfs::VfsHandle;
 
 /// What one streaming compaction pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +44,6 @@ pub struct CompactionReport {
 /// buffered pass through the store reader. A checkpoint never holds a
 /// chip twice, so this is its chip count. Returns 0 for a missing file
 /// (an empty store, not an error).
-pub fn checkpoint_chips(path: &Path) -> Result<u64, CheckpointError> {
-    checkpoint_chips_on(&vfs::std_fs(), path)
-}
-
-/// [`checkpoint_chips`] against an explicit filesystem backend.
 pub fn checkpoint_chips_on(vfs: &VfsHandle, path: &Path) -> Result<u64, CheckpointError> {
     if !vfs.exists(path) {
         return Ok(0);
@@ -68,11 +63,6 @@ fn count_records(reader: StoreReader) -> Result<u64, CheckpointError> {
 
 /// Reads the fingerprint a checkpoint or journal is bound to without
 /// loading its records, checking the header's magic on the way.
-pub fn read_fingerprint(path: &Path) -> Result<u64, CheckpointError> {
-    read_fingerprint_on(&vfs::std_fs(), path)
-}
-
-/// [`read_fingerprint`] against an explicit filesystem backend.
 pub fn read_fingerprint_on(vfs: &VfsHandle, path: &Path) -> Result<u64, CheckpointError> {
     Ok(StoreReader::open(vfs, path)?.fingerprint)
 }
@@ -95,12 +85,9 @@ pub fn read_fingerprint_on(vfs: &VfsHandle, path: &Path) -> Result<u64, Checkpoi
 /// record-empty journal is a cheap no-op. The two files refusing to agree
 /// on a fingerprint is a hard [`CheckpointError::FingerprintMismatch`] —
 /// folding foreign records into a store would corrupt it silently.
-pub fn compact_streaming(ckpt: &Path, journal: &Path) -> Result<CompactionReport, CheckpointError> {
-    compact_streaming_on(&vfs::std_fs(), ckpt, journal)
-}
-
-/// [`compact_streaming`] against an explicit filesystem backend — the
-/// seam the crash-consistency checker explores compaction through.
+///
+/// `vfs` is the seam the crash-consistency checker explores compaction
+/// through.
 pub fn compact_streaming_on(
     vfs: &VfsHandle,
     ckpt: &Path,
@@ -192,11 +179,12 @@ pub fn compact_streaming_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{load, save};
-    use crate::journal::{replay_journal, replay_journal_on};
+    use crate::checkpoint::{load_checkpoint, save_checkpoint};
+    use crate::checkpoint::{load_checkpoint_report, load_checkpoint_report_on};
     use crate::summary::{ChipSummary, CoreMarginSummary};
     use std::fs;
     use std::path::PathBuf;
+    use vs_guard::vfs;
     use vs_types::ChipId;
 
     fn scratch(name: &str) -> PathBuf {
@@ -233,14 +221,14 @@ mod tests {
         let ckpt = scratch("splice.ckpt");
         let jpath = scratch("splice.journal");
         let _ = fs::remove_file(&ckpt);
-        save(&ckpt, FP, &[summary(0), summary(2), summary(5)]).unwrap();
+        save_checkpoint(&ckpt, FP, &[summary(0), summary(2), summary(5)]).unwrap();
         let mut j = ChipJournal::create(&jpath, FP).unwrap();
         for id in [4, 1, 7] {
             j.append(&summary(id)).unwrap();
         }
         drop(j);
 
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.fingerprint, FP);
         assert_eq!(report.chips, 6);
         assert_eq!(report.merged, 3);
@@ -248,12 +236,12 @@ mod tests {
 
         // The merged checkpoint is exactly what a whole-fleet save would
         // have produced: same records, same order, same bytes.
-        let loaded = load(&ckpt, FP).unwrap();
+        let loaded = load_checkpoint(&ckpt, FP).unwrap();
         let expected: Vec<ChipSummary> =
             [0u64, 1, 2, 4, 5, 7].iter().map(|&i| summary(i)).collect();
         assert_eq!(loaded, expected);
         let reference = scratch("splice-reference.ckpt");
-        save(&reference, FP, &expected).unwrap();
+        save_checkpoint(&reference, FP, &expected).unwrap();
         assert_eq!(
             fs::read(&ckpt).unwrap(),
             fs::read(&reference).unwrap(),
@@ -261,7 +249,7 @@ mod tests {
         );
 
         // The journal was truncated back to its header.
-        let replay = replay_journal(&jpath, FP).unwrap();
+        let replay = load_checkpoint_report(&jpath, FP).unwrap();
         assert!(replay.summaries.is_empty());
     }
 
@@ -274,10 +262,13 @@ mod tests {
         j.append(&summary(3)).unwrap();
         j.append(&summary(1)).unwrap();
         drop(j);
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 2);
         assert_eq!(report.merged, 2);
-        assert_eq!(load(&ckpt, FP).unwrap(), vec![summary(1), summary(3)]);
+        assert_eq!(
+            load_checkpoint(&ckpt, FP).unwrap(),
+            vec![summary(1), summary(3)]
+        );
     }
 
     #[test]
@@ -288,14 +279,14 @@ mod tests {
         // The checkpoint holds a stale copy of chip 1.
         let mut stale = summary(1);
         stale.correctable += 99;
-        save(&ckpt, FP, &[summary(0), stale]).unwrap();
+        save_checkpoint(&ckpt, FP, &[summary(0), stale]).unwrap();
         let mut j = ChipJournal::create(&jpath, FP).unwrap();
         j.append(&summary(1)).unwrap();
         drop(j);
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 2);
         assert_eq!(report.merged, 0, "the record replaced one, not added one");
-        let loaded = load(&ckpt, FP).unwrap();
+        let loaded = load_checkpoint(&ckpt, FP).unwrap();
         assert_eq!(loaded[1], summary(1), "journal copy wins");
     }
 
@@ -304,15 +295,15 @@ mod tests {
         let ckpt = scratch("noop.ckpt");
         let jpath = scratch("noop.journal");
         let _ = fs::remove_file(&jpath);
-        save(&ckpt, FP, &[summary(0)]).unwrap();
+        save_checkpoint(&ckpt, FP, &[summary(0)]).unwrap();
         let before = fs::read(&ckpt).unwrap();
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 1);
         assert_eq!(report.merged, 0);
         assert_eq!(fs::read(&ckpt).unwrap(), before);
 
         ChipJournal::create(&jpath, FP).unwrap();
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.merged, 0);
         assert_eq!(
             fs::read(&ckpt).unwrap(),
@@ -325,17 +316,23 @@ mod tests {
     fn fingerprint_disagreement_is_refused() {
         let ckpt = scratch("mismatch.ckpt");
         let jpath = scratch("mismatch.journal");
-        save(&ckpt, FP, &[summary(0)]).unwrap();
+        save_checkpoint(&ckpt, FP, &[summary(0)]).unwrap();
         let mut j = ChipJournal::create(&jpath, FP ^ 1).unwrap();
         j.append(&summary(1)).unwrap();
         drop(j);
         assert!(matches!(
-            compact_streaming(&ckpt, &jpath),
+            compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
         // Neither store was touched.
-        assert_eq!(load(&ckpt, FP).unwrap(), vec![summary(0)]);
-        assert_eq!(replay_journal(&jpath, FP ^ 1).unwrap().summaries.len(), 1);
+        assert_eq!(load_checkpoint(&ckpt, FP).unwrap(), vec![summary(0)]);
+        assert_eq!(
+            load_checkpoint_report(&jpath, FP ^ 1)
+                .unwrap()
+                .summaries
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -350,21 +347,21 @@ mod tests {
         let mut text = fs::read_to_string(&jpath).unwrap();
         text.truncate(text.len() - 12);
         fs::write(&jpath, &text).unwrap();
-        let report = compact_streaming(&ckpt, &jpath).unwrap();
+        let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 1);
         assert_eq!(report.skipped, 1);
-        assert_eq!(load(&ckpt, FP).unwrap(), vec![summary(0)]);
+        assert_eq!(load_checkpoint(&ckpt, FP).unwrap(), vec![summary(0)]);
     }
 
     #[test]
     fn chip_count_streams_without_loading() {
         let ckpt = scratch("count.ckpt");
-        save(&ckpt, FP, &(0..9).map(summary).collect::<Vec<_>>()).unwrap();
-        assert_eq!(checkpoint_chips(&ckpt).unwrap(), 9);
-        assert_eq!(read_fingerprint(&ckpt).unwrap(), FP);
+        save_checkpoint(&ckpt, FP, &(0..9).map(summary).collect::<Vec<_>>()).unwrap();
+        assert_eq!(checkpoint_chips_on(&vfs::std_fs(), &ckpt).unwrap(), 9);
+        assert_eq!(read_fingerprint_on(&vfs::std_fs(), &ckpt).unwrap(), FP);
         let missing = scratch("count-missing.ckpt");
         let _ = fs::remove_file(&missing);
-        assert_eq!(checkpoint_chips(&missing).unwrap(), 0);
+        assert_eq!(checkpoint_chips_on(&vfs::std_fs(), &missing).unwrap(), 0);
     }
 
     #[test]
@@ -372,7 +369,7 @@ mod tests {
         let path = scratch("wrong-magic.ckpt");
         fs::write(&path, format!("not a store file\nfingerprint {FP:016x}\n")).unwrap();
         assert!(matches!(
-            read_fingerprint(&path),
+            read_fingerprint_on(&vfs::std_fs(), &path),
             Err(CheckpointError::Format(_))
         ));
     }
@@ -398,7 +395,13 @@ mod tests {
         let jpath = dir.join("pair.journal");
         // Checkpoint {0, 1, 5}; journal {1', 3} — chip 1 re-ran with
         // different bytes, so the journal must win at every crash point.
-        crate::checkpoint::save_on(&vfs, &ckpt, FP, &[summary(0), summary(1), summary(5)]).unwrap();
+        crate::checkpoint::save_checkpoint_on(
+            &vfs,
+            &ckpt,
+            FP,
+            &[summary(0), summary(1), summary(5)],
+        )
+        .unwrap();
         let mut altered = summary(1);
         altered.correctable += 1;
         let mut j = ChipJournal::create_on(&vfs, &jpath, FP).unwrap();
@@ -413,10 +416,10 @@ mod tests {
         let recover = |point: &crashcheck::CrashPoint| -> Vec<ChipSummary> {
             let boot = Arc::new(SimFs::from_image(&sim.crash_image(point)));
             let bvfs: VfsHandle = Arc::clone(&boot) as VfsHandle;
-            let mut merged = crate::checkpoint::load_report_on(&bvfs, &ckpt, FP)
+            let mut merged = crate::checkpoint::load_checkpoint_report_on(&bvfs, &ckpt, FP)
                 .map(|l| l.summaries)
                 .unwrap_or_default();
-            let tail = replay_journal_on(&bvfs, &jpath, FP)
+            let tail = load_checkpoint_report_on(&bvfs, &jpath, FP)
                 .map(|r| r.summaries)
                 .unwrap_or_default();
             for s in tail {

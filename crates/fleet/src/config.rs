@@ -44,7 +44,7 @@ impl ControllerVariant {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MarginsMode {
     /// Oracle margins straight from the silicon model
-    /// ([`vs_platform::characterize::analytic_core_margins`]) —
+    /// ([`vs_platform::characterize::all_analytic_core_margins`]) —
     /// milliseconds per die; the fleet default.
     Analytic,
     /// Measured margins via the faithful voltage-stepped stress sweeps

@@ -54,7 +54,8 @@ impl DegradationReport {
 
     /// Total failed job attempts absorbed by retries (successful chips
     /// only; quarantined chips are listed separately).
-    pub fn attempts_absorbed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn attempts_absorbed(&self) -> u64 {
         self.retried.iter().map(|(_, n)| u64::from(*n)).sum()
     }
 

@@ -34,7 +34,7 @@ pub fn simulate_chip(config: &FleetConfig, chip: ChipId) -> ChipSummary {
 ///
 /// The stream is a pure function of `(config, chip, filter)` — workers can
 /// run chips in any order and the merged per-chip streams are identical.
-pub fn simulate_chip_traced(
+pub(crate) fn simulate_chip_traced(
     config: &FleetConfig,
     chip: ChipId,
     filter: EventFilter,
@@ -50,7 +50,7 @@ pub fn simulate_chip_traced(
 ///
 /// Supervision never touches the simulated results: a job that completes
 /// under a never-cancelled token is bit-identical to an unsupervised one.
-pub fn simulate_chip_guarded(
+pub(crate) fn simulate_chip_guarded(
     config: &FleetConfig,
     chip: ChipId,
     filter: EventFilter,

@@ -10,8 +10,8 @@
 //! is detected as damaged, never silently mis-parsed.
 //!
 //! A journal is a checkpoint tail: it starts with the same header and
-//! holds the same CRC-framed records, so [`replay_journal`] is the
-//! checkpoint loader under the name its callers know.
+//! holds the same CRC-framed records, so [`load_checkpoint_report`](crate::load_checkpoint_report) replays
+//! it.
 //!
 //! On resume (and at every checkpoint save) the journal is **compacted**:
 //! the merged summaries are saved into the checkpoint first, then the
@@ -25,8 +25,6 @@ use std::io;
 use std::path::Path;
 use vs_guard::vfs::{self, VfsHandle};
 use vs_guard::JournalWriter;
-
-pub use crate::checkpoint::{load_report as replay_journal, load_report_on as replay_journal_on};
 
 /// An open progress journal: one durable record per completed chip.
 #[derive(Debug)]
@@ -48,12 +46,13 @@ impl ChipJournal {
     }
 
     /// Opens an existing journal for appending.
-    pub fn open_append(path: &Path) -> io::Result<ChipJournal> {
+    #[cfg(test)]
+    pub(crate) fn open_append(path: &Path) -> io::Result<ChipJournal> {
         ChipJournal::open_append_on(&vfs::std_fs(), path)
     }
 
     /// [`ChipJournal::open_append`] against an explicit backend.
-    pub fn open_append_on(vfs: &VfsHandle, path: &Path) -> io::Result<ChipJournal> {
+    pub(crate) fn open_append_on(vfs: &VfsHandle, path: &Path) -> io::Result<ChipJournal> {
         let writer = JournalWriter::open_append_on(vfs, path)?;
         Ok(ChipJournal { writer })
     }
@@ -71,7 +70,7 @@ impl ChipJournal {
     }
 
     /// The journal's path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         self.writer.path()
     }
 }
@@ -79,7 +78,7 @@ impl ChipJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointError;
+    use crate::checkpoint::{load_checkpoint_report, CheckpointError};
     use crate::summary::CoreMarginSummary;
     use std::fs;
     use std::path::PathBuf;
@@ -123,7 +122,7 @@ mod tests {
         }
         assert_eq!(j.path(), path.as_path());
         drop(j);
-        let replay = replay_journal(&path, 0xF00D).unwrap();
+        let replay = load_checkpoint_report(&path, 0xF00D).unwrap();
         assert_eq!(replay.summaries, originals);
         assert!(replay.warnings.is_empty());
     }
@@ -139,7 +138,7 @@ mod tests {
         j.append(&summary(1)).unwrap(); // the compaction-crash duplicate
         j.append(&summary(2)).unwrap();
         drop(j);
-        let replay = replay_journal(&path, 1).unwrap();
+        let replay = load_checkpoint_report(&path, 1).unwrap();
         assert_eq!(replay.summaries.len(), 3);
         assert!(replay.warnings.is_empty());
     }
@@ -155,7 +154,7 @@ mod tests {
         let mut text = fs::read_to_string(&path).unwrap();
         text.truncate(text.len() - 10);
         fs::write(&path, &text).unwrap();
-        let replay = replay_journal(&path, 2).unwrap();
+        let replay = load_checkpoint_report(&path, 2).unwrap();
         assert_eq!(replay.summaries.len(), 1);
         assert_eq!(replay.summaries[0].chip, ChipId(0));
         assert_eq!(replay.warnings.len(), 1);
@@ -166,7 +165,7 @@ mod tests {
         let path = scratch("fingerprint.journal");
         ChipJournal::create(&path, 7).unwrap();
         assert!(matches!(
-            replay_journal(&path, 8),
+            load_checkpoint_report(&path, 8),
             Err(CheckpointError::FingerprintMismatch {
                 expected: 8,
                 found: 7
@@ -175,13 +174,13 @@ mod tests {
         let garbage = scratch("garbage.journal");
         fs::write(&garbage, "you are not a journal\n").unwrap();
         assert!(matches!(
-            replay_journal(&garbage, 0),
+            load_checkpoint_report(&garbage, 0),
             Err(CheckpointError::Format(_))
         ));
         let missing = scratch("missing.journal");
         let _ = fs::remove_file(&missing);
         assert!(matches!(
-            replay_journal(&missing, 0),
+            load_checkpoint_report(&missing, 0),
             Err(CheckpointError::Io(_))
         ));
     }

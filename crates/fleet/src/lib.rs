@@ -62,20 +62,17 @@ mod journal;
 mod runner;
 mod summary;
 
-pub use aggregate::{Distribution, Histogram, PopulationStats};
+pub use aggregate::{Distribution, PopulationStats};
 pub use checkpoint::{
-    load as load_checkpoint, load_report as load_checkpoint_report,
-    load_report_on as load_checkpoint_report_on, save as save_checkpoint,
-    save_on as save_checkpoint_on, store_header, CheckpointError, CheckpointLoad,
-    CheckpointWarning, STORE_MAGIC,
+    load_checkpoint, load_checkpoint_report, load_checkpoint_report_on, save_checkpoint,
+    save_checkpoint_on, store_header, CheckpointError, CheckpointLoad, CheckpointWarning,
 };
 pub use compact::{
-    checkpoint_chips, checkpoint_chips_on, compact_streaming, compact_streaming_on,
-    read_fingerprint, read_fingerprint_on, CompactionReport,
+    checkpoint_chips_on, compact_streaming_on, read_fingerprint_on, CompactionReport,
 };
 pub use config::{ControllerVariant, FleetConfig, MarginsMode};
 pub use degrade::DegradationReport;
-pub use job::{simulate_chip, simulate_chip_guarded, simulate_chip_traced};
-pub use journal::{replay_journal, replay_journal_on, ChipJournal};
+pub use job::simulate_chip;
+pub use journal::ChipJournal;
 pub use runner::{FleetError, FleetResult, FleetRunner, FleetTrace};
 pub use summary::{ChipSummary, CoreMarginSummary};

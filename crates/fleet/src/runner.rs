@@ -61,10 +61,8 @@ use std::sync::Once;
 use std::time::Duration;
 use vs_guard::vfs::{self, VfsHandle};
 use vs_guard::{CancelToken, Watchdog};
-use vs_obs::flight::{
-    write_bundle_on, PostmortemBundle, PostmortemTrigger, DEFAULT_FLIGHT_CAPACITY,
-};
 use vs_obs::span::{job_span, lane_of, lane_span, ROOT};
+use vs_obs::{write_bundle_on, PostmortemBundle, PostmortemTrigger, DEFAULT_FLIGHT_CAPACITY};
 use vs_sentinel::{SentinelConfig, SentinelMode, SentinelMonitor, Violation};
 use vs_telemetry::{
     to_jsonl, EventCategory, EventFilter, FleetProfile, LatencyHistogram, ProgressReport,
@@ -449,11 +447,6 @@ impl FleetRunner {
         self
     }
 
-    /// The runner's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs the whole fleet to completion.
     pub fn run(&self) -> Result<FleetResult, FleetError> {
         self.run_streaming(|_| {})
@@ -513,7 +506,7 @@ impl FleetRunner {
         // that chip, which is then re-simulated.
         let mut done: Vec<ChipSummary> = match &self.checkpoint {
             Some(path) if self.vfs.exists(path) => {
-                let report = checkpoint::load_report_on(&self.vfs, path, fingerprint)?;
+                let report = checkpoint::load_checkpoint_report_on(&self.vfs, path, fingerprint)?;
                 for (line, warning) in report.warnings {
                     degradation
                         .corrupt_records
@@ -535,7 +528,7 @@ impl FleetRunner {
         if let Some(jpath) = &self.journal {
             let mut replayed = 0u64;
             if self.vfs.exists(jpath) {
-                let replay = checkpoint::load_report_on(&self.vfs, jpath, fingerprint)?;
+                let replay = checkpoint::load_checkpoint_report_on(&self.vfs, jpath, fingerprint)?;
                 for (line, warning) in replay.warnings {
                     degradation
                         .corrupt_records
@@ -684,7 +677,7 @@ impl FleetRunner {
                             // (inherited) can stop it.
                             let handle = supervisor
                                 .as_ref()
-                                .map(|(w, budget)| w.register(chip.0, *budget, run_token));
+                                .map(|(w, budget)| w.register(*budget, run_token));
                             let job_token = handle
                                 .as_ref()
                                 .map(|h| h.token().clone())
@@ -1103,7 +1096,7 @@ impl FleetRunner {
                     "injected checkpoint I/O error",
                 )))
             } else {
-                checkpoint::save_on(&self.vfs, path, fingerprint, done)
+                checkpoint::save_checkpoint_on(&self.vfs, path, fingerprint, done)
             };
             match result {
                 Ok(()) => return Ok(()),
@@ -1154,7 +1147,7 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::replay_journal;
+    use crate::checkpoint::load_checkpoint_report;
     use vs_faults::FaultPlan;
     use vs_types::FleetSeed;
 
@@ -1426,9 +1419,9 @@ mod tests {
 
         // Compaction truncated the journal; the checkpoint now carries
         // everything.
-        let replay = replay_journal(&journal, tiny_config().fingerprint()).unwrap();
+        let replay = load_checkpoint_report(&journal, tiny_config().fingerprint()).unwrap();
         assert!(replay.summaries.is_empty());
-        let saved = checkpoint::load(&path, tiny_config().fingerprint()).unwrap();
+        let saved = checkpoint::load_checkpoint(&path, tiny_config().fingerprint()).unwrap();
         assert_eq!(saved.len(), 6);
     }
 
@@ -1448,7 +1441,7 @@ mod tests {
             "retries must absorb transient save errors: {:?}",
             result.degradation.checkpoint_failures
         );
-        let saved = checkpoint::load(&path, config.fingerprint()).unwrap();
+        let saved = checkpoint::load_checkpoint(&path, config.fingerprint()).unwrap();
         assert_eq!(saved.len(), 6);
     }
 
@@ -1556,7 +1549,7 @@ mod tests {
             let fresh = FleetRunner::new(tiny_config(), 2).run().unwrap();
             let mut tampered: Vec<ChipSummary> = fresh.summaries[..3].to_vec();
             tampered[1].correctable += 1;
-            checkpoint::save(&path, tiny_config().fingerprint(), &tampered).unwrap();
+            checkpoint::save_checkpoint(&path, tiny_config().fingerprint(), &tampered).unwrap();
             (path, journal)
         };
 

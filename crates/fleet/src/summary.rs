@@ -54,21 +54,15 @@ pub struct ChipSummary {
 
 impl ChipSummary {
     /// Mean Vdd reduction across the chip's domains.
-    pub fn mean_reduction(&self) -> f64 {
+    pub(crate) fn mean_reduction(&self) -> f64 {
         if self.vdd_reduction.is_empty() {
             return 0.0;
         }
         self.vdd_reduction.iter().sum::<f64>() / self.vdd_reduction.len() as f64
     }
 
-    /// The chip-level Vmin: the highest per-core minimum safe voltage
-    /// (the whole chip is only safe above every core's floor).
-    pub fn chip_vmin_mv(&self) -> Option<i32> {
-        self.margins.iter().map(|m| m.min_safe_mv).max()
-    }
-
     /// True if the chip completed its run without crashing.
-    pub fn is_healthy(&self) -> bool {
+    pub(crate) fn is_healthy(&self) -> bool {
         self.crashes == 0
     }
 }
@@ -109,7 +103,6 @@ mod tests {
     fn helpers() {
         let s = summary();
         assert!((s.mean_reduction() - 0.0625).abs() < 1e-12);
-        assert_eq!(s.chip_vmin_mv(), Some(660));
         assert!(s.is_healthy());
     }
 
@@ -121,6 +114,5 @@ mod tests {
             ..summary()
         };
         assert_eq!(s.mean_reduction(), 0.0);
-        assert_eq!(s.chip_vmin_mv(), None);
     }
 }

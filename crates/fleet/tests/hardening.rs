@@ -12,8 +12,8 @@
 use std::fs;
 use std::path::PathBuf;
 use vs_fleet::{
-    load_checkpoint, load_checkpoint_report, replay_journal, save_checkpoint, ChipJournal,
-    ChipSummary, CoreMarginSummary,
+    load_checkpoint, load_checkpoint_report, save_checkpoint, ChipJournal, ChipSummary,
+    CoreMarginSummary,
 };
 use vs_guard::frame;
 use vs_types::rng::CounterRng;
@@ -84,7 +84,7 @@ fn must_not_panic(case: &str, ckpt_bytes: &[u8], journal_bytes: &[u8]) {
             assert_eq!(s, &summary(s.chip.0), "{case}: corrupted record surfaced");
         }
     }
-    if let Ok(replay) = replay_journal(&jpath, FINGERPRINT) {
+    if let Ok(replay) = load_checkpoint_report(&jpath, FINGERPRINT) {
         for s in &replay.summaries {
             assert_eq!(s, &summary(s.chip.0), "{case}: corrupted record surfaced");
         }

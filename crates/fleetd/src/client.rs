@@ -84,7 +84,7 @@ impl Client {
     }
 
     /// Sends one request and reads one response.
-    pub fn request(&mut self, req: &Request) -> Result<Response, ProtocolError> {
+    pub(crate) fn request(&mut self, req: &Request) -> Result<Response, ProtocolError> {
         write_frame(&mut self.stream, &encode_request(req))?;
         self.read_response()
     }
@@ -129,7 +129,7 @@ impl Client {
     /// the start, so a reconnecting watcher skips what it already
     /// delivered and `on_event` fires exactly once per event even across
     /// torn connections. `seen` is updated as events are delivered.
-    pub fn watch_skipping(
+    pub(crate) fn watch_skipping(
         &mut self,
         job: u64,
         seen: &mut u64,

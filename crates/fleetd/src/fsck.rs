@@ -142,7 +142,8 @@ pub struct ScrubReport {
 
 impl ScrubReport {
     /// No deviations at all.
-    pub fn clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn clean(&self) -> bool {
         self.issues.is_empty()
     }
 

@@ -17,7 +17,7 @@
 //!   frames are typed [`ProtocolError`]s, never panics.
 //! * [`FleetStore`] — the persistent state, keyed by
 //!   [`FleetConfig::fingerprint`](vs_fleet::FleetConfig::fingerprint);
-//!   startup recovery scrubs the store with the [`fsck`] pass (orphan
+//!   startup recovery scrubs the store with the fsck pass (orphan
 //!   temps removed, torn journal tails truncated, unrecoverable files
 //!   quarantined), then folds orphaned journals into their checkpoints
 //!   with the streaming compaction pass — so a SIGKILL'd daemon loses at
@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fsck;
+mod fsck;
 pub mod protocol;
 pub mod server;
 pub mod torture;

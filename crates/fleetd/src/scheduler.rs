@@ -41,7 +41,7 @@ use vs_types::{FleetSeed, SimTime};
 /// An evicted job is an unknown id to `watch` and `cancel`, and its
 /// idempotency key is released — a keyed resubmission then runs afresh
 /// and resumes its chips from the store.
-pub const RETAINED_TERMINAL_JOBS: usize = 128;
+pub(crate) const RETAINED_TERMINAL_JOBS: usize = 128;
 
 /// Scheduler tunables, set once at daemon startup.
 #[derive(Debug, Clone)]
@@ -496,7 +496,7 @@ impl Scheduler {
     }
 
     /// The root token; server transports watch it to stop accepting.
-    pub fn shutdown_token(&self) -> CancelToken {
+    pub(crate) fn shutdown_token(&self) -> CancelToken {
         self.inner.shutdown.child()
     }
 

@@ -88,7 +88,7 @@ impl FleetStore {
     }
 
     /// The store directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 

@@ -72,7 +72,7 @@ pub struct TransportFaultBudget {
 
 impl TransportFaultBudget {
     /// A budget with explicit counts.
-    pub fn new(torn_frames: u32, disconnects: u32, stalls: u32) -> TransportFaultBudget {
+    pub(crate) fn new(torn_frames: u32, disconnects: u32, stalls: u32) -> TransportFaultBudget {
         TransportFaultBudget {
             state: Arc::new(Mutex::new(BudgetState {
                 torn_frames,
@@ -96,14 +96,11 @@ impl TransportFaultBudget {
     }
 
     /// Faults consumed so far.
-    pub fn consumed(&self) -> TransportFaultCounters {
-        self.state.lock().unwrap().consumed
-    }
-
-    /// Nothing left to inject.
-    pub fn is_spent(&self) -> bool {
-        let s = self.state.lock().unwrap();
-        s.torn_frames == 0 && s.disconnects == 0 && s.stalls == 0
+    pub(crate) fn consumed(&self) -> TransportFaultCounters {
+        self.state
+            .lock()
+            .expect("fault budget poisoned: a holder panicked")
+            .consumed
     }
 }
 
@@ -130,7 +127,11 @@ impl<S> FaultyTransport<S> {
 
 impl<S: Write> Write for FaultyTransport<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut state = self.budget.state.lock().unwrap();
+        let mut state = self
+            .budget
+            .state
+            .lock()
+            .expect("fault budget poisoned: a holder panicked");
         if state.torn_frames > 0 {
             state.torn_frames -= 1;
             state.consumed.torn_frames += 1;
@@ -158,7 +159,11 @@ impl<S: Write> Write for FaultyTransport<S> {
 
 impl<S: Read> Read for FaultyTransport<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut state = self.budget.state.lock().unwrap();
+        let mut state = self
+            .budget
+            .state
+            .lock()
+            .expect("fault budget poisoned: a holder panicked");
         if state.disconnects > 0 {
             state.disconnects -= 1;
             state.consumed.disconnects += 1;
@@ -386,7 +391,9 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     let duplicate_sweeps = submitted.saturating_sub(expected) + stream_duplicates;
 
     let done_lines = {
-        let events = events.lock().unwrap();
+        let events = events
+            .lock()
+            .expect("chip events poisoned: a holder panicked");
         let mut lines: Vec<String> = events
             .get(&report.job)
             .map(|chips| chips.iter().map(|(_, event)| event.clone()).collect())
@@ -506,7 +513,6 @@ mod tests {
         second.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"world");
         assert_eq!(second.write(b"ok").unwrap(), 2);
-        assert!(budget.is_spent());
         assert_eq!(
             budget.consumed(),
             TransportFaultCounters {

@@ -99,7 +99,10 @@ where
                         });
                     }
                 }
-                findings.lock().unwrap().extend(local);
+                findings
+                    .lock()
+                    .expect("crash findings poisoned: a holder panicked")
+                    .extend(local);
             });
         }
     });

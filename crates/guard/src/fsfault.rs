@@ -21,7 +21,7 @@
 //!    durability barrier fails; acknowledgement must not be sent.
 //!
 //! Fault state is **per [`crate::vfs::Vfs`] instance**: every backend,
-//! [`crate::vfs::StdFs`] handles included, owns its own [`FaultState`],
+//! `crate::vfs::StdFs` handles included, owns its own [`FaultState`],
 //! so a plan reaches exactly the writes made through the handle it was
 //! installed on. Each state also tallies the faults it injected
 //! ([`FaultState::counters`], monotone for the state's lifetime) so the
@@ -46,7 +46,7 @@ pub struct FsFaultPlan {
 
 impl FsFaultPlan {
     /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.enospc == 0 && self.short_writes == 0 && self.fsync_failures == 0
     }
 }
@@ -65,7 +65,8 @@ pub struct FsFaultCounters {
 
 impl FsFaultCounters {
     /// Total faults injected across all classes.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.enospc + self.short_writes + self.fsync_failures
     }
 }
@@ -105,7 +106,10 @@ impl FaultState {
     /// Installs `plan` for every durable write whose target path starts
     /// with `prefix`, replacing any previously installed plan.
     pub fn install(&self, prefix: &Path, plan: FsFaultPlan) {
-        let mut state = self.scope.lock().unwrap();
+        let mut state = self
+            .scope
+            .lock()
+            .expect("fault scope poisoned: a holder panicked");
         *state = Some(Scope {
             prefix: prefix.to_path_buf(),
             remaining: plan,
@@ -113,16 +117,14 @@ impl FaultState {
         self.active.store(!plan.is_empty(), Ordering::Release);
     }
 
-    /// Removes the installed plan (idempotent). The tallies are kept.
-    pub fn uninstall(&self) {
-        let mut state = self.scope.lock().unwrap();
-        *state = None;
-        self.active.store(false, Ordering::Release);
-    }
-
     /// The fault budget still unconsumed, if a plan is installed.
-    pub fn remaining(&self) -> Option<FsFaultPlan> {
-        self.scope.lock().unwrap().as_ref().map(|s| s.remaining)
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> Option<FsFaultPlan> {
+        self.scope
+            .lock()
+            .expect("fault scope poisoned: a holder panicked")
+            .as_ref()
+            .map(|s| s.remaining)
     }
 
     /// The faults this state has injected so far.
@@ -143,7 +145,10 @@ impl FaultState {
         if !self.active.load(Ordering::Acquire) {
             return Ok(WriteFault::Intact);
         }
-        let mut state = self.scope.lock().unwrap();
+        let mut state = self
+            .scope
+            .lock()
+            .expect("fault scope poisoned: a holder panicked");
         let Some(scope) = state.as_mut() else {
             return Ok(WriteFault::Intact);
         };
@@ -169,7 +174,10 @@ impl FaultState {
         if !self.active.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut state = self.scope.lock().unwrap();
+        let mut state = self
+            .scope
+            .lock()
+            .expect("fault scope poisoned: a holder panicked");
         let Some(scope) = state.as_mut() else {
             return Ok(());
         };
@@ -242,8 +250,7 @@ mod tests {
         assert!(state.sync_fault(&target).is_err());
         assert!(state.sync_fault(&target).is_ok());
         assert_eq!(state.remaining(), Some(FsFaultPlan::default()));
-        // Tallies are exact (the state is local) and survive uninstall.
-        state.uninstall();
+        // Tallies are exact: the state is local.
         assert_eq!(
             state.counters(),
             FsFaultCounters {
@@ -253,7 +260,6 @@ mod tests {
             }
         );
         assert_eq!(state.counters().total(), 3);
-        assert_eq!(state.remaining(), None);
     }
 
     #[test]

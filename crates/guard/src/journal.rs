@@ -16,7 +16,7 @@
 
 use crate::crc32::crc32;
 use crate::fsfault::{short_write_error, WriteFault};
-use crate::vfs::{self, OpenMode, VfsFile, VfsHandle};
+use crate::vfs::{OpenMode, VfsFile, VfsHandle};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -88,13 +88,6 @@ impl fmt::Debug for JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a journal at `path` on the real filesystem
-    /// and durably writes the given raw header lines. See
-    /// [`JournalWriter::create_on`].
-    pub fn create(path: &Path, header: &[&str]) -> io::Result<JournalWriter> {
-        JournalWriter::create_on(&vfs::std_fs(), path, header)
-    }
-
     /// Creates (truncating) a journal at `path` on `vfs` and durably
     /// writes the given raw header lines. Under an installed
     /// [`crate::fsfault`] plan, creation consumes ENOSPC budget *before*
@@ -120,12 +113,6 @@ impl JournalWriter {
         }
         writer.sync()?;
         Ok(writer)
-    }
-
-    /// Opens an existing journal on the real filesystem for appending.
-    /// See [`JournalWriter::open_append_on`].
-    pub fn open_append(path: &Path) -> io::Result<JournalWriter> {
-        JournalWriter::open_append_on(&vfs::std_fs(), path)
     }
 
     /// Opens an existing journal on `vfs` for appending (records go
@@ -189,6 +176,7 @@ impl JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("vs-guard-journal-tests");
@@ -222,13 +210,15 @@ mod tests {
     #[test]
     fn writer_appends_durable_records_after_header() {
         let path = scratch("writer.journal");
-        let mut w = JournalWriter::create(&path, &["magic v1", "fingerprint 00ff"]).unwrap();
+        let mut w =
+            JournalWriter::create_on(&vfs::std_fs(), &path, &["magic v1", "fingerprint 00ff"])
+                .unwrap();
         w.append("record one").unwrap();
         w.append("record two").unwrap();
         drop(w);
 
         // Re-open and append more — nothing already written is disturbed.
-        let mut w = JournalWriter::open_append(&path).unwrap();
+        let mut w = JournalWriter::open_append_on(&vfs::std_fs(), &path).unwrap();
         w.append("record three").unwrap();
         assert_eq!(w.path(), path.as_path());
         drop(w);

@@ -40,7 +40,7 @@
 //!   the writes made through the handle it was installed on.
 //! * **Crash-consistency checking** — the [`vfs`] module's [`vfs::Vfs`]
 //!   seam routes every durable write through either the real filesystem
-//!   ([`vfs::StdFs`]) or a deterministic recorder ([`vfs::SimFs`]) that
+//!   (`vfs::StdFs`) or a deterministic recorder ([`vfs::SimFs`]) that
 //!   can materialize the disk image at any crash point, and
 //!   [`crashcheck`] exhaustively explores those points against
 //!   caller-supplied recovery invariants.
@@ -65,7 +65,7 @@
 //!
 //! // A watchdog cancels jobs that stop heartbeating.
 //! let watchdog = Watchdog::spawn(Duration::from_millis(1));
-//! let handle = watchdog.register(7, Duration::from_millis(5), &CancelToken::new());
+//! let handle = watchdog.register(Duration::from_millis(5), &CancelToken::new());
 //! while !handle.token().is_cancelled() {
 //!     std::thread::sleep(Duration::from_millis(1)); // never beats...
 //! }

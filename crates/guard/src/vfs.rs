@@ -10,7 +10,7 @@
 //!
 //! Two implementations exist:
 //!
-//! * [`StdFs`] — the production backend. Every method is a thin forward
+//! * `StdFs` — the production backend. Every method is a thin forward
 //!   to `std::fs`; the only extra cost over calling `std::fs` directly is
 //!   one dynamic dispatch, and its fault hook is a single relaxed atomic
 //!   load when no fault plan is installed. Each handle owns its fault
@@ -34,7 +34,7 @@
 //! any subset a real kernel would leave behind.
 //!
 //! Durability code is written against [`VfsHandle`] (an `Arc<dyn Vfs>`)
-//! so a recording [`SimFs`] and the real [`StdFs`] are interchangeable;
+//! so a recording [`SimFs`] and the real `StdFs` are interchangeable;
 //! whole-file writes and quarantine moves go through [`crate::durable`].
 
 use crate::fsfault::FaultState;
@@ -145,7 +145,7 @@ pub fn std_fs() -> VfsHandle {
 /// The real filesystem. All methods forward to `std::fs`; the handle owns
 /// its fault state, which starts with no plan installed.
 #[derive(Debug, Default)]
-pub struct StdFs {
+pub(crate) struct StdFs {
     faults: FaultState,
 }
 
@@ -297,7 +297,7 @@ impl SimOp {
 
     /// For write operations, the payload length (used to enumerate torn
     /// prefixes).
-    pub fn write_len(&self) -> Option<usize> {
+    pub(crate) fn write_len(&self) -> Option<usize> {
         match self {
             SimOp::Write { bytes, .. } => Some(bytes.len()),
             _ => None,
@@ -455,7 +455,10 @@ impl SimFs {
     pub fn from_image(image: &SimImage) -> SimFs {
         let sim = SimFs::new();
         {
-            let mut st = sim.state.lock().unwrap();
+            let mut st = sim
+                .state
+                .lock()
+                .expect("SimFs state poisoned: a holder panicked");
             st.dirs = image.dirs.clone();
             for (path, bytes) in &image.files {
                 st.files.insert(
@@ -472,17 +475,29 @@ impl SimFs {
 
     /// The number of mutations recorded so far.
     pub fn mutations(&self) -> u64 {
-        self.state.lock().unwrap().ops.len() as u64
+        self.state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked")
+            .ops
+            .len() as u64
     }
 
     /// The recorded operations, in order (operation `k` is `ops()[k-1]`).
     pub fn ops(&self) -> Vec<SimOp> {
-        self.state.lock().unwrap().ops.clone()
+        self.state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked")
+            .ops
+            .clone()
     }
 
     /// The recorded `(ops-so-far, label)` marks, in order.
     pub fn marks(&self) -> Vec<(u64, String)> {
-        self.state.lock().unwrap().marks.clone()
+        self.state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked")
+            .marks
+            .clone()
     }
 
     /// The disk image a reboot would find at `point`.
@@ -499,7 +514,10 @@ impl SimFs {
     /// [`PendingMode::Torn`] is used on a non-write operation — both are
     /// explorer bugs, not recoverable states.
     pub fn crash_image(&self, point: &CrashPoint) -> SimImage {
-        let st = self.state.lock().unwrap();
+        let st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         let k = usize::try_from(point.op).expect("crash point fits usize");
         assert!(
             k <= st.ops.len(),
@@ -539,7 +557,10 @@ impl SimFs {
     /// a reader sees with no crash. Useful for byte-identity assertions
     /// between recoveries.
     pub fn snapshot(&self) -> SimImage {
-        let st = self.state.lock().unwrap();
+        let st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         SimImage {
             files: st
                 .files
@@ -560,7 +581,10 @@ struct SimFile {
 impl io::Write for SimFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if !buf.is_empty() {
-            let mut st = self.state.lock().unwrap();
+            let mut st = self
+                .state
+                .lock()
+                .expect("SimFs state poisoned: a holder panicked");
             st.apply_and_record(SimOp::Write {
                 path: self.path.clone(),
                 bytes: buf.to_vec(),
@@ -575,7 +599,10 @@ impl io::Write for SimFile {
 
 impl VfsFile for SimFile {
     fn sync(&mut self) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         st.apply_and_record(SimOp::Sync(self.path.clone()));
         Ok(())
     }
@@ -586,7 +613,10 @@ impl VfsFile for SimFile {
 
 impl Vfs for SimFs {
     fn open_write(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn VfsFile>> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         match mode {
             OpenMode::Truncate => {
                 st.apply_and_record(SimOp::Create(path.to_path_buf()));
@@ -607,7 +637,10 @@ impl Vfs for SimFs {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let st = self.state.lock().unwrap();
+        let st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         st.files.get(path).map(|f| f.visible()).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
@@ -622,12 +655,18 @@ impl Vfs for SimFs {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        let st = self.state.lock().unwrap();
+        let st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         st.files.contains_key(path) || st.dirs.contains(path)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         if !st.files.contains_key(from) {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -642,7 +681,10 @@ impl Vfs for SimFs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         if !st.files.contains_key(path) {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -654,7 +696,10 @@ impl Vfs for SimFs {
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         if !st.dirs.contains(path) {
             st.apply_and_record(SimOp::CreateDir(path.to_path_buf()));
         }
@@ -662,7 +707,10 @@ impl Vfs for SimFs {
     }
 
     fn read_dir_sorted(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let st = self.state.lock().unwrap();
+        let st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         Ok(st
             .files
             .keys()
@@ -672,7 +720,10 @@ impl Vfs for SimFs {
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         st.apply_and_record(SimOp::SyncDir(dir.to_path_buf()));
         Ok(())
     }
@@ -682,13 +733,19 @@ impl Vfs for SimFs {
     }
 
     fn mark(&self, label: &str) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         let at = st.ops.len() as u64;
         st.marks.push((at, label.to_string()));
     }
 
     fn temp_tag(&self) -> Option<String> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("SimFs state poisoned: a holder panicked");
         st.temp_serial += 1;
         Some(format!("sim{}", st.temp_serial))
     }

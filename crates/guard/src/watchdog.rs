@@ -20,8 +20,6 @@ use std::time::{Duration, Instant};
 /// Shared state of one supervised job.
 #[derive(Debug)]
 struct JobState {
-    /// Owner-chosen label (the fleet uses the chip id), for diagnostics.
-    label: u64,
     /// Budget between heartbeats, in nanoseconds.
     budget_ns: u64,
     /// Last heartbeat, as nanoseconds since the watchdog's origin.
@@ -50,8 +48,7 @@ impl Shared {
 /// A heartbeat registration: the job side of the watchdog.
 ///
 /// Call [`beat`](HeartbeatHandle::beat) at every natural check point;
-/// call [`finish`](HeartbeatHandle::finish) (or drop the handle) when the
-/// job completes. If the gap between beats ever exceeds the budget the
+/// drop the handle when the job completes. If the gap between beats ever exceeds the budget the
 /// handle was registered with, the watchdog cancels
 /// [`token`](HeartbeatHandle::token) and [`fired`](HeartbeatHandle::fired)
 /// turns true.
@@ -81,13 +78,8 @@ impl HeartbeatHandle {
         self.state.fired.load(Ordering::SeqCst)
     }
 
-    /// The label the job was registered under.
-    pub fn label(&self) -> u64 {
-        self.state.label
-    }
-
     /// Ends supervision (idempotent; dropping the handle does the same).
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         self.state.done.store(true, Ordering::SeqCst);
     }
 }
@@ -130,20 +122,22 @@ impl Watchdog {
         }
     }
 
-    /// Registers a job: `label` for diagnostics, `budget` as the maximum
-    /// wall-clock gap between heartbeats, `parent` as the token the job's
-    /// own token is a child of. The registration counts as the first
-    /// heartbeat.
-    pub fn register(&self, label: u64, budget: Duration, parent: &CancelToken) -> HeartbeatHandle {
+    /// Registers a job: `budget` is the maximum wall-clock gap between
+    /// heartbeats, `parent` the token the job's own token is a child of.
+    /// The registration counts as the first heartbeat.
+    pub fn register(&self, budget: Duration, parent: &CancelToken) -> HeartbeatHandle {
         let state = Arc::new(JobState {
-            label,
             budget_ns: u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX),
             last_beat_ns: AtomicU64::new(self.shared.now_ns()),
             token: parent.child(),
             done: AtomicBool::new(false),
             fired: AtomicBool::new(false),
         });
-        self.shared.jobs.lock().unwrap().push(Arc::clone(&state));
+        self.shared
+            .jobs
+            .lock()
+            .expect("watchdog jobs poisoned: a holder panicked")
+            .push(Arc::clone(&state));
         HeartbeatHandle {
             state,
             shared: Arc::clone(&self.shared),
@@ -165,7 +159,10 @@ fn watch(shared: &Shared, poll: Duration) {
     while !shared.stop.load(Ordering::SeqCst) {
         std::thread::sleep(poll);
         let now = shared.now_ns();
-        let mut jobs = shared.jobs.lock().unwrap();
+        let mut jobs = shared
+            .jobs
+            .lock()
+            .expect("watchdog jobs poisoned: a holder panicked");
         jobs.retain(|job| {
             if job.done.load(Ordering::SeqCst) {
                 return false;
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn beating_jobs_are_left_alone() {
         let watchdog = Watchdog::spawn(Duration::from_millis(1));
-        let handle = watchdog.register(1, Duration::from_millis(20), &CancelToken::new());
+        let handle = watchdog.register(Duration::from_millis(20), &CancelToken::new());
         for _ in 0..10 {
             handle.beat();
             std::thread::sleep(Duration::from_millis(2));
@@ -229,20 +226,19 @@ mod tests {
     #[test]
     fn silent_jobs_are_cancelled_and_marked_fired() {
         let watchdog = Watchdog::spawn(Duration::from_millis(1));
-        let handle = watchdog.register(7, Duration::from_millis(5), &CancelToken::new());
+        let handle = watchdog.register(Duration::from_millis(5), &CancelToken::new());
         let deadline = Instant::now() + Duration::from_secs(5);
         while !handle.token().is_cancelled() {
             assert!(Instant::now() < deadline, "watchdog never fired");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(handle.fired());
-        assert_eq!(handle.label(), 7);
     }
 
     #[test]
     fn finished_jobs_are_never_fired() {
         let watchdog = Watchdog::spawn(Duration::from_millis(1));
-        let handle = watchdog.register(3, Duration::from_millis(2), &CancelToken::new());
+        let handle = watchdog.register(Duration::from_millis(2), &CancelToken::new());
         handle.finish();
         std::thread::sleep(Duration::from_millis(20));
         assert!(!handle.fired());
@@ -253,7 +249,7 @@ mod tests {
     fn run_wide_cancellation_reaches_supervised_tokens() {
         let run = CancelToken::new();
         let watchdog = Watchdog::spawn(Duration::from_millis(1));
-        let handle = watchdog.register(0, Duration::from_secs(60), &run);
+        let handle = watchdog.register(Duration::from_secs(60), &run);
         assert!(!handle.token().is_cancelled());
         run.cancel();
         assert!(handle.token().is_cancelled());

@@ -43,7 +43,7 @@ pub enum PostmortemTrigger {
 
 impl PostmortemTrigger {
     /// Stable lowercase label (used in file names and the header line).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PostmortemTrigger::Violation => "violation",
             PostmortemTrigger::Panic => "panic",
@@ -52,7 +52,7 @@ impl PostmortemTrigger {
     }
 
     /// Parses a label produced by [`PostmortemTrigger::label`].
-    pub fn parse(s: &str) -> Option<PostmortemTrigger> {
+    pub(crate) fn parse(s: &str) -> Option<PostmortemTrigger> {
         [
             PostmortemTrigger::Violation,
             PostmortemTrigger::Panic,
@@ -117,7 +117,7 @@ impl PostmortemBundle {
 
     /// The bundle's deterministic file name:
     /// `pm-<fingerprint>-chip<chip>-<trigger>.bundle`.
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         format!(
             "pm-{:016x}-chip{}-{}.bundle",
             self.fingerprint, self.chip, self.trigger
@@ -126,7 +126,7 @@ impl PostmortemBundle {
 
     /// The bundle's payload lines (pre-framing): one header object, one
     /// object per violation, one object per event.
-    pub fn to_lines(&self) -> Vec<String> {
+    pub(crate) fn to_lines(&self) -> Vec<String> {
         let mut lines = Vec::with_capacity(1 + self.violations.len() + self.events.len());
         lines.push(format!(
             "{{\"postmortem\":1,\"trigger\":\"{}\",\"chip\":{},\"fingerprint\":\"{:016x}\",\
@@ -265,14 +265,10 @@ impl From<io::Error> for BundleError {
 /// directory fsync). Returns the final path. An existing bundle of the
 /// same name is replaced atomically — re-running the same job re-dumps
 /// the identical bytes.
-pub fn write_bundle(dir: &Path, bundle: &PostmortemBundle) -> io::Result<PathBuf> {
-    write_bundle_on(&vs_guard::vfs::std_fs(), dir, bundle)
-}
-
-/// [`write_bundle`] against an explicit filesystem backend — the seam
-/// the crash-consistency checker records through. A failed write
-/// degrades gracefully upstream: the runner records the loss in the
-/// degradation report instead of failing the job.
+///
+/// `vfs` is the seam the crash-consistency checker records through. A
+/// failed write degrades gracefully upstream: the runner records the
+/// loss in the degradation report instead of failing the job.
 pub fn write_bundle_on(
     vfs: &vs_guard::vfs::VfsHandle,
     dir: &Path,
@@ -380,7 +376,7 @@ mod tests {
     fn bundle_round_trips_byte_exactly() {
         let dir = scratch("round-trip");
         let bundle = sample_bundle();
-        let path = write_bundle(&dir, &bundle).unwrap();
+        let path = write_bundle_on(&vs_guard::vfs::std_fs(), &dir, &bundle).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             "pm-3b3f2ca3afa0a1d2-chip3-violation.bundle"
@@ -390,7 +386,7 @@ mod tests {
 
         // Re-writing the identical bundle leaves identical bytes.
         let before = fs::read(&path).unwrap();
-        write_bundle(&dir, &bundle).unwrap();
+        write_bundle_on(&vs_guard::vfs::std_fs(), &dir, &bundle).unwrap();
         assert_eq!(fs::read(&path).unwrap(), before);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -398,7 +394,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_not_misparsed() {
         let dir = scratch("corrupt");
-        let path = write_bundle(&dir, &sample_bundle()).unwrap();
+        let path = write_bundle_on(&vs_guard::vfs::std_fs(), &dir, &sample_bundle()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -413,7 +409,7 @@ mod tests {
     #[test]
     fn truncation_is_detected_by_section_counts() {
         let dir = scratch("truncated");
-        let path = write_bundle(&dir, &sample_bundle()).unwrap();
+        let path = write_bundle_on(&vs_guard::vfs::std_fs(), &dir, &sample_bundle()).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let kept: Vec<&str> = text.lines().take(2).collect();
         fs::write(&path, kept.join("\n")).unwrap();
@@ -426,7 +422,7 @@ mod tests {
         let dir = scratch("panic");
         let mut b = PostmortemBundle::new(PostmortemTrigger::Panic, 5, 0xdead_beef);
         b.detail = "worker panic on every attempt: injected panic (chip 5)".into();
-        let path = write_bundle(&dir, &b).unwrap();
+        let path = write_bundle_on(&vs_guard::vfs::std_fs(), &dir, &b).unwrap();
         let loaded = read_bundle(&path).unwrap();
         assert_eq!(loaded.trigger, PostmortemTrigger::Panic);
         assert!(loaded.events.is_empty());

@@ -19,26 +19,26 @@
 //!   position in the hierarchy (the "lane" is `chip mod LANES`, never
 //!   the physical worker), and causality rides in explicit `id`/`parent`
 //!   links, so the same tree reconstructs under any `--workers` count.
-//! * **Crash flight recorder** ([`flight`]) — fixed-window postmortem
+//! * **Crash flight recorder** — fixed-window postmortem
 //!   bundles ([`PostmortemBundle`]) dumped on sentinel violations,
 //!   worker panics, and watchdog cancellations, written with the
 //!   vs-guard journal discipline (per-line CRC32 frames, temp + fsync +
 //!   rename) so a bundle either exists intact or not at all.
 //!
-//! [`top`] renders the `repro fleetd top` terminal dashboard from pairs
+//! [`render_top`] renders the `repro fleetd top` terminal dashboard from pairs
 //! of parsed metrics snapshots.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod flight;
+mod flight;
 pub mod names;
 mod prom;
 pub mod span;
-pub mod top;
+mod top;
 
 pub use flight::{
-    read_bundle, write_bundle, BundleError, PostmortemBundle, PostmortemTrigger,
+    read_bundle, write_bundle_on, BundleError, PostmortemBundle, PostmortemTrigger,
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use prom::{metric_name, render_prometheus, PromParseError, PromSample, PromSnapshot};

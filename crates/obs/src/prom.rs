@@ -190,7 +190,8 @@ impl PromSnapshot {
     }
 
     /// The value of the sample `name` carrying exactly `labels`.
-    pub fn labeled(&self, name: &str, labels: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn labeled(&self, name: &str, labels: &str) -> Option<f64> {
         self.samples
             .iter()
             .find(|s| s.name == name && s.labels == labels)
@@ -199,7 +200,10 @@ impl PromSnapshot {
 
     /// Unlabeled samples whose name starts with `prefix`, in exposition
     /// order (the dashboard enumerates per-worker gauges this way).
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, f64)> {
+    pub(crate) fn with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, f64)> {
         self.samples
             .iter()
             .filter(move |s| s.labels.is_empty() && s.name.starts_with(prefix))

@@ -17,7 +17,7 @@ use vs_types::{ChipId, SimTime};
 
 /// Virtual lanes per job. Fixed — a deterministic sharding of chips that
 /// groups traffic without referencing physical workers.
-pub const LANES: u64 = 4;
+pub(crate) const LANES: u64 = 4;
 
 /// The parent id of the root job span.
 pub const ROOT: u64 = 0;
@@ -59,7 +59,8 @@ pub fn lane_of(chip: ChipId) -> u64 {
 }
 
 /// Decodes the hierarchy level encoded in a span id's tag bits.
-pub fn level_of(id: u64) -> Option<SpanLevel> {
+#[cfg(test)]
+pub(crate) fn level_of(id: u64) -> Option<SpanLevel> {
     match id >> TAG_SHIFT {
         1 => Some(SpanLevel::Job),
         2 => Some(SpanLevel::Lane),
@@ -87,7 +88,7 @@ pub struct SpanNode {
     pub close_at: Option<SimTime>,
     /// Events the matching close reported as enclosed.
     pub events: u64,
-    /// Indices (into [`SpanTree::nodes`]) of the direct children, sorted
+    /// Indices (into the tree's node list) of the direct children, sorted
     /// by `(level, ident)` for deterministic traversal.
     pub children: Vec<usize>,
 }
@@ -156,18 +157,15 @@ impl SpanTree {
     }
 
     /// Spans in the tree.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// True when no spans were found.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// All spans, in open order.
-    pub fn nodes(&self) -> &[SpanNode] {
-        &self.nodes
     }
 
     /// Root spans (normally exactly the job span).
@@ -176,7 +174,8 @@ impl SpanTree {
     }
 
     /// Looks a span up by id.
-    pub fn find(&self, id: u64) -> Option<&SpanNode> {
+    #[cfg(test)]
+    pub(crate) fn find(&self, id: u64) -> Option<&SpanNode> {
         self.nodes.iter().find(|n| n.id == id)
     }
 
@@ -187,7 +186,8 @@ impl SpanTree {
 
     /// Renders the tree as an indented outline — deterministic, since
     /// traversal order is `(level, ident)` at every node.
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn render(&self) -> String {
         fn walk(tree: &SpanTree, node: &SpanNode, depth: usize, out: &mut String) {
             use std::fmt::Write as _;
             let close = node

@@ -28,8 +28,9 @@
 //! supply.regulator_mut().request(Millivolts(740));
 //! supply.settle();
 //!
-//! let idle = supply.effective_voltage(&LoadCurrent::dc(1.0));
-//! let busy = supply.effective_voltage(&LoadCurrent::dc(8.0));
+//! let dc = |amps| LoadCurrent { i_dc_amps: amps, ..LoadCurrent::default() };
+//! let idle = supply.effective_voltage_mv(&dc(1.0));
+//! let busy = supply.effective_voltage_mv(&dc(8.0));
 //! assert!(busy < idle, "heavier load means deeper IR drop");
 //! ```
 
@@ -39,9 +40,9 @@
 mod network;
 mod regulator;
 mod supply;
-pub mod transient;
+#[cfg(test)]
+mod transient;
 
 pub use network::{Pdn, PdnParams};
 pub use regulator::VoltageRegulator;
 pub use supply::{DomainSupply, LoadCurrent};
-pub use transient::{CircuitValues, TransientSim};

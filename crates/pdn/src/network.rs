@@ -70,19 +70,20 @@ impl Pdn {
     }
 
     /// The parameters.
-    pub fn params(&self) -> &PdnParams {
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> &PdnParams {
         &self.params
     }
 
     /// Static IR drop for a DC load current, in millivolts.
-    pub fn ir_drop_mv(&self, i_dc_amps: f64) -> f64 {
+    pub(crate) fn ir_drop_mv(&self, i_dc_amps: f64) -> f64 {
         self.params.r_static_mohm * i_dc_amps.max(0.0)
     }
 
     /// Magnitude of the resonant AC impedance at frequency `f_hz`, in
     /// milliohms. This is the classic second-order band-pass response:
     /// near zero at DC, peaking at the resonance, rolling off above it.
-    pub fn ac_impedance_mohm(&self, f_hz: f64) -> f64 {
+    pub(crate) fn ac_impedance_mohm(&self, f_hz: f64) -> f64 {
         if f_hz <= 0.0 {
             return 0.0;
         }
@@ -93,13 +94,13 @@ impl Pdn {
 
     /// Depth of the AC droop (peak deviation below the DC level) for a load
     /// oscillating with amplitude `i_ac_amps` at `f_hz`, in millivolts.
-    pub fn ac_droop_mv(&self, i_ac_amps: f64, f_hz: f64) -> f64 {
+    pub(crate) fn ac_droop_mv(&self, i_ac_amps: f64, f_hz: f64) -> f64 {
         self.ac_impedance_mohm(f_hz) * i_ac_amps.max(0.0)
     }
 
     /// First-droop depth for a sudden load step of `delta_i_amps`, in
     /// millivolts.
-    pub fn transient_droop_mv(&self, delta_i_amps: f64) -> f64 {
+    pub(crate) fn transient_droop_mv(&self, delta_i_amps: f64) -> f64 {
         self.params.z_transient_mohm * delta_i_amps.max(0.0)
     }
 }

@@ -6,24 +6,9 @@ use vs_types::Millivolts;
 ///
 /// The paper's control system adjusts supply voltage in 5 mV increments
 /// (§III-B); the regulator model enforces that grid, clamps requests into
-/// its supported range, and applies changes on the next [`tick`] (regulator
+/// its supported range, and applies changes on the next `tick` (regulator
 /// slew is far faster than the 1 ms control tick, so one tick of latency is
 /// the right granularity).
-///
-/// [`tick`]: VoltageRegulator::tick
-///
-/// # Examples
-///
-/// ```
-/// use vs_pdn::VoltageRegulator;
-/// use vs_types::Millivolts;
-///
-/// let mut vr = VoltageRegulator::new(Millivolts(800), Millivolts(500), Millivolts(1200));
-/// vr.request(Millivolts(737)); // snapped to the 5 mV grid
-/// assert_eq!(vr.output(), Millivolts(800), "takes effect on the next tick");
-/// vr.tick();
-/// assert_eq!(vr.output(), Millivolts(735));
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoltageRegulator {
     output: Millivolts,
@@ -36,7 +21,7 @@ pub struct VoltageRegulator {
 
 impl VoltageRegulator {
     /// The default adjustment step: 5 mV.
-    pub const DEFAULT_STEP: Millivolts = Millivolts(5);
+    pub(crate) const DEFAULT_STEP: Millivolts = Millivolts(5);
 
     /// Creates a regulator initialized (and settled) at `initial`.
     ///
@@ -69,21 +54,6 @@ impl VoltageRegulator {
         self.pending
     }
 
-    /// The adjustment grid.
-    pub fn step(&self) -> Millivolts {
-        self.step
-    }
-
-    /// The supported range.
-    pub fn range(&self) -> (Millivolts, Millivolts) {
-        (self.min, self.max)
-    }
-
-    /// Number of set-point changes that actually moved the output.
-    pub fn adjustment_count(&self) -> u64 {
-        self.adjustments
-    }
-
     /// Requests a new set point; it is snapped *down* to the step grid and
     /// clamped into range, and takes effect on the next tick.
     pub fn request(&mut self, target: Millivolts) {
@@ -108,7 +78,7 @@ impl VoltageRegulator {
     }
 
     /// Applies the pending set point. Returns `true` if the output moved.
-    pub fn tick(&mut self) -> bool {
+    pub(crate) fn tick(&mut self) -> bool {
         if self.pending != self.output {
             self.output = self.pending;
             self.adjustments += 1;
@@ -186,7 +156,7 @@ mod tests {
         r.step_down();
         r.tick();
         r.tick();
-        assert_eq!(r.adjustment_count(), 2);
+        assert_eq!(r.adjustments, 2);
     }
 
     #[test]

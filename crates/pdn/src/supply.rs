@@ -20,7 +20,8 @@ pub struct LoadCurrent {
 
 impl LoadCurrent {
     /// A purely DC load.
-    pub fn dc(i_dc_amps: f64) -> LoadCurrent {
+    #[cfg(test)]
+    pub(crate) fn dc(i_dc_amps: f64) -> LoadCurrent {
         LoadCurrent {
             i_dc_amps,
             ..LoadCurrent::default()
@@ -79,15 +80,6 @@ impl DomainSupply {
         }
     }
 
-    /// A supply configured for the nominal operating point: 1.1 V nominal,
-    /// range 900–1200 mV.
-    pub fn nominal_default() -> DomainSupply {
-        DomainSupply {
-            regulator: VoltageRegulator::new(Millivolts(1100), Millivolts(900), Millivolts(1200)),
-            pdn: Pdn::new(PdnParams::default()),
-        }
-    }
-
     /// The regulator.
     pub fn regulator(&self) -> &VoltageRegulator {
         &self.regulator
@@ -99,7 +91,8 @@ impl DomainSupply {
     }
 
     /// The passive network.
-    pub fn pdn(&self) -> &Pdn {
+    #[cfg(test)]
+    pub(crate) fn pdn(&self) -> &Pdn {
         &self.pdn
     }
 
@@ -121,12 +114,6 @@ impl DomainSupply {
         set - self.pdn.ir_drop_mv(load.i_dc_amps)
             - self.pdn.ac_droop_mv(load.i_ac_amps, load.f_osc_hz)
             - self.pdn.transient_droop_mv(load.transient_step_amps)
-    }
-
-    /// Like [`DomainSupply::effective_voltage_mv`] but rounded to
-    /// [`Millivolts`] for reporting.
-    pub fn effective_voltage(&self, load: &LoadCurrent) -> Millivolts {
-        Millivolts(self.effective_voltage_mv(load).round() as i32)
     }
 }
 
@@ -170,12 +157,12 @@ mod tests {
     #[test]
     fn regulator_changes_propagate_after_tick() {
         let mut supply = DomainSupply::low_voltage_default();
-        let before = supply.effective_voltage(&LoadCurrent::dc(1.0));
+        let before = supply.effective_voltage_mv(&LoadCurrent::dc(1.0));
         supply.regulator_mut().request(Millivolts(740));
-        assert_eq!(supply.effective_voltage(&LoadCurrent::dc(1.0)), before);
+        assert_eq!(supply.effective_voltage_mv(&LoadCurrent::dc(1.0)), before);
         supply.tick();
-        let after = supply.effective_voltage(&LoadCurrent::dc(1.0));
-        assert_eq!(before.0 - after.0, 60);
+        let after = supply.effective_voltage_mv(&LoadCurrent::dc(1.0));
+        assert!((before - after - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -198,14 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn default_supplies_start_at_nominal() {
+    fn default_supply_starts_at_nominal() {
         assert_eq!(
             DomainSupply::low_voltage_default().regulator().output(),
             Millivolts(800)
-        );
-        assert_eq!(
-            DomainSupply::nominal_default().regulator().output(),
-            Millivolts(1100)
         );
     }
 }

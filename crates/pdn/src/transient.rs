@@ -5,8 +5,8 @@
 //! This module integrates the underlying second-order circuit directly —
 //! a series R-L feeding the on-die capacitance, with the die drawing a
 //! current waveform — so the shortcuts can be validated against the
-//! physics they abbreviate (and so users can inspect actual droop
-//! waveforms).
+//! physics they abbreviate. It is the reference those unit tests compare
+//! against, so it is compiled only for tests.
 //!
 //! The equivalent circuit:
 //!
@@ -22,7 +22,7 @@ use crate::network::PdnParams;
 
 /// Second-order circuit element values derived from [`PdnParams`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CircuitValues {
+pub(crate) struct CircuitValues {
     /// Series resistance, in ohms.
     pub r_ohm: f64,
     /// Series (package) inductance, in henries.
@@ -35,7 +35,7 @@ impl CircuitValues {
     /// Derives R, L, C from the behavioural parameters: the resonance
     /// frequency fixes `LC`, and the peak impedance (≈ characteristic
     /// impedance boosted by Q) fixes their ratio.
-    pub fn from_params(params: &PdnParams) -> CircuitValues {
+    pub(crate) fn from_params(params: &PdnParams) -> CircuitValues {
         let w0 = std::f64::consts::TAU * params.resonance_hz;
         // Z0 = sqrt(L/C); at resonance the parallel-resonant peak is about
         // Q * Z0 with Q = Z0 / R.
@@ -51,14 +51,14 @@ impl CircuitValues {
     }
 
     /// The natural (resonance) frequency of these values, in hertz.
-    pub fn resonance_hz(&self) -> f64 {
+    pub(crate) fn resonance_hz(&self) -> f64 {
         1.0 / (std::f64::consts::TAU * (self.l_henry * self.c_farad).sqrt())
     }
 }
 
 /// A time-domain droop simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientSim {
+pub(crate) struct TransientSim {
     values: CircuitValues,
     /// Regulator voltage, in volts.
     v_reg: f64,
@@ -71,7 +71,7 @@ pub struct TransientSim {
 impl TransientSim {
     /// Creates a simulation settled at `v_reg_volts` with a steady
     /// `i_idle_amps` load.
-    pub fn new(values: CircuitValues, v_reg_volts: f64, i_idle_amps: f64) -> TransientSim {
+    pub(crate) fn new(values: CircuitValues, v_reg_volts: f64, i_idle_amps: f64) -> TransientSim {
         TransientSim {
             values,
             v_reg: v_reg_volts,
@@ -81,14 +81,14 @@ impl TransientSim {
     }
 
     /// The current die voltage, in volts.
-    pub fn v_die(&self) -> f64 {
+    pub(crate) fn v_die(&self) -> f64 {
         self.v_die
     }
 
     /// Advances the circuit by `dt_s` with the die drawing `i_load_amps`.
     /// (Semi-implicit Euler; callers should keep `dt` well below the
     /// resonance period.)
-    pub fn step(&mut self, i_load_amps: f64, dt_s: f64) {
+    pub(crate) fn step(&mut self, i_load_amps: f64, dt_s: f64) {
         let v = &self.values;
         self.i_l += dt_s * (self.v_reg - self.v_die - v.r_ohm * self.i_l) / v.l_henry;
         self.v_die += dt_s * (self.i_l - i_load_amps) / v.c_farad;
@@ -98,7 +98,7 @@ impl TransientSim {
     /// `f_osc_hz`, 50 % duty) for `cycles` periods and returns the deepest
     /// die voltage seen in the final quarter of the run (steady-state
     /// droop floor).
-    pub fn worst_droop_under_square_wave(
+    pub(crate) fn worst_droop_under_square_wave(
         &mut self,
         i_low: f64,
         i_high: f64,

@@ -68,7 +68,7 @@ fn ticks_in(chip: &Chip, window: SimTime) -> u64 {
 ///
 /// The sibling core idles in a firmware spin-loop, as in the paper's
 /// single-core sensitivity experiments (§IV-A4).
-pub fn stress_window(
+pub(crate) fn stress_window(
     chip: &mut Chip,
     core: CoreId,
     vdd: Millivolts,
@@ -99,7 +99,11 @@ pub fn stress_window(
 
 /// Measures a core's first-error and minimum safe voltages by stepping the
 /// rail down from nominal (Figures 1 and 2).
-pub fn core_margins(chip: &mut Chip, core: CoreId, opts: &CharacterizeOptions) -> CoreMargins {
+pub(crate) fn core_margins(
+    chip: &mut Chip,
+    core: CoreId,
+    opts: &CharacterizeOptions,
+) -> CoreMargins {
     let nominal = chip.mode().nominal_vdd();
     let (range_lo, _) = chip.config().regulator_range();
     let mut first_error = None;
@@ -152,7 +156,7 @@ fn snap_up_to_grid(v_mv: f64) -> Millivolts {
 /// (see `vs-spec`). Fleet-scale population sweeps default to the oracle so
 /// that characterizing hundreds of dies costs milliseconds, not hours;
 /// `tests/` assert the two agree on reference dies.
-pub fn analytic_core_margins(chip: &mut Chip, core: CoreId) -> CoreMargins {
+pub(crate) fn analytic_core_margins(chip: &mut Chip, core: CoreId) -> CoreMargins {
     let first_error = [CacheKind::L2Data, CacheKind::L2Instruction]
         .into_iter()
         .map(|kind| chip.weak_table(core, kind).first_error_voltage_mv())

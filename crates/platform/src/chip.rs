@@ -1,12 +1,12 @@
 //! The chip: cores, domains, and the discrete-time simulation engine.
 
 use crate::config::ChipConfig;
-use crate::weakline::{WeakLine, WeakLineTable};
+use crate::weakline::WeakLineTable;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vs_cache::hierarchy::CoreCaches;
-use vs_cache::{Cache, CacheGeometry, FaultInjector};
+use vs_cache::{Cache, CacheGeometry};
 use vs_ecc::{CorrectableError, DecodeOutcome, EccEventLog, SecDed, UncorrectableError};
 use vs_pdn::{DomainSupply, LoadCurrent, Pdn, VoltageRegulator};
 use vs_power::{EnergyMeter, FanSpeed, PowerModel, ThermalParams, ThermalState};
@@ -60,26 +60,6 @@ pub struct TickReport {
     pub crashes: Vec<(CoreId, CrashInfo)>,
     /// Total chip power this tick.
     pub power: Watts,
-}
-
-/// Aggregate observations from one bounded slice of ticks (see
-/// [`Chip::run_slice`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SliceReport {
-    /// Simulation time when the slice started.
-    pub from: SimTime,
-    /// Simulation time when the slice ended.
-    pub to: SimTime,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Mean chip power over the slice.
-    pub mean_power_w: f64,
-    /// Energy consumed during the slice.
-    pub energy_j: f64,
-    /// Correctable errors raised during the slice.
-    pub correctable: u64,
-    /// Core crashes observed during the slice.
-    pub crashes: u64,
 }
 
 /// Counters from one ECC-monitor probe burst (see [`Chip::monitor_probe`]).
@@ -177,8 +157,8 @@ impl Structure {
 struct MonitorLine {
     kind: CacheKind,
     location: SetWay,
-    /// The line's index in its structure's cell bank, if it is tracked.
-    bank_line: Option<usize>,
+    /// The line's index in its structure's cell bank.
+    bank_line: usize,
 }
 
 /// Per-core simulation state.
@@ -355,11 +335,6 @@ impl Chip {
         }
     }
 
-    /// The accumulated silicon age, in hours.
-    pub fn age_hours(&self) -> f64 {
-        self.age_hours
-    }
-
     /// The aging-induced critical-voltage shift of one line at the current
     /// age, in millivolts. Shifting every cell of a line up by `s` is
     /// equivalent to reading it at `v_eff − s`, which is how the analytic
@@ -480,14 +455,6 @@ impl Chip {
         self.cores[core.0].workload = None;
     }
 
-    /// The name of a core's workload, if any.
-    pub fn workload_name(&self, core: CoreId) -> Option<String> {
-        self.cores[core.0]
-            .workload
-            .as_ref()
-            .map(|w| w.name().to_owned())
-    }
-
     fn demand_of(&self, core: usize) -> Demand {
         let state = &self.cores[core];
         if state.crash.is_some() {
@@ -567,12 +534,19 @@ impl Chip {
     /// from normal allocation and preloaded with the monitor's test
     /// pattern (§III-C).
     ///
+    /// Every designation comes from the weak-line table or from a
+    /// calibration that picks one of its lines, so the line is always one
+    /// the structure's cell bank tracks.
+    ///
     /// # Panics
     ///
-    /// Panics if `kind` is not an L2 structure.
+    /// Panics if `kind` is not an L2 structure, or if `location` is not a
+    /// tracked weak line.
     pub fn designate_monitor_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) {
         assert!(kind.is_l2(), "monitors target L2 lines, got {kind}");
-        let bank_line = self.structure(core, kind).bank.find(location);
+        let Some(bank_line) = self.structure(core, kind).bank.find(location) else {
+            panic!("line {location} of {kind} on {core} is not a tracked weak line");
+        };
         let state = &mut self.cores[core.0];
         let cache = l2_cache(&mut state.caches, kind).expect("kind is L2");
         cache.disable_line(location);
@@ -604,14 +578,12 @@ impl Chip {
     /// `accesses` write-then-read cycles at the domain's current effective
     /// voltage.
     ///
-    /// The first few reads go through the real encoded data path (pattern
-    /// storage, fault injection, Hsiao decode); on a tracked line they are
-    /// drawn as one [`FailureLut::sample_burst`] and each flip mask is
-    /// decoded on its own, which classifies the read exactly as decoding
-    /// the stored codeword with the mask applied. The remainder are
-    /// sampled from the identical analytic distribution. Correctable and
-    /// uncorrectable counts land both in the returned [`ProbeOutcome`] and
-    /// in the chip log.
+    /// The first few reads are drawn as one [`FailureLut::sample_burst`]
+    /// and each flip mask is decoded on its own (Hsiao SEC-DED), which
+    /// classifies the read exactly as decoding the stored codeword with
+    /// the mask applied. The remainder are sampled from the identical
+    /// analytic distribution. Correctable and uncorrectable counts land
+    /// both in the returned [`ProbeOutcome`] and in the chip log.
     ///
     /// # Panics
     ///
@@ -625,10 +597,9 @@ impl Chip {
         location: SetWay,
         accesses: u64,
     ) -> ProbeOutcome {
-        let mode = self.config.mode;
         let temperature = self.temperature();
         let v_eff = self.domain_v_eff_mv[self.config.domain_of(core).0];
-        let line_idx = {
+        let li = {
             let state = &self.cores[core.0];
             let monitor = state
                 .monitor_lines
@@ -684,78 +655,43 @@ impl Chip {
         // statistically visible event (evaluated at the conservative
         // quantized corner), skip sampling entirely. The probe still
         // counts its accesses, so telemetry matches the slow path.
-        if let Some(li) = line_idx {
-            if lut.negligible(bank, li, v_query, temperature, accesses as f64) {
-                return outcome;
-            }
+        if lut.negligible(bank, li, v_query, temperature, accesses as f64) {
+            return outcome;
         }
 
-        // Real data-path reads. A tracked line draws the whole burst from
-        // its LUT row and decodes each flip mask alone: the stored
-        // pattern is a codeword and the code is linear, so the mask's
-        // syndrome is the read's. An untracked line (rare: monitor lines
-        // come from the weak-line table) reads through the cache with the
-        // scalar injector.
-        let cache = l2_cache(caches, kind).expect("designation enforces L2");
-        match line_idx {
-            _ if n_real == 0 => {}
-            Some(li) => {
-                assert!(
-                    cache.touch_at(location, n_real),
-                    "designated line is always resident"
-                );
-                let code = SecDed::hsiao_72_64();
-                let log = &mut self.log;
-                let mut last_ue_read = None;
-                let visit = |read, word, mask: FlipMask| {
-                    if mask.is_empty() {
-                        return;
-                    }
-                    let decoded = code.decode(mask.0);
-                    if decoded.is_correctable_error() {
-                        outcome.correctable += 1;
-                    } else if decoded.is_uncorrectable() && last_ue_read != Some(read) {
-                        last_ue_read = Some(read);
-                        outcome.uncorrectable += 1;
-                    }
-                    record_event(log, now, line, word, decoded);
-                };
-                lut.sample_burst(bank, li, v_query, temperature, n_real, rng, visit);
-            }
-            None => {
-                for _ in 0..n_real {
-                    let mut injector = FaultInjector::new(&self.variation, core, mode, v_eff, rng)
-                        .with_temperature(temperature)
-                        .with_aging_hours(age_hours);
-                    let read = cache
-                        .read_at(location, &mut injector)
-                        .expect("designated line is always resident");
-                    outcome.correctable += read.correctable_count() as u64;
-                    if read.has_uncorrectable() {
-                        outcome.uncorrectable += 1;
-                    }
-                    for event in &read.events {
-                        record_event(&mut self.log, now, line, event.word, event.outcome);
-                    }
+        // Real data-path reads, drawn as one burst from the line's LUT row.
+        // Each flip mask is decoded alone: the stored pattern is a
+        // codeword and the code is linear, so the mask's syndrome is the
+        // read's.
+        if n_real > 0 {
+            let cache = l2_cache(caches, kind).expect("designation enforces L2");
+            assert!(
+                cache.touch_at(location, n_real),
+                "designated line is always resident"
+            );
+            let code = SecDed::hsiao_72_64();
+            let log = &mut self.log;
+            let mut last_ue_read = None;
+            let visit = |read, word, mask: FlipMask| {
+                if mask.is_empty() {
+                    return;
                 }
-            }
-        }
-
-        // Analytic remainder, sampled from the same distribution (the
-        // LUT triple when tracked, the allocating path otherwise).
-        if n_analytic > 0 {
-            let (p_ce, p_ue, representative) = match line_idx {
-                Some(li) => {
-                    let (_, p_ce, p_ue) = lut.line_probabilities(bank, li, v_query, temperature);
-                    (p_ce, p_ue, bank_weakest_word(bank, li))
+                let decoded = code.decode(mask.0);
+                if decoded.is_correctable_error() {
+                    outcome.correctable += 1;
+                } else if decoded.is_uncorrectable() && last_ue_read != Some(read) {
+                    last_ue_read = Some(read);
+                    outcome.uncorrectable += 1;
                 }
-                None => {
-                    let line = self.monitor_weak_line(core, kind, location);
-                    let (_, p_ce, p_ue) = line.read_probabilities(v_query, temperature);
-                    let (word, cells) = line.weakest_word();
-                    (p_ce, p_ue, (word, cells.weakest().bit))
-                }
+                record_event(log, now, line, word, decoded);
             };
+            lut.sample_burst(bank, li, v_query, temperature, n_real, rng, visit);
+        }
+
+        // Analytic remainder, sampled from the same distribution.
+        if n_analytic > 0 {
+            let (_, p_ce, p_ue) = lut.line_probabilities(bank, li, v_query, temperature);
+            let representative = bank_weakest_word(bank, li);
             let state = &mut self.cores[core.0];
             let ce = state.rng.binomial(n_analytic, p_ce);
             let ue = state.rng.binomial(n_analytic, p_ue);
@@ -781,49 +717,6 @@ impl Chip {
             self.crash_core(core, CrashReason::UncorrectableError, v_eff);
         }
         outcome
-    }
-
-    /// The weak-line record backing a monitor line (from the table if it is
-    /// tracked there, else built fresh).
-    fn monitor_weak_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) -> WeakLine {
-        if let Some(found) = self
-            .weak_table(core, kind)
-            .lines()
-            .iter()
-            .find(|l| l.location == location)
-        {
-            return found.clone();
-        }
-        let geometry = CacheGeometry::for_kind(kind);
-        let words = (0..geometry.words_per_line() as u32)
-            .map(|w| {
-                self.variation
-                    .word_cells(core, kind, location, w, self.config.mode)
-            })
-            .collect::<Vec<_>>();
-        let weakest_vc_mv = words
-            .iter()
-            .map(|w| w.weakest().vc_mv)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let base = self
-            .variation
-            .params()
-            .structure(kind, self.config.mode)
-            .read_noise_mv;
-        WeakLine {
-            location,
-            words,
-            weakest_vc_mv,
-            read_noise_mv: base * self.variation.line_noise_factor(core, kind, location),
-            temp_coeff_mv_per_c: self.variation.params().temp_coeff_mv_per_c,
-        }
-    }
-
-    /// Direct access to a core's cache hierarchy (used by calibration
-    /// sweeps, which walk the caches exactly as the firmware prototype
-    /// does).
-    pub fn core_caches_mut(&mut self, core: CoreId) -> &mut CoreCaches {
-        &mut self.cores[core.0].caches
     }
 
     /// Builds a fault injector for calibration-time cache walks at a given
@@ -923,45 +816,6 @@ impl Chip {
             correctable,
             crashes,
             power: total,
-        }
-    }
-
-    /// Runs `n` ticks, returning the number of crashes observed.
-    pub fn run_ticks(&mut self, n: u64) -> u64 {
-        let mut crashes = 0;
-        for _ in 0..n {
-            crashes += self.tick().crashes.len() as u64;
-        }
-        crashes
-    }
-
-    /// Runs a bounded slice of `n` ticks and returns aggregate observations
-    /// for the slice.
-    ///
-    /// This is the engine's steppable bulk-run primitive: long experiments
-    /// (fleet sweeps, checkpointed runs) advance a chip in slices, persist
-    /// progress between slices, and resume without replaying completed
-    /// work. Slicing is semantically free — `run_slice(a)` then
-    /// `run_slice(b)` leaves the chip bit-identical to `run_slice(a + b)`.
-    pub fn run_slice(&mut self, n: u64) -> SliceReport {
-        let start = self.now;
-        let energy_before = self.energy().total();
-        let ce_before = self.log().correctable_count();
-        let mut power_sum = 0.0;
-        let mut crashes = 0;
-        for _ in 0..n {
-            let report = self.tick();
-            power_sum += report.power.0;
-            crashes += report.crashes.len() as u64;
-        }
-        SliceReport {
-            from: start,
-            to: self.now,
-            ticks: n,
-            mean_power_w: if n > 0 { power_sum / n as f64 } else { 0.0 },
-            energy_j: (self.energy().total() - energy_before).0,
-            correctable: self.log().correctable_count() - ce_before,
-            crashes,
         }
     }
 
@@ -1223,8 +1077,7 @@ fn record_event(
 }
 
 /// Index and weakest-cell bit of the word holding a tracked line's
-/// weakest cell (mirrors [`WeakLine::weakest_word`], which keeps the
-/// *last* maximal word).
+/// weakest cell. A tie keeps the *last* maximal word.
 fn bank_weakest_word(bank: &CellBank, line: usize) -> (u32, u32) {
     let mut best = (0u32, 0u32);
     let mut best_vc = f64::NEG_INFINITY;
@@ -1329,13 +1182,14 @@ mod tests {
         let mut chip = Chip::new(small_config(5));
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         chip.request_domain_voltage(DomainId(0), Millivolts(540));
-        chip.run_ticks(5);
+        for _ in 0..5 {
+            chip.tick();
+        }
         chip.reset();
         assert_eq!(chip.now(), SimTime::ZERO);
         assert_eq!(chip.domain_set_point(DomainId(0)), Millivolts(800));
         assert!(!chip.any_crashed());
         assert_eq!(chip.log().correctable_count(), 0);
-        assert!(chip.workload_name(CoreId(0)).is_none());
     }
 
     #[test]
@@ -1668,7 +1522,7 @@ mod tests {
     #[should_panic(expected = "designated line is always resident")]
     fn burst_probe_requires_the_line_resident() {
         let (mut chip, location) = probed_chip(64, 0, 0.0);
-        chip.core_caches_mut(CoreId(0)).l2d.flush();
+        chip.cores[0].caches.l2d.flush();
         chip.monitor_probe(CoreId(0), CacheKind::L2Data, location, 64);
     }
 
@@ -1746,33 +1600,5 @@ mod tests {
             .filter(|e| e.line.location == weakest && e.line.cache == CacheKind::L2Data)
             .count();
         assert_eq!(from_monitor_line, 0);
-    }
-
-    #[test]
-    fn sliced_run_is_identical_to_one_shot() {
-        let make = || {
-            let mut chip = Chip::new(small_config(6));
-            chip.set_workload(CoreId(0), Box::new(StressTest::default()));
-            chip.request_domain_voltage(DomainId(0), Millivolts(700));
-            chip
-        };
-        let mut whole = make();
-        let full = whole.run_slice(400);
-
-        let mut sliced = make();
-        let a = sliced.run_slice(150);
-        let b = sliced.run_slice(250);
-        assert_eq!(a.ticks + b.ticks, full.ticks);
-        assert_eq!(a.to, b.from, "slices abut in simulated time");
-        assert_eq!(b.to, full.to);
-        assert_eq!(a.correctable + b.correctable, full.correctable);
-        assert_eq!(a.crashes + b.crashes, full.crashes);
-        assert!((a.energy_j + b.energy_j - full.energy_j).abs() < 1e-12);
-        // And the chips themselves end in the same state.
-        assert_eq!(whole.now(), sliced.now());
-        assert_eq!(
-            whole.log().correctable_count(),
-            sliced.log().correctable_count()
-        );
     }
 }

@@ -46,6 +46,6 @@ mod chip;
 mod config;
 mod weakline;
 
-pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, SliceReport, TickReport};
+pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, TickReport};
 pub use config::ChipConfig;
 pub use weakline::{WeakLine, WeakLineTable};

@@ -10,8 +10,11 @@
 //! The scan is a pure function of the chip seed, so the table — like the
 //! silicon it models — never changes between runs (§II-D determinism).
 
+#[cfg(test)]
 use vs_cache::CacheGeometry;
-use vs_sram::{line_read_probabilities, AccessContext, CellBank, ChipVariation, WordCells};
+#[cfg(test)]
+use vs_sram::ChipVariation;
+use vs_sram::{line_read_probabilities, AccessContext, CellBank, WordCells};
 use vs_types::{CacheKind, Celsius, CoreId, SetWay, VddMode};
 
 /// One weak line with everything needed to evaluate its error behaviour.
@@ -57,22 +60,6 @@ impl WeakLine {
         let owned: Vec<WordCells> = relevant.into_iter().cloned().collect();
         line_read_probabilities(&owned, &ctx)
     }
-
-    /// The index and cells of the word holding the line's weakest cell.
-    pub fn weakest_word(&self) -> (u32, &WordCells) {
-        let (i, w) = self
-            .words
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                a.weakest()
-                    .vc_mv
-                    .partial_cmp(&b.weakest().vc_mv)
-                    .expect("critical voltages are finite")
-            })
-            .expect("a line has at least one word");
-        (i as u32, w)
-    }
 }
 
 /// The `k` weakest lines of one structure, strongest signal first.
@@ -93,7 +80,8 @@ impl WeakLineTable {
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn build(
+    #[cfg(test)]
+    pub(crate) fn build(
         variation: &ChipVariation,
         core: CoreId,
         kind: CacheKind,
@@ -155,7 +143,7 @@ impl WeakLineTable {
     /// The bank stores the same cells the scalar scan would compute, so
     /// the resulting table is identical to [`WeakLineTable::build`] with
     /// matching parameters (the banked-kernel property tests assert this).
-    pub fn from_bank(bank: &CellBank) -> WeakLineTable {
+    pub(crate) fn from_bank(bank: &CellBank) -> WeakLineTable {
         let words_per_line = bank.words_per_line() as u32;
         let lines = (0..bank.lines().len())
             .map(|li| {
@@ -180,18 +168,9 @@ impl WeakLineTable {
         }
     }
 
-    /// The core this table belongs to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// The structure this table describes.
-    pub fn kind(&self) -> CacheKind {
-        self.kind
-    }
-
     /// Total lines in the structure.
-    pub fn total_lines(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_lines(&self) -> u64 {
         self.total_lines
     }
 
@@ -251,14 +230,6 @@ mod tests {
         let a = build_table();
         let b = build_table();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn weakest_word_holds_the_extreme_cell() {
-        let t = build_table();
-        let line = t.weakest();
-        let (_, w) = line.weakest_word();
-        assert_eq!(w.weakest().vc_mv, line.weakest_vc_mv);
     }
 
     #[test]

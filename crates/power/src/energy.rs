@@ -1,17 +1,6 @@
-//! Energy integration and power-trace recording.
+//! Energy integration.
 
 use vs_types::{Joules, SimTime, Watts};
-
-/// One power sample, as collected by the platform's 1 ms logging loop
-/// (mirroring the reference platform's register-sampling data collection,
-/// §IV-A4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSample {
-    /// Sample timestamp.
-    pub at: SimTime,
-    /// Instantaneous power.
-    pub power: Watts,
-}
 
 /// Integrates power over time into energy.
 ///
@@ -25,7 +14,6 @@ pub struct PowerSample {
 /// meter.add(Watts(10.0), SimTime::from_millis(500));
 /// meter.add(Watts(20.0), SimTime::from_millis(500));
 /// assert_eq!(meter.total(), Joules(15.0));
-/// assert!((meter.average_power().unwrap().0 - 15.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyMeter {
@@ -51,63 +39,9 @@ impl EnergyMeter {
     }
 
     /// Total integration time so far.
-    pub fn elapsed(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn elapsed(&self) -> SimTime {
         self.elapsed
-    }
-
-    /// Mean power over the integrated interval, or `None` before any
-    /// samples.
-    pub fn average_power(&self) -> Option<Watts> {
-        if self.elapsed == SimTime::ZERO {
-            None
-        } else {
-            Some(Watts(self.total.0 / self.elapsed.as_secs_f64()))
-        }
-    }
-}
-
-/// A bounded-rate recording of power over a run, for the time-trace
-/// figures.
-#[derive(Debug, Clone, Default)]
-pub struct PowerTrace {
-    samples: Vec<PowerSample>,
-    /// Minimum spacing between retained samples.
-    min_spacing: SimTime,
-}
-
-impl PowerTrace {
-    /// Creates a trace retaining at most one sample per `min_spacing`.
-    pub fn with_spacing(min_spacing: SimTime) -> PowerTrace {
-        PowerTrace {
-            samples: Vec::new(),
-            min_spacing,
-        }
-    }
-
-    /// Offers a sample; it is retained if enough time has passed since the
-    /// previous retained sample.
-    pub fn offer(&mut self, at: SimTime, power: Watts) {
-        if let Some(last) = self.samples.last() {
-            if at.saturating_sub(last.at) < self.min_spacing {
-                return;
-            }
-        }
-        self.samples.push(PowerSample { at, power });
-    }
-
-    /// The retained samples, oldest first.
-    pub fn samples(&self) -> &[PowerSample] {
-        &self.samples
-    }
-
-    /// Mean of the retained samples, or `None` if empty.
-    pub fn mean_power(&self) -> Option<Watts> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(Watts(
-            self.samples.iter().map(|s| s.power.0).sum::<f64>() / self.samples.len() as f64,
-        ))
     }
 }
 
@@ -118,12 +52,10 @@ mod tests {
     #[test]
     fn meter_integrates() {
         let mut m = EnergyMeter::new();
-        assert!(m.average_power().is_none());
         m.add(Watts(5.0), SimTime::from_secs(2));
         m.add(Watts(1.0), SimTime::from_secs(3));
         assert_eq!(m.total(), Joules(13.0));
         assert_eq!(m.elapsed(), SimTime::from_secs(5));
-        assert!((m.average_power().unwrap().0 - 2.6).abs() < 1e-12);
     }
 
     #[test]
@@ -131,28 +63,5 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.add(Watts(100.0), SimTime::ZERO);
         assert_eq!(m.total(), Joules(0.0));
-        assert!(m.average_power().is_none());
-    }
-
-    #[test]
-    fn trace_respects_spacing() {
-        let mut t = PowerTrace::with_spacing(SimTime::from_millis(10));
-        for ms in 0..100 {
-            t.offer(SimTime::from_millis(ms), Watts(ms as f64));
-        }
-        assert_eq!(t.samples().len(), 10);
-        assert!(t
-            .samples()
-            .windows(2)
-            .all(|w| w[1].at.saturating_sub(w[0].at) >= SimTime::from_millis(10)));
-    }
-
-    #[test]
-    fn trace_mean() {
-        let mut t = PowerTrace::with_spacing(SimTime::ZERO);
-        assert!(t.mean_power().is_none());
-        t.offer(SimTime::from_millis(1), Watts(2.0));
-        t.offer(SimTime::from_millis(2), Watts(4.0));
-        assert_eq!(t.mean_power(), Some(Watts(3.0)));
     }
 }

@@ -41,6 +41,6 @@ mod energy;
 mod model;
 mod thermal;
 
-pub use energy::{EnergyMeter, PowerSample, PowerTrace};
+pub use energy::EnergyMeter;
 pub use model::{PowerModel, PowerParams};
 pub use thermal::{FanSpeed, ThermalParams, ThermalState};

@@ -83,11 +83,6 @@ impl PowerModel {
         PowerModel { params }
     }
 
-    /// The parameters.
-    pub fn params(&self) -> &PowerParams {
-        &self.params
-    }
-
     /// Dynamic power of one core: `c_eff · V² · f · activity`.
     ///
     /// `activity` is clamped below by the idle floor; power-virus kernels
@@ -99,7 +94,7 @@ impl PowerModel {
     }
 
     /// Leakage power of one core at `vdd`, anchored per operating point.
-    pub fn core_leakage(&self, vdd: Millivolts, mode: VddMode) -> Watts {
+    pub(crate) fn core_leakage(&self, vdd: Millivolts, mode: VddMode) -> Watts {
         let (anchor_w, anchor_mv, slope_mv) = match mode {
             VddMode::LowVoltage => (
                 self.params.leak_low_anchor_w,
@@ -123,16 +118,6 @@ impl PowerModel {
         self.core_dynamic(vdd, mode, activity) + self.core_leakage(vdd, mode)
     }
 
-    /// Rail current drawn by one core, in amperes (`P / V`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdd` is zero or negative.
-    pub fn core_current_amps(&self, vdd: Millivolts, mode: VddMode, activity: f64) -> f64 {
-        assert!(vdd.0 > 0, "current is undefined at non-positive voltage");
-        self.core_power(vdd, mode, activity).0 / vdd.as_volts()
-    }
-
     /// Uncore power at an operating point (constant: the uncore rails are
     /// not speculated).
     pub fn uncore_power(&self, mode: VddMode) -> Watts {
@@ -140,18 +125,6 @@ impl PowerModel {
             VddMode::LowVoltage => Watts(self.params.uncore_low_w),
             VddMode::Nominal => Watts(self.params.uncore_nominal_w),
         }
-    }
-
-    /// Socket power for uniform conditions across `n_cores` (convenience
-    /// for reports).
-    pub fn socket_power(
-        &self,
-        n_cores: usize,
-        vdd: Millivolts,
-        mode: VddMode,
-        activity: f64,
-    ) -> Watts {
-        self.core_power(vdd, mode, activity) * n_cores as f64 + self.uncore_power(mode)
     }
 }
 
@@ -162,7 +135,8 @@ mod tests {
     #[test]
     fn tdp_anchor_at_nominal() {
         let m = PowerModel::default();
-        let socket = m.socket_power(8, Millivolts(1100), VddMode::Nominal, 1.0);
+        let socket = m.core_power(Millivolts(1100), VddMode::Nominal, 1.0) * 8.0
+            + m.uncore_power(VddMode::Nominal);
         assert!(
             (150.0..185.0).contains(&socket.0),
             "8-core socket at nominal full load should be near the 170 W TDP, got {socket}"
@@ -223,20 +197,6 @@ mod tests {
         let idle = m.core_dynamic(Millivolts(800), VddMode::LowVoltage, 0.0);
         let explicit = m.core_dynamic(Millivolts(800), VddMode::LowVoltage, 0.12);
         assert_eq!(idle, explicit);
-    }
-
-    #[test]
-    fn current_is_power_over_voltage() {
-        let m = PowerModel::default();
-        let p = m.core_power(Millivolts(800), VddMode::LowVoltage, 1.0);
-        let i = m.core_current_amps(Millivolts(800), VddMode::LowVoltage, 1.0);
-        assert!((i - p.0 / 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "undefined")]
-    fn current_at_zero_voltage_panics() {
-        PowerModel::default().core_current_amps(Millivolts(0), VddMode::LowVoltage, 1.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct FanSpeed(pub f64);
 
 impl FanSpeed {
     /// Full speed.
-    pub const FULL: FanSpeed = FanSpeed(1.0);
+    pub(crate) const FULL: FanSpeed = FanSpeed(1.0);
 
     /// Creates a fan speed, clamped into `[0.2, 1.0]` (server fans never
     /// fully stop).
@@ -83,11 +83,6 @@ impl ThermalState {
         self.temperature
     }
 
-    /// The current fan speed.
-    pub fn fan(&self) -> FanSpeed {
-        self.fan
-    }
-
     /// Sets the fan speed (the §III-D experiment's knob).
     pub fn set_fan(&mut self, fan: FanSpeed) {
         self.fan = fan;
@@ -95,12 +90,12 @@ impl ThermalState {
 
     /// Effective junction-to-air resistance at the current fan speed.
     /// Slower air means higher resistance, roughly inversely.
-    pub fn resistance_c_per_w(&self) -> f64 {
+    pub(crate) fn resistance_c_per_w(&self) -> f64 {
         self.params.resistance_full_fan_c_per_w / self.fan.0.max(0.2)
     }
 
     /// The steady-state temperature at a given dissipation.
-    pub fn steady_state(&self, power: Watts) -> Celsius {
+    pub(crate) fn steady_state(&self, power: Watts) -> Celsius {
         Celsius(self.params.ambient.0 + self.resistance_c_per_w() * power.0.max(0.0))
     }
 
@@ -114,7 +109,8 @@ impl ThermalState {
 
     /// Jumps straight to the steady state for `power` (used when a long
     /// interval passes between samples).
-    pub fn settle(&mut self, power: Watts) {
+    #[cfg(test)]
+    pub(crate) fn settle(&mut self, power: Watts) {
         self.temperature = self.steady_state(power);
     }
 }

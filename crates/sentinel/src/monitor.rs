@@ -42,7 +42,7 @@ pub struct SentinelMonitor {
 impl SentinelMonitor {
     /// A monitor with no chip association (violations carry `chip: None`
     /// until a `JobStarted` event names one).
-    pub fn new(config: SentinelConfig) -> SentinelMonitor {
+    pub(crate) fn new(config: SentinelConfig) -> SentinelMonitor {
         SentinelMonitor {
             config,
             chip: None,
@@ -61,7 +61,8 @@ impl SentinelMonitor {
 
     /// Checks a complete stream in one call: observes every event, then
     /// finishes, and returns the violations.
-    pub fn check(config: SentinelConfig, events: &[TelemetryEvent]) -> Vec<Violation> {
+    #[cfg(test)]
+    pub(crate) fn check(config: SentinelConfig, events: &[TelemetryEvent]) -> Vec<Violation> {
         let mut m = SentinelMonitor::new(config);
         for e in events {
             m.observe(e);
@@ -71,12 +72,14 @@ impl SentinelMonitor {
     }
 
     /// The violations found so far, in stream order.
-    pub fn violations(&self) -> &[Violation] {
+    #[cfg(test)]
+    pub(crate) fn violations(&self) -> &[Violation] {
         &self.violations
     }
 
     /// True when no violation has been found.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 

@@ -40,7 +40,7 @@ pub enum Invariant {
 
 impl Invariant {
     /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Invariant::VoltageEnvelope => "voltage-envelope",
             Invariant::RollbackRaises => "rollback-raises",

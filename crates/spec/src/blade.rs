@@ -54,7 +54,7 @@ impl BladeRunStats {
 impl BladeServer {
     /// Builds a blade with `sockets` chips. Socket *i* gets die seed
     /// `base_seed + i` (two sockets never carry the same silicon).
-    pub fn new(
+    pub(crate) fn new(
         sockets: usize,
         base_seed: u64,
         controller: ControllerConfig,
@@ -82,17 +82,14 @@ impl BladeServer {
     }
 
     /// The sockets.
-    pub fn sockets(&self) -> &[SpeculationSystem] {
+    #[cfg(test)]
+    pub(crate) fn sockets(&self) -> &[SpeculationSystem] {
         &self.sockets
     }
 
-    /// Mutable socket access (workload assignment and inspection).
-    pub fn socket_mut(&mut self, index: usize) -> &mut SpeculationSystem {
-        &mut self.sockets[index]
-    }
-
     /// Current blade temperature.
-    pub fn temperature(&self) -> Celsius {
+    #[cfg(test)]
+    pub(crate) fn temperature(&self) -> Celsius {
         self.thermal.temperature()
     }
 
@@ -220,7 +217,7 @@ mod tests {
         );
         // Shrink the sockets for test speed.
         for i in 0..2 {
-            *blade.socket_mut(i) = SpeculationSystem::new(
+            blade.sockets[i] = SpeculationSystem::new(
                 ChipConfig {
                     num_cores: 2,
                     weak_lines_tracked: 8,

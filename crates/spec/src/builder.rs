@@ -24,9 +24,8 @@ use vs_types::{ConfigError, SimTime};
 ///
 /// let sys = SpeculationSystem::builder(ChipConfig::low_voltage(42))
 ///     .controller(ControllerConfig::default())
-///     .build()
-///     .expect("default configs are valid");
-/// assert!(!sys.is_resilient());
+///     .build();
+/// assert!(sys.is_ok(), "default configs are valid");
 ///
 /// let bad = ControllerConfig { floor: 0.2, ceiling: 0.1, ..ControllerConfig::default() };
 /// let err = SpeculationSystem::builder(ChipConfig::low_voltage(42))
@@ -85,7 +84,7 @@ impl SystemBuilder {
     }
 
     /// Sets the trace-sample spacing (default 100 ms).
-    pub fn trace_spacing(mut self, spacing: SimTime) -> SystemBuilder {
+    pub(crate) fn trace_spacing(mut self, spacing: SimTime) -> SystemBuilder {
         self.trace_spacing = Some(spacing);
         self
     }

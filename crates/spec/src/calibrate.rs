@@ -88,7 +88,7 @@ pub struct CalibrationOutcome {
 /// Runs one domain's calibration and returns the designated line.
 ///
 /// The chip is left reset (calibration happens at boot, before workloads).
-pub fn calibrate_domain(
+pub(crate) fn calibrate_domain(
     chip: &mut Chip,
     domain: DomainId,
     plan: &CalibrationPlan,
@@ -100,7 +100,7 @@ pub fn calibrate_domain(
 }
 
 /// Calibrates every domain.
-pub fn calibrate_all(chip: &mut Chip, plan: &CalibrationPlan) -> Vec<CalibrationOutcome> {
+pub(crate) fn calibrate_all(chip: &mut Chip, plan: &CalibrationPlan) -> Vec<CalibrationOutcome> {
     (0..chip.config().num_domains())
         .map(|d| calibrate_domain(chip, DomainId(d), plan))
         .collect()
@@ -242,30 +242,34 @@ mod tests {
 
     #[test]
     fn sweep_agrees_with_the_table() {
-        let mut chip = small_chip(21);
-        let oracle = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::fast());
-        let swept = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::default());
-        // The sweep's designated line must be among the table's strongest
-        // few candidates of the same structure (detection near onset is
-        // probabilistic, so allow the top 3).
-        let table = chip.weak_table(swept.core, swept.kind);
-        let rank = table
-            .lines()
-            .iter()
-            .position(|l| l.location == swept.line)
-            .expect("swept line must be a tracked weak line");
-        assert!(
-            rank < 3,
-            "sweep found rank-{rank} line instead of the extreme"
-        );
-        // And the onset voltages must agree to within the coarse bracket.
-        let dv = (oracle.onset_vdd - swept.onset_vdd).0.abs();
-        assert!(
-            dv <= 25,
-            "onset mismatch: {} vs {}",
-            oracle.onset_vdd,
-            swept.onset_vdd
-        );
+        // Over many dies, the sweep designates only lines the weak-line
+        // table tracks: the chip's monitor probe relies on that.
+        for seed in 21..29 {
+            let mut chip = small_chip(seed);
+            let oracle = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::fast());
+            let swept = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::default());
+            // The sweep's designated line must be among the table's
+            // strongest few candidates of the same structure (detection
+            // near onset is probabilistic, so allow the top 3).
+            let table = chip.weak_table(swept.core, swept.kind);
+            let rank = table
+                .lines()
+                .iter()
+                .position(|l| l.location == swept.line)
+                .unwrap_or_else(|| panic!("seed {seed}: swept line must be a tracked weak line"));
+            assert!(
+                rank < 3,
+                "seed {seed}: sweep found rank-{rank} line instead of the extreme"
+            );
+            // And the onset voltages must agree to within the coarse bracket.
+            let dv = (oracle.onset_vdd - swept.onset_vdd).0.abs();
+            assert!(
+                dv <= 25,
+                "seed {seed}: onset mismatch: {} vs {}",
+                oracle.onset_vdd,
+                swept.onset_vdd
+            );
+        }
     }
 
     #[test]

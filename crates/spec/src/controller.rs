@@ -82,7 +82,7 @@ impl ControllerConfig {
 
 /// What the controller did at a control-period boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ControlAction {
+pub(crate) enum ControlAction {
     /// Error rate below the floor: stepped the domain down.
     SteppedDown {
         /// The observed rate.
@@ -128,7 +128,7 @@ impl DomainController {
     ///
     /// Panics if `config` is invalid; use [`ControllerConfig::validate`]
     /// first to handle bad configurations as data.
-    pub fn new(
+    pub(crate) fn new(
         domain: DomainId,
         monitor: EccMonitor,
         config: ControllerConfig,
@@ -148,28 +148,23 @@ impl DomainController {
         }
     }
 
-    /// The domain under control.
-    pub fn domain(&self) -> DomainId {
-        self.domain
-    }
-
     /// The monitor (for inspection).
     pub fn monitor(&self) -> &EccMonitor {
         &self.monitor
     }
 
     /// Mutable monitor access (used by recalibration).
-    pub fn monitor_mut(&mut self) -> &mut EccMonitor {
+    pub(crate) fn monitor_mut(&mut self) -> &mut EccMonitor {
         &mut self.monitor
     }
 
     /// The most recent control-period error-rate reading.
-    pub fn last_reading(&self) -> f64 {
+    pub(crate) fn last_reading(&self) -> f64 {
         self.last_reading
     }
 
     /// The control-law configuration in effect.
-    pub fn config(&self) -> &ControllerConfig {
+    pub(crate) fn config(&self) -> &ControllerConfig {
         &self.config
     }
 
@@ -192,25 +187,15 @@ impl DomainController {
     /// emergency check sees `rate` regardless of what the real line does,
     /// and the minimum-access gate is bypassed (a stuck line "reports"
     /// unconditionally).
-    pub fn set_stuck_rate(&mut self, rate: Option<f64>) {
+    pub(crate) fn set_stuck_rate(&mut self, rate: Option<f64>) {
         self.stuck_rate = rate;
-    }
-
-    /// The currently injected stuck-at rate, if any.
-    pub fn stuck_rate(&self) -> Option<f64> {
-        self.stuck_rate
-    }
-
-    /// `(ups, downs, emergencies)` counters.
-    pub fn adjustment_counts(&self) -> (u64, u64, u64) {
-        (self.adjustments_up, self.adjustments_down, self.emergencies)
     }
 
     /// Runs the monitor's per-tick probe burst. If the burst itself shows
     /// an emergency-level error rate, the interrupt path fires immediately
     /// (without waiting for the control period). Returns `true` if an
     /// emergency fired.
-    pub fn on_tick(&mut self, chip: &mut Chip) -> bool {
+    pub(crate) fn on_tick(&mut self, chip: &mut Chip) -> bool {
         self.monitor.probe(chip, self.config.probes_per_tick);
         let (rate, gated) = match self.stuck_rate {
             Some(stuck) => (stuck, true),
@@ -236,7 +221,7 @@ impl DomainController {
 
     /// Reads the counters at a control-period boundary, applies the
     /// control law, and resets the counters.
-    pub fn on_control_period(&mut self, chip: &mut Chip) -> ControlAction {
+    pub(crate) fn on_control_period(&mut self, chip: &mut Chip) -> ControlAction {
         if self.stuck_rate.is_none() && self.monitor.access_count() < self.config.min_accesses {
             return ControlAction::InsufficientData;
         }
@@ -334,7 +319,7 @@ mod tests {
         chip.tick();
         assert!(ctrl.on_tick(&mut chip));
         ctrl.set_stuck_rate(None);
-        assert_eq!(ctrl.stuck_rate(), None);
+        assert_eq!(ctrl.stuck_rate, None);
     }
 
     #[test]
@@ -348,7 +333,10 @@ mod tests {
         assert!(matches!(action, ControlAction::SteppedDown { rate } if rate == 0.0));
         chip.tick();
         assert_eq!(chip.domain_set_point(DomainId(0)), before - Millivolts(5));
-        assert_eq!(ctrl.adjustment_counts(), (0, 1, 0));
+        assert_eq!(
+            (ctrl.adjustments_up, ctrl.adjustments_down, ctrl.emergencies),
+            (0, 1, 0)
+        );
     }
 
     #[test]
@@ -426,6 +414,6 @@ mod tests {
             before + Millivolts(25),
             "emergency bump is emergency_steps x 5 mV"
         );
-        assert_eq!(ctrl.adjustment_counts().2, 1);
+        assert_eq!(ctrl.emergencies, 1);
     }
 }

@@ -29,7 +29,7 @@ use vs_types::{DomainId, Millivolts, SimTime};
 
 /// Tunables of the CPM baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpmConfig {
+pub(crate) struct CpmConfig {
     /// Target timing margin above the (sensed) logic floor, in millivolts.
     pub margin_setpoint_mv: f64,
     /// 1-sigma calibration error of the path-replica sensors, in
@@ -75,7 +75,7 @@ struct DomainCpm {
 
 /// The CPM-guided voltage-speculation baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CpmSpeculation {
+pub(crate) struct CpmSpeculation {
     config: CpmConfig,
     domains: Vec<DomainCpm>,
 }
@@ -84,7 +84,7 @@ impl CpmSpeculation {
     /// Builds the baseline for a chip: reads each domain's logic floors
     /// and the off-line SRAM onsets (`offline_onsets`, one per domain, as
     /// for the software baseline), and draws the per-domain sensor biases.
-    pub fn new(
+    pub(crate) fn new(
         config: CpmConfig,
         chip: &mut Chip,
         offline_onsets: &[Millivolts],
@@ -108,14 +108,9 @@ impl CpmSpeculation {
         CpmSpeculation { config, domains }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CpmConfig {
-        &self.config
-    }
-
     /// The effective floor (max of timing and SRAM constraints) of a
     /// domain's set point.
-    pub fn domain_floor(&self, domain: DomainId) -> Millivolts {
+    pub(crate) fn domain_floor(&self, domain: DomainId) -> Millivolts {
         let d = &self.domains[domain.0];
         let timing = d.floor_mv + self.config.margin_setpoint_mv;
         Millivolts(timing.ceil() as i32)
@@ -125,14 +120,14 @@ impl CpmSpeculation {
 
     /// The margin the sensor reports for a domain at effective voltage
     /// `v_eff_mv` (true margin distorted by the replica bias).
-    pub fn sensed_margin_mv(&self, domain: DomainId, v_eff_mv: f64) -> f64 {
+    pub(crate) fn sensed_margin_mv(&self, domain: DomainId, v_eff_mv: f64) -> f64 {
         let d = &self.domains[domain.0];
         v_eff_mv - d.floor_mv + d.bias_mv
     }
 
     /// One control-period evaluation: compare the sensed margin under the
     /// worst droop of the last period against the set point.
-    pub fn on_control_period(&mut self, chip: &mut Chip) {
+    pub(crate) fn on_control_period(&mut self, chip: &mut Chip) {
         // Conservative sensing: assume the replica may flatter the margin
         // by two sigma.
         let pessimism = 2.0 * self.config.sensor_sigma_mv;
@@ -155,7 +150,7 @@ impl CpmSpeculation {
 
     /// Runs the CPM system for `duration`; returns the mean set point per
     /// domain.
-    pub fn run(&mut self, chip: &mut Chip, duration: SimTime) -> Vec<f64> {
+    pub(crate) fn run(&mut self, chip: &mut Chip, duration: SimTime) -> Vec<f64> {
         let tick = chip.config().tick;
         let ticks = (duration.as_micros() / tick.as_micros()).max(1);
         let period_ticks = (self.config.control_period.as_micros() / tick.as_micros()).max(1);
@@ -176,7 +171,7 @@ impl CpmSpeculation {
 
 /// Convenience: the off-line SRAM onsets of a chip, per domain (shared
 /// with the software baseline).
-pub fn offline_onsets(chip: &mut Chip) -> Vec<Millivolts> {
+pub(crate) fn offline_onsets(chip: &mut Chip) -> Vec<Millivolts> {
     (0..chip.config().num_domains())
         .map(|d| {
             let cores = chip.config().cores_in_domain(DomainId(d));

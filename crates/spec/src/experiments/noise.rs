@@ -37,7 +37,8 @@ pub enum AuxLoad {
 
 impl AuxLoad {
     /// Label used in reports.
-    pub fn label(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> String {
         match self {
             AuxLoad::None => "no-aux-load".to_owned(),
             AuxLoad::Virus { nops } => format!("aux-load-nop-{nops}"),

@@ -7,7 +7,7 @@
 //!   de-configured weak cache line per voltage domain, continuously writes
 //!   test patterns and reads them back, and maintains access/error
 //!   counters whose ratio is the correctable-error rate.
-//! * [`calibrate`] — the boot-time calibration of §III-C: sweep the L2
+//! * [`CalibrationPlan`] — the boot-time calibration of §III-C: sweep the L2
 //!   caches while stepping the voltage down, find the line that errs at
 //!   the highest voltage in each domain, designate it for monitoring.
 //! * [`DomainController`] / [`ControllerConfig`] — the §III-B control law:
@@ -39,25 +39,24 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod blade;
+mod blade;
 mod builder;
-pub mod calibrate;
+mod calibrate;
 mod controller;
-pub mod cpm;
+mod cpm;
 pub mod experiments;
 mod monitor;
-pub mod recalibrate;
+mod recalibrate;
 mod software;
 mod system;
-pub mod tuning;
+mod tuning;
 
 pub use blade::{BladeRunStats, BladeServer};
 pub use builder::SystemBuilder;
 pub use calibrate::{CalibrationMethod, CalibrationOutcome, CalibrationPlan};
-pub use controller::{ControlAction, ControllerConfig, DomainController};
-pub use cpm::{CpmConfig, CpmSpeculation};
+pub use controller::{ControllerConfig, DomainController};
 pub use monitor::EccMonitor;
 pub use recalibrate::{recalibrate, RecalibrationOutcome};
 pub use software::{SoftwareConfig, SoftwareSpeculation};
 pub use system::{RunStats, SpecRun, SpeculationSystem, StepReport, TracePoint};
-pub use tuning::{fit_logistic, measure_line_response, tailor_band, LineResponse};
+pub use tuning::{measure_line_response, tailor_band, LineResponse};

@@ -39,7 +39,7 @@ impl EccMonitor {
     ///
     /// Panics if `kind` is not an L2 structure (monitors live in the cache
     /// controllers of the L2s, where the weak lines are).
-    pub fn new(core: CoreId, kind: CacheKind, line: SetWay) -> EccMonitor {
+    pub(crate) fn new(core: CoreId, kind: CacheKind, line: SetWay) -> EccMonitor {
         assert!(kind.is_l2(), "monitors target L2 lines, got {kind}");
         EccMonitor {
             core,
@@ -71,20 +71,21 @@ impl EccMonitor {
     }
 
     /// Whether the monitor is currently probing.
-    pub fn is_active(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_active(&self) -> bool {
         self.active
     }
 
     /// Activates the monitor: de-configures its line from normal cache
     /// allocation and preloads the test pattern.
-    pub fn activate(&mut self, chip: &mut Chip) {
+    pub(crate) fn activate(&mut self, chip: &mut Chip) {
         chip.designate_monitor_line(self.core, self.kind, self.line);
         self.active = true;
     }
 
     /// Deactivates the monitor and returns its line to normal use (done
     /// when recalibration selects a different line).
-    pub fn deactivate(&mut self, chip: &mut Chip) {
+    pub(crate) fn deactivate(&mut self, chip: &mut Chip) {
         chip.release_monitor_line(self.core, self.kind, self.line);
         self.active = false;
     }
@@ -97,7 +98,7 @@ impl EccMonitor {
     /// # Panics
     ///
     /// Panics if the monitor is not active.
-    pub fn probe(&mut self, chip: &mut Chip, accesses: u64) -> u64 {
+    pub(crate) fn probe(&mut self, chip: &mut Chip, accesses: u64) -> u64 {
         assert!(self.active, "probe on an inactive monitor");
         let outcome = chip.monitor_probe(self.core, self.kind, self.line, accesses);
         self.accesses += outcome.accesses;
@@ -110,7 +111,7 @@ impl EccMonitor {
     }
 
     /// The correctable-error rate since the last counter reset.
-    pub fn error_rate(&self) -> f64 {
+    pub(crate) fn error_rate(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -119,28 +120,28 @@ impl EccMonitor {
     }
 
     /// Accesses since the last reset.
-    pub fn access_count(&self) -> u64 {
+    pub(crate) fn access_count(&self) -> u64 {
         self.accesses
     }
 
     /// Errors since the last reset.
-    pub fn error_count(&self) -> u64 {
+    pub(crate) fn error_count(&self) -> u64 {
         self.errors
     }
 
     /// Lifetime totals `(accesses, correctable_errors)` across resets.
-    pub fn lifetime_counts(&self) -> (u64, u64) {
+    pub(crate) fn lifetime_counts(&self) -> (u64, u64) {
         (self.lifetime_accesses, self.lifetime_errors)
     }
 
     /// Lifetime uncorrectable (detected-only) events across resets.
-    pub fn lifetime_uncorrectable(&self) -> u64 {
+    pub(crate) fn lifetime_uncorrectable(&self) -> u64 {
         self.lifetime_uncorrectable
     }
 
     /// Resets the per-period counters (done by the control system after
     /// each reading, §III-A).
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.accesses = 0;
         self.errors = 0;
         self.uncorrectable = 0;
@@ -152,7 +153,8 @@ impl EccMonitor {
     /// # Panics
     ///
     /// Panics if the monitor is still active.
-    pub fn retarget(&mut self, kind: CacheKind, line: SetWay) {
+    #[cfg(test)]
+    pub(crate) fn retarget(&mut self, kind: CacheKind, line: SetWay) {
         assert!(!self.active, "deactivate before retargeting");
         assert!(kind.is_l2(), "monitors target L2 lines, got {kind}");
         self.kind = kind;

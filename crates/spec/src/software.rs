@@ -94,20 +94,16 @@ impl SoftwareSpeculation {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SoftwareConfig {
-        &self.config
-    }
-
     /// The firmware floor of a domain.
-    pub fn domain_floor(&self, domain: DomainId) -> Millivolts {
+    #[cfg(test)]
+    pub(crate) fn domain_floor(&self, domain: DomainId) -> Millivolts {
         self.domains[domain.0].floor
     }
 
     /// Runs one control-period evaluation for every domain: counts the
     /// workload-triggered correctable errors since the last period, pays
     /// the firmware handling cost for each, and adjusts set points.
-    pub fn on_control_period(&mut self, chip: &mut Chip) {
+    pub(crate) fn on_control_period(&mut self, chip: &mut Chip) {
         let total_now = chip.log().correctable_count();
         // Attribute events to domains by their line's core.
         let mut per_domain = vec![0u64; self.domains.len()];
@@ -182,7 +178,7 @@ impl SoftwareSpeculation {
 /// `errors` correctable events on a core drawing `power_w`, the software
 /// system's effective energy is the hardware energy plus the stall-time
 /// energy of handling every event in firmware.
-pub fn software_energy_j(
+pub(crate) fn software_energy_j(
     power_w: f64,
     duration: SimTime,
     errors: u64,

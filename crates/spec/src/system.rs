@@ -129,10 +129,13 @@ impl RunStats {
 /// let mut sys = SpeculationSystem::new(ChipConfig::low_voltage(1), ControllerConfig::default());
 /// sys.calibrate_fast();
 /// let mut run = SpecRun::new(&sys, SimTime::from_secs(30));
-/// while !run.is_done() {
-///     run.advance(&mut sys, 1000); // one-second slices (1 ms tick)
+/// loop {
 ///     let (done, total) = run.progress();
+///     if done == total {
+///         break;
+///     }
 ///     eprintln!("{done}/{total} ticks");
+///     run.advance(&mut sys, 1000); // one-second slices (1 ms tick)
 /// }
 /// let stats = run.finish(&sys);
 /// assert!(stats.is_safe());
@@ -244,7 +247,7 @@ impl SpecRun {
     }
 
     /// True once every tick of the requested duration has executed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.ticks_done == self.ticks_total
     }
 
@@ -372,7 +375,7 @@ impl SpeculationSystem {
     }
 
     /// The telemetry recorder (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
+    pub(crate) fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 
@@ -404,7 +407,8 @@ impl SpeculationSystem {
     }
 
     /// True when the DUE/crash recovery path is enabled.
-    pub fn is_resilient(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_resilient(&self) -> bool {
         self.resilient
     }
 
@@ -414,7 +418,7 @@ impl SpeculationSystem {
     }
 
     /// Crashes recovered by rolling the domain back so far.
-    pub fn crash_rollbacks(&self) -> u64 {
+    pub(crate) fn crash_rollbacks(&self) -> u64 {
         self.crash_rollbacks
     }
 
@@ -435,7 +439,7 @@ impl SpeculationSystem {
     }
 
     /// Indices of quarantined domains, ascending.
-    pub fn quarantined_domains(&self) -> Vec<usize> {
+    pub(crate) fn quarantined_domains(&self) -> Vec<usize> {
         (0..self.quarantined.len())
             .filter(|d| self.quarantined[*d])
             .collect()
@@ -468,7 +472,7 @@ impl SpeculationSystem {
     ///
     /// Panics if `index` is out of range or the outcome's domain does not
     /// match the slot.
-    pub fn set_calibration_entry(&mut self, index: usize, outcome: CalibrationOutcome) {
+    pub(crate) fn set_calibration_entry(&mut self, index: usize, outcome: CalibrationOutcome) {
         assert!(
             index < self.calibration.len(),
             "calibration slot out of range"
@@ -561,7 +565,7 @@ impl SpeculationSystem {
     /// and — on control-period boundaries — the ±5 mV control law.
     ///
     /// This is the primitive [`SpeculationSystem::run`] is built on;
-    /// multi-socket compositions (see [`crate::blade`]) interleave sockets
+    /// multi-socket compositions (see [`BladeServer`](crate::BladeServer)) interleave sockets
     /// by calling it directly.
     ///
     /// # Panics
@@ -906,15 +910,6 @@ impl SpeculationSystem {
             quarantined_domains: Vec::new(),
             trace: Vec::new(),
         }
-    }
-
-    /// Mean power over a window at the current instant (diagnostic).
-    pub fn instantaneous_power(&self) -> Watts {
-        Watts(
-            (0..self.chip.config().num_cores)
-                .map(|i| self.chip.core_power_w(CoreId(i)))
-                .sum(),
-        )
     }
 
     /// The achieved voltage reduction per domain relative to nominal, as a

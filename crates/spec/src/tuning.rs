@@ -39,7 +39,7 @@ pub struct LineResponse {
 
 impl LineResponse {
     /// The error rate this line produces at `v_mv`.
-    pub fn rate_at(&self, v_mv: f64) -> f64 {
+    pub(crate) fn rate_at(&self, v_mv: f64) -> f64 {
         vs_types::stats::logistic((self.vc_mv - v_mv) / self.slope_mv)
     }
 
@@ -48,7 +48,8 @@ impl LineResponse {
     /// # Panics
     ///
     /// Panics if `rate` is not strictly inside `(0, 1)`.
-    pub fn voltage_at(&self, rate: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn voltage_at(&self, rate: f64) -> f64 {
         assert!(
             rate > 0.0 && rate < 1.0,
             "rate must be in (0,1), got {rate}"
@@ -99,7 +100,7 @@ pub fn measure_line_response(
 ///
 /// Falls back to a nominal 3.2 mV slope at the highest sampled voltage if
 /// fewer than two informative samples exist.
-pub fn fit_logistic(samples: &[(f64, f64)]) -> LineResponse {
+pub(crate) fn fit_logistic(samples: &[(f64, f64)]) -> LineResponse {
     if samples.len() < 2 {
         let vc = samples.first().map_or(700.0, |(v, _)| *v);
         return LineResponse {

@@ -15,7 +15,7 @@
 use crate::variation::WordCells;
 use vs_types::rng::CounterRng;
 use vs_types::stats::logistic;
-use vs_types::{Celsius, FlipMask, Millivolts};
+use vs_types::{Celsius, FlipMask};
 
 /// Conditions under which an access happens: the effective voltage at the
 /// cell array and the silicon temperature.
@@ -46,15 +46,10 @@ impl AccessContext {
         }
     }
 
-    /// Creates a context from a regulator set point with no droop.
-    pub fn at_set_point(v_set: Millivolts, read_noise_mv: f64) -> AccessContext {
-        AccessContext::new(f64::from(v_set.0), read_noise_mv)
-    }
-
     /// The probability that an access flips a cell with critical voltage
     /// `vc_mv`.
     #[inline]
-    pub fn flip_probability(&self, vc_mv: f64) -> f64 {
+    pub(crate) fn flip_probability(&self, vc_mv: f64) -> f64 {
         let temp_shift = self.temp_coeff_mv_per_c * (self.temperature.0 - Self::REFERENCE_TEMP.0);
         logistic((vc_mv + temp_shift - self.v_eff_mv) / self.read_noise_mv)
     }
@@ -248,7 +243,7 @@ mod tests {
 
     #[test]
     fn at_set_point_constructor() {
-        let ctx = AccessContext::at_set_point(Millivolts(736), 4.5);
+        let ctx = AccessContext::new(736.0, 4.5);
         assert_eq!(ctx.v_eff_mv, 736.0);
         assert_eq!(ctx.temperature, AccessContext::REFERENCE_TEMP);
     }

@@ -53,13 +53,13 @@ use vs_types::{CacheKind, Celsius, CoreId, FlipMask, SetWay, VddMode};
 ///
 /// The subset CDFs enumerate `2^k` outcomes per word, so `k` is kept
 /// small; the model default is 3.
-pub const MAX_CELLS_PER_WORD: usize = 6;
+pub(crate) const MAX_CELLS_PER_WORD: usize = 6;
 
 /// Expected-event threshold under which the envelope fast path declares a
 /// batch of accesses statistically invisible: below this, the probability
 /// that even one error occurs over the batch is bounded by the same
 /// number.
-pub const NEGLIGIBLE_EVENTS: f64 = 1.0e-9;
+pub(crate) const NEGLIGIBLE_EVENTS: f64 = 1.0e-9;
 
 /// Per-line metadata of one tracked weak line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +112,7 @@ impl CellBank {
     /// # Panics
     ///
     /// Panics if `k_lines` or `words_per_line` is zero, or if the
-    /// variation tracks more than [`MAX_CELLS_PER_WORD`] cells per word.
+    /// variation tracks more than `MAX_CELLS_PER_WORD` cells per word.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         variation: &ChipVariation,
@@ -210,7 +210,7 @@ impl CellBank {
     }
 
     /// Tracked cells per word.
-    pub fn cells_per_word(&self) -> usize {
+    pub(crate) fn cells_per_word(&self) -> usize {
         self.cells_per_word
     }
 
@@ -308,7 +308,8 @@ impl CellBank {
     /// exactly one flip, two or more flips)` — same arithmetic as
     /// [`word_failure_probabilities`](crate::word_failure_probabilities),
     /// without allocating.
-    pub fn word_probabilities(
+    #[cfg(test)]
+    pub(crate) fn word_probabilities(
         &self,
         line: usize,
         word: u32,
@@ -326,7 +327,7 @@ impl CellBank {
     /// read of a whole tracked line — the alloc-free equivalent of the
     /// table path's `WeakLine::read_probabilities`, including its
     /// 8-noise-width word cutoff.
-    pub fn line_probabilities(
+    pub(crate) fn line_probabilities(
         &self,
         line: usize,
         v_eff_mv: f64,
@@ -503,12 +504,6 @@ impl FailureLut {
         FailureLut::default()
     }
 
-    /// How many times the tables have been invalidated; consumers can use
-    /// this to detect that derived state needs refreshing.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of cached entries `(line triples, word CDFs)`: exactly the
     /// distinct quantized points queried since the last invalidation.
     pub fn len(&self) -> (usize, usize) {
@@ -516,7 +511,8 @@ impl FailureLut {
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.probs.is_empty() && self.cdf_entries == 0
     }
 
@@ -531,7 +527,7 @@ impl FailureLut {
 
     /// Quantizes a query point onto the LUT grid.
     #[inline]
-    pub fn quantize(v_eff_mv: f64, temperature: Celsius) -> (i32, i16) {
+    pub(crate) fn quantize(v_eff_mv: f64, temperature: Celsius) -> (i32, i16) {
         (v_eff_mv.round() as i32, temperature.0.round() as i16)
     }
 
@@ -697,10 +693,10 @@ impl FailureLut {
     /// **conservatively** at `floor(v_eff)` mV and `ceil(T)` °C (failure
     /// probability is monotone decreasing in voltage and increasing in
     /// temperature, so the rounded corner over-estimates it), stays below
-    /// [`NEGLIGIBLE_EVENTS`].
+    /// `NEGLIGIBLE_EVENTS`.
     ///
     /// Callers that skip sampling on this signal stay within that bound
-    /// of the analytic line model ([`CellBank::line_probabilities`]): the
+    /// of the analytic line model (`CellBank::line_probabilities`): the
     /// probability that the skipped batch would have produced *any*
     /// event under it is itself below the threshold. That model drops
     /// words more than 8 noise widths below the rail, so against the
@@ -1364,10 +1360,10 @@ mod tests {
         let mut rng = CounterRng::from_key(1, &[]);
         let _ = lut.sample_word(&b, 0, 0, 700.0, Celsius(50.0), &mut rng);
         assert!(!lut.is_empty());
-        assert_eq!(lut.epoch(), 0);
+        assert_eq!(lut.epoch, 0);
         lut.invalidate();
         assert!(lut.is_empty());
-        assert_eq!(lut.epoch(), 1);
+        assert_eq!(lut.epoch, 1);
     }
 
     #[test]

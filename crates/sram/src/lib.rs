@@ -51,6 +51,6 @@ mod params;
 mod variation;
 
 pub use failure::{line_read_probabilities, word_failure_probabilities, AccessContext};
-pub use kernel::{BankLine, CellBank, FailureLut, MAX_CELLS_PER_WORD, NEGLIGIBLE_EVENTS};
+pub use kernel::{BankLine, CellBank, FailureLut};
 pub use params::{SramParams, StructureParams};
-pub use variation::{ChipVariation, WeakCell, WordCells, BITS_PER_WORD};
+pub use variation::{ChipVariation, WeakCell, WordCells};

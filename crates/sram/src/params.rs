@@ -48,7 +48,7 @@ pub struct StructureParams {
 impl StructureParams {
     /// Parameters for a structure that is effectively immune in a regime
     /// (critical voltages far below any operating voltage).
-    pub fn robust() -> StructureParams {
+    pub(crate) fn robust() -> StructureParams {
         StructureParams {
             mu_vc_mv: 100.0,
             sigma_cell_mv: 40.0,
@@ -114,7 +114,7 @@ impl Default for SramParams {
 
 impl SramParams {
     /// Core-to-core systematic sigma for a mode.
-    pub fn sigma_core_mv(&self, mode: VddMode) -> f64 {
+    pub(crate) fn sigma_core_mv(&self, mode: VddMode) -> f64 {
         match mode {
             VddMode::Nominal => self.sigma_core_nominal_mv,
             VddMode::LowVoltage => self.sigma_core_low_mv,
@@ -122,7 +122,7 @@ impl SramParams {
     }
 
     /// Mean and sigma of the per-core logic floor for a mode.
-    pub fn logic_floor_mv(&self, mode: VddMode) -> (f64, f64) {
+    pub(crate) fn logic_floor_mv(&self, mode: VddMode) -> (f64, f64) {
         match mode {
             VddMode::Nominal => (
                 self.logic_floor_nominal_mv,
@@ -205,7 +205,7 @@ impl SramParams {
 
     /// The manufacturing-screen voltage for a mode: cells with a natural
     /// critical voltage above this were repaired at factory test.
-    pub fn screen_mv(&self, mode: VddMode) -> f64 {
+    pub(crate) fn screen_mv(&self, mode: VddMode) -> f64 {
         f64::from(mode.nominal_vdd().0) - self.screen_margin_mv
     }
 
@@ -216,7 +216,8 @@ impl SramParams {
     /// # Panics
     ///
     /// Panics if `cells` is zero.
-    pub fn extreme_vc_estimate_mv(&self, kind: CacheKind, mode: VddMode, cells: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn extreme_vc_estimate_mv(&self, kind: CacheKind, mode: VddMode, cells: u64) -> f64 {
         assert!(cells > 0, "need at least one cell");
         let sp = self.structure(kind, mode);
         if cells == 1 {

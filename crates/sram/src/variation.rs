@@ -12,7 +12,7 @@ use vs_types::{CacheKind, CoreId, Millivolts, SetWay, VddMode};
 
 /// Bits per ECC word over which the order statistics are taken (64 data +
 /// 8 check bits of the (72,64) cache geometry).
-pub const BITS_PER_WORD: u64 = 72;
+pub(crate) const BITS_PER_WORD: u64 = 72;
 
 /// Relative guard of the per-line weakest-cell scan: only words whose first
 /// order-statistic draw `u` lies within this fraction of the line's largest
@@ -85,12 +85,12 @@ pub struct ChipVariation {
 /// Stream-id tags used when deriving sub-streams, kept distinct so that no
 /// two quantities ever share a random stream.
 mod tag {
-    pub const CORE_OFFSET: u64 = 0xC0;
-    pub const LINE_OFFSET: u64 = 0x11;
-    pub const WORD_CELLS: u64 = 0xCE;
-    pub const LOGIC_FLOOR: u64 = 0xF1;
-    pub const AGING: u64 = 0xA6;
-    pub const LINE_NOISE: u64 = 0x1F;
+    pub(crate) const CORE_OFFSET: u64 = 0xC0;
+    pub(crate) const LINE_OFFSET: u64 = 0x11;
+    pub(crate) const WORD_CELLS: u64 = 0xCE;
+    pub(crate) const LOGIC_FLOOR: u64 = 0xF1;
+    pub(crate) const AGING: u64 = 0xA6;
+    pub(crate) const LINE_NOISE: u64 = 0x1F;
 }
 
 impl ChipVariation {
@@ -113,7 +113,7 @@ impl ChipVariation {
     ///
     /// Positive offsets make a core *weaker* (its cells fail at higher
     /// voltages). The spread is ~4× larger at the low-voltage point.
-    pub fn core_offset_mv(&self, core: CoreId, mode: VddMode) -> f64 {
+    pub(crate) fn core_offset_mv(&self, core: CoreId, mode: VddMode) -> f64 {
         let mut rng = CounterRng::from_key(self.seed, &[tag::CORE_OFFSET, core.0 as u64]);
         // A single standard draw per core, scaled per mode, so the *ranking*
         // of cores is identical in both modes (same silicon).
@@ -122,7 +122,7 @@ impl ChipVariation {
     }
 
     /// The systematic per-line offset, in millivolts.
-    pub fn line_offset_mv(
+    pub(crate) fn line_offset_mv(
         &self,
         core: CoreId,
         cache: CacheKind,
@@ -146,7 +146,7 @@ impl ChipVariation {
     /// The tracked weakest cells of one ECC word of one line.
     ///
     /// The weakest `weak_bits_per_word` cells of the word's
-    /// [`BITS_PER_WORD`] bits are placed by Gaussian order statistics: the
+    /// `BITS_PER_WORD` bits are placed by Gaussian order statistics: the
     /// k-th *highest* of `n` standard normals is located via the uniform
     /// order-statistic recurrence and the probit function. The remaining
     /// bits sit far enough below to be negligible at operating voltages.
@@ -169,7 +169,7 @@ impl ChipVariation {
     /// of the per-word loop is what lets batched scans
     /// ([`CellBank::build`](crate::CellBank::build)) avoid recomputing two
     /// keyed Gaussian draws for every word of a line.
-    pub fn word_mu_mv(
+    pub(crate) fn word_mu_mv(
         &self,
         core: CoreId,
         cache: CacheKind,

@@ -40,7 +40,7 @@ pub enum EventCategory {
 
 impl EventCategory {
     /// All categories, in serialization order.
-    pub const ALL: [EventCategory; 8] = [
+    pub(crate) const ALL: [EventCategory; 8] = [
         EventCategory::Ecc,
         EventCategory::Monitor,
         EventCategory::Controller,
@@ -52,7 +52,7 @@ impl EventCategory {
     ];
 
     /// Stable lowercase label (used by `--trace-filter` and JSONL output).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             EventCategory::Ecc => "ecc",
             EventCategory::Monitor => "monitor",
@@ -66,7 +66,7 @@ impl EventCategory {
     }
 
     /// Parses a label produced by [`EventCategory::label`].
-    pub fn parse(s: &str) -> Option<EventCategory> {
+    pub(crate) fn parse(s: &str) -> Option<EventCategory> {
         EventCategory::ALL.into_iter().find(|c| c.label() == s)
     }
 
@@ -154,7 +154,7 @@ pub enum StepDirection {
 
 impl StepDirection {
     /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StepDirection::Down => "down",
             StepDirection::Up => "up",
@@ -183,7 +183,8 @@ pub enum SpanLevel {
 
 impl SpanLevel {
     /// All levels, outermost first.
-    pub const ALL: [SpanLevel; 4] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [SpanLevel; 4] = [
         SpanLevel::Job,
         SpanLevel::Lane,
         SpanLevel::Chip,
@@ -191,7 +192,7 @@ impl SpanLevel {
     ];
 
     /// Stable lowercase label (the JSONL `"level"` field).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanLevel::Job => "job",
             SpanLevel::Lane => "lane",
@@ -201,7 +202,8 @@ impl SpanLevel {
     }
 
     /// Parses a label produced by [`SpanLevel::label`].
-    pub fn parse(s: &str) -> Option<SpanLevel> {
+    #[cfg(test)]
+    pub(crate) fn parse(s: &str) -> Option<SpanLevel> {
         SpanLevel::ALL.into_iter().find(|l| l.label() == s)
     }
 }
@@ -492,7 +494,7 @@ impl TelemetryEvent {
     /// Simulated timestamp of the event. Job-lifecycle events are pinned
     /// to the run boundaries (start at time zero, finish at the run's
     /// simulated duration).
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match *self {
             TelemetryEvent::EccCorrection { at, .. }
             | TelemetryEvent::EccDetection { at, .. }

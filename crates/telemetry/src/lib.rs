@@ -10,10 +10,10 @@
 //!   detections, weak-line monitor windows, controller voltage steps,
 //!   emergency rollbacks, calibration outcomes) and the fleet job
 //!   lifecycle. Simulation code emits into a [`Recorder`] — a category
-//!   [`EventFilter`] plus a pre-allocated [`EventRing`] — so the hot path
+//!   [`EventFilter`] plus a pre-allocated `EventRing` — so the hot path
 //!   never allocates and a disabled recorder costs a single branch.
-//!   Drained events go to pluggable [`EventSink`]s: [`NullSink`],
-//!   [`CaptureSink`] (tests assert exact sequences), or [`JsonlSink`]
+//!   Drained events go to pluggable [`EventSink`]s: [`CaptureSink`]
+//!   (tests assert exact sequences) or [`JsonlSink`]
 //!   (hand-rolled serialization, no external dependencies).
 //! * **Metrics** — [`MetricsRegistry`] holds named counters, gauges, and
 //!   fixed-bucket histograms, snapshotable at any sim tick;
@@ -46,8 +46,7 @@ mod sink;
 
 pub use event::{EventCategory, EventFilter, SpanLevel, StepDirection, TelemetryEvent};
 pub use metrics::{CounterId, EventMetrics, FixedHistogram, GaugeId, HistogramId, MetricsRegistry};
-pub use profile::{format_ns, scale_ns, FleetProfile, LatencyHistogram, Stopwatch, WorkerProfile};
+pub use profile::{FleetProfile, LatencyHistogram, Stopwatch, WorkerProfile};
 pub use progress::{HumanProgress, JsonlProgress, ProgressReport, ProgressSink, SilentProgress};
-pub use recorder::{Recorder, DEFAULT_CAPACITY};
-pub use ring::EventRing;
-pub use sink::{to_jsonl, CaptureSink, EventSink, JsonlSink, NullSink};
+pub use recorder::Recorder;
+pub use sink::{to_jsonl, CaptureSink, EventSink, JsonlSink};

@@ -49,7 +49,7 @@ impl FixedHistogram {
     /// # Panics
     ///
     /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> FixedHistogram {
+    pub(crate) fn new(lo: f64, hi: f64, bins: usize) -> FixedHistogram {
         assert!(bins > 0, "a histogram needs at least one bucket");
         assert!(hi > lo, "histogram range must be non-empty");
         FixedHistogram {
@@ -64,7 +64,7 @@ impl FixedHistogram {
     }
 
     /// Records one sample.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         if v < self.lo {
@@ -79,7 +79,8 @@ impl FixedHistogram {
     }
 
     /// Mean of all observed samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             None
         } else {
@@ -92,7 +93,8 @@ impl FixedHistogram {
     /// # Panics
     ///
     /// Panics if the bucket layouts differ.
-    pub fn merge(&mut self, other: &FixedHistogram) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &FixedHistogram) {
         assert!(
             self.lo == other.lo && self.hi == other.hi && self.buckets.len() == other.buckets.len(),
             "histogram merge requires identical bucket layouts"
@@ -201,7 +203,8 @@ impl MetricsRegistry {
     }
 
     /// Reads a counter by name (`None` if unregistered).
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
             .find(|(n, _)| n == name)
@@ -209,34 +212,18 @@ impl MetricsRegistry {
     }
 
     /// Reads a gauge by name (`None` if unregistered).
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Reads a histogram by name (`None` if unregistered).
-    pub fn histogram_value(&self, name: &str) -> Option<&FixedHistogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram_value(&self, name: &str) -> Option<&FixedHistogram> {
         self.histograms
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge (layouts must match). Merging fleet
-    /// chips in chip-id order keeps every derived number deterministic.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.inc(id, *v);
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.set(id, *v);
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name, h.lo, h.hi, h.buckets.len());
-            self.histograms[id.0].1.merge(h);
-        }
     }
 }
 
@@ -285,7 +272,7 @@ impl Default for EventMetrics {
 
 impl EventMetrics {
     /// A registry with the standard instruments registered.
-    pub fn new() -> EventMetrics {
+    pub(crate) fn new() -> EventMetrics {
         let mut r = MetricsRegistry::new();
         EventMetrics {
             corrections: r.counter("ecc.corrections"),
@@ -318,7 +305,7 @@ impl EventMetrics {
     }
 
     /// Routes one event to its instruments.
-    pub fn observe(&mut self, event: &TelemetryEvent) {
+    pub(crate) fn observe(&mut self, event: &TelemetryEvent) {
         match *event {
             TelemetryEvent::EccCorrection { count, .. } => {
                 self.registry.inc(self.corrections, count);
@@ -447,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_handles_and_merge() {
+    fn registry_handles() {
         let mut r = MetricsRegistry::new();
         let c = r.counter("x.count");
         assert_eq!(r.counter("x.count"), c, "registration is idempotent");
@@ -456,15 +443,8 @@ mod tests {
         r.set(g, 1.5);
         let h = r.histogram("x.hist", 0.0, 10.0, 5);
         r.observe(h, 3.0);
-
-        let mut other = MetricsRegistry::new();
-        let c2 = other.counter("x.count");
-        other.inc(c2, 5);
-        let h2 = other.histogram("x.hist", 0.0, 10.0, 5);
-        other.observe(h2, 7.0);
-
-        r.merge_from(&other);
-        assert_eq!(r.counter_value("x.count"), Some(7));
+        r.observe(h, 7.0);
+        assert_eq!(r.counter_value("x.count"), Some(2));
         assert_eq!(r.gauge_value("x.gauge"), Some(1.5));
         let hist = r.histogram_value("x.hist").unwrap();
         assert_eq!(hist.count, 2);

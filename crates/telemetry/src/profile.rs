@@ -7,16 +7,16 @@
 //! pipeline never touches these numbers.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Formats a nanosecond quantity with a human-scale unit.
-pub fn format_ns(ns: f64) -> String {
+pub(crate) fn format_ns(ns: f64) -> String {
     let (value, unit) = scale_ns(ns);
     format!("{value:.2} {unit}")
 }
 
 /// Picks the display unit for a nanosecond quantity.
-pub fn scale_ns(ns: f64) -> (f64, &'static str) {
+pub(crate) fn scale_ns(ns: f64) -> (f64, &'static str) {
     if ns >= 1e9 {
         (ns / 1e9, "s")
     } else if ns >= 1e6 {
@@ -45,11 +45,6 @@ impl Stopwatch {
     /// Nanoseconds elapsed since the start.
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Elapsed time since the start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 }
 
@@ -106,7 +101,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency in nanoseconds (`None` when empty).
-    pub fn mean_ns(&self) -> Option<f64> {
+    pub(crate) fn mean_ns(&self) -> Option<f64> {
         if self.count == 0 {
             None
         } else {
@@ -115,7 +110,7 @@ impl LatencyHistogram {
     }
 
     /// `(min, max)` observed, in nanoseconds (`None` when empty).
-    pub fn range_ns(&self) -> Option<(u64, u64)> {
+    pub(crate) fn range_ns(&self) -> Option<(u64, u64)> {
         if self.count == 0 {
             None
         } else {
@@ -142,7 +137,7 @@ impl LatencyHistogram {
     }
 
     /// Non-empty buckets as `(bucket_floor_ns, count)`.
-    pub fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -169,7 +164,7 @@ pub struct WorkerProfile {
 impl WorkerProfile {
     /// Time neither simulating nor scheduling (startup skew, send
     /// backpressure, end-of-queue drain).
-    pub fn idle_ns(&self) -> u64 {
+    pub(crate) fn idle_ns(&self) -> u64 {
         self.wall_ns.saturating_sub(self.busy_ns + self.steal_ns)
     }
 }

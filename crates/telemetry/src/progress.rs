@@ -53,7 +53,7 @@ impl Default for HumanProgress {
 
 impl HumanProgress {
     /// A ticker printing every `stride` chips (`stride` 0 behaves as 1).
-    pub fn new(stride: u64) -> HumanProgress {
+    pub(crate) fn new(stride: u64) -> HumanProgress {
         HumanProgress {
             stride: stride.max(1),
         }

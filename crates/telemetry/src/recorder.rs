@@ -14,7 +14,7 @@ use crate::sink::EventSink;
 
 /// Default ring capacity: enough for every event of the workloads the
 /// repo's experiments run, small enough to be cheap to pre-allocate.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Collects telemetry events from one simulation.
 #[derive(Debug, Clone)]
@@ -41,14 +41,14 @@ impl Recorder {
     }
 
     /// A recorder keeping `filter` categories in a ring of
-    /// [`DEFAULT_CAPACITY`].
+    /// `DEFAULT_CAPACITY`.
     pub fn enabled(filter: EventFilter) -> Recorder {
         Recorder::with_capacity(filter, DEFAULT_CAPACITY)
     }
 
     /// A recorder keeping `filter` categories in a ring of `capacity`
     /// events.
-    pub fn with_capacity(filter: EventFilter, capacity: usize) -> Recorder {
+    pub(crate) fn with_capacity(filter: EventFilter, capacity: usize) -> Recorder {
         Recorder {
             filter,
             ring: if filter.is_empty() {
@@ -59,22 +59,11 @@ impl Recorder {
         }
     }
 
-    /// The active filter.
-    pub fn filter(&self) -> EventFilter {
-        self.filter
-    }
-
     /// True when `category` events would be kept. Call sites use this to
     /// skip gathering event payloads on the hot path.
     #[inline]
     pub fn wants(&self, category: EventCategory) -> bool {
         self.filter.accepts(category)
-    }
-
-    /// True when any category is kept.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        !self.filter.is_empty()
     }
 
     /// Records an event if its category passes the filter.
@@ -88,18 +77,15 @@ impl Recorder {
     }
 
     /// Events held (0 when disabled).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ring.as_ref().map_or(0, EventRing::len)
     }
 
     /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Events overwritten because the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.ring.as_ref().map_or(0, EventRing::dropped)
     }
 
     /// Removes and returns all held events, oldest first.
@@ -135,7 +121,7 @@ mod tests {
     #[test]
     fn disabled_recorder_keeps_nothing() {
         let mut r = Recorder::disabled();
-        assert!(!r.is_enabled());
+        assert!(r.filter.is_empty());
         assert!(!r.wants(EventCategory::Ecc));
         r.emit(ecc_event());
         assert!(r.is_empty());

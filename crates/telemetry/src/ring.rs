@@ -10,7 +10,7 @@ use crate::event::TelemetryEvent;
 
 /// Fixed-capacity ring of [`TelemetryEvent`]s, overwrite-oldest.
 #[derive(Debug, Clone)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     buf: Vec<TelemetryEvent>,
     /// Index of the oldest event (only meaningful once full).
     head: usize,
@@ -28,7 +28,7 @@ impl EventRing {
     /// Panics if `capacity` is zero; a recorder that keeps nothing is
     /// expressed with an empty [`EventFilter`](crate::EventFilter), not a
     /// zero-sized ring.
-    pub fn new(capacity: usize) -> EventRing {
+    pub(crate) fn new(capacity: usize) -> EventRing {
         assert!(capacity > 0, "ring capacity must be positive");
         EventRing {
             buf: Vec::with_capacity(capacity),
@@ -38,29 +38,27 @@ impl EventRing {
         }
     }
 
-    /// Maximum events held.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Oldest events overwritten so far.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Appends an event, overwriting the oldest if full.
     #[inline]
-    pub fn push(&mut self, event: TelemetryEvent) {
+    pub(crate) fn push(&mut self, event: TelemetryEvent) {
         let cap = self.buf.capacity();
         if self.buf.len() < cap {
             self.buf.push(event);
@@ -73,14 +71,14 @@ impl EventRing {
     }
 
     /// Iterates the held events oldest-first without consuming them.
-    pub fn iter(&self) -> impl Iterator<Item = &TelemetryEvent> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TelemetryEvent> {
         let (tail, first) = self.buf.split_at(self.head);
         first.iter().chain(tail.iter())
     }
 
     /// Removes and returns all held events, oldest first. The allocation
     /// is retained for reuse.
-    pub fn drain(&mut self) -> Vec<TelemetryEvent> {
+    pub(crate) fn drain(&mut self) -> Vec<TelemetryEvent> {
         let out: Vec<TelemetryEvent> = self.iter().copied().collect();
         self.buf.clear();
         self.head = 0;

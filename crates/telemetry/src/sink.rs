@@ -1,9 +1,9 @@
 //! Pluggable event sinks: where a drained event stream goes.
 //!
-//! Three implementations cover the stack's needs: [`NullSink`] (discard;
-//! the zero-cost default), [`CaptureSink`] (in-memory, for tests that
-//! assert on exact event sequences), and [`JsonlSink`] (one hand-rolled
-//! JSON object per line; the `repro --trace FILE` format).
+//! Two implementations cover the stack's needs: [`CaptureSink`]
+//! (in-memory, for tests that assert on exact event sequences) and
+//! [`JsonlSink`] (one hand-rolled JSON object per line; the
+//! `repro --trace FILE` format).
 
 use crate::event::TelemetryEvent;
 use std::fs::File;
@@ -21,14 +21,6 @@ pub trait EventSink {
     }
 }
 
-/// Discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _event: &TelemetryEvent) {}
-}
-
 /// Keeps every event in memory, for tests and programmatic inspection.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureSink {
@@ -42,7 +34,8 @@ impl CaptureSink {
     }
 
     /// The captured events, in record order.
-    pub fn events(&self) -> &[TelemetryEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TelemetryEvent] {
         &self.events
     }
 
@@ -86,11 +79,6 @@ impl<W: Write> JsonlSink<W> {
             line: String::with_capacity(256),
             error: None,
         }
-    }
-
-    /// The first I/O error hit, if any (check after flushing).
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
     }
 
     /// Flushes and returns the inner writer, or the first I/O error.

@@ -51,7 +51,7 @@ impl FleetSeed {
     /// Derives the die seed of one chip of this fleet.
     ///
     /// ```
-    /// use vs_types::fleet::{ChipId, FleetSeed};
+    /// use vs_types::{ChipId, FleetSeed};
     ///
     /// let fleet = FleetSeed(2014);
     /// // Pure function: same key, same seed — across processes and sharding.
@@ -61,14 +61,6 @@ impl FleetSeed {
     /// ```
     pub fn chip_seed(self, chip: ChipId) -> u64 {
         hash_key(self.0, &[CHIP_SEED_STREAM, chip.0])
-    }
-
-    /// A fleet-level RNG for draws that belong to the population rather
-    /// than any single die (e.g. random workload assignment), keyed by a
-    /// caller-chosen stream id so independent consumers never share a
-    /// stream.
-    pub fn fleet_rng(self, stream: u64) -> CounterRng {
-        CounterRng::from_key(self.0, &[CHIP_SEED_STREAM ^ 0xFFFF_FFFF, stream])
     }
 
     /// A per-chip RNG for fleet-level decisions about one chip (workload

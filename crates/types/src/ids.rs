@@ -72,21 +72,6 @@ impl CacheKind {
         CacheKind::RegisterFileFp,
     ];
 
-    /// The structures that are private to a core (everything except the L3).
-    pub const PER_CORE: [CacheKind; 6] = [
-        CacheKind::L1Instruction,
-        CacheKind::L1Data,
-        CacheKind::L2Instruction,
-        CacheKind::L2Data,
-        CacheKind::RegisterFileInt,
-        CacheKind::RegisterFileFp,
-    ];
-
-    /// True for instruction-side structures.
-    pub fn is_instruction(self) -> bool {
-        matches!(self, CacheKind::L1Instruction | CacheKind::L2Instruction)
-    }
-
     /// True for the L2 caches — the structures the paper's ECC monitors end
     /// up targeting.
     pub fn is_l2(self) -> bool {
@@ -108,7 +93,7 @@ impl CacheKind {
     }
 
     /// Short human-readable label used in reports ("L2I", "L2D", ...).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CacheKind::L1Instruction => "L1I",
             CacheKind::L1Data => "L1D",
@@ -197,8 +182,6 @@ mod tests {
 
     #[test]
     fn cache_kind_classification() {
-        assert!(CacheKind::L2Instruction.is_instruction());
-        assert!(!CacheKind::L2Data.is_instruction());
         assert!(CacheKind::L2Data.is_l2());
         assert!(!CacheKind::L3Unified.is_l2());
     }
@@ -209,12 +192,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), CacheKind::ALL.len());
-    }
-
-    #[test]
-    fn per_core_excludes_l3() {
-        assert!(!CacheKind::PER_CORE.contains(&CacheKind::L3Unified));
-        assert_eq!(CacheKind::PER_CORE.len(), CacheKind::ALL.len() - 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   simulator from a structured key, so that experiments are exactly
 //!   reproducible run-to-run (the paper's "deterministic error distribution"
 //!   observation, §II-D);
-//! * small statistics helpers ([`stats`]) — Gaussian sampling, logistic
-//!   response, Gaussian order statistics — that the SRAM failure model is
-//!   built on.
+//! * small statistics helpers ([`stats`]) — logistic response, the
+//!   normal quantile, sample moments and percentiles — that the SRAM
+//!   failure model and the fleet reports are built on.
 //!
 //! # Examples
 //!
@@ -36,21 +36,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod fleet;
-pub mod ids;
-pub mod mask;
-pub mod mode;
+mod config;
+mod fleet;
+mod ids;
+mod mask;
+mod mode;
 pub mod rng;
 pub mod stats;
-pub mod time;
-pub mod units;
+mod time;
+mod units;
 
 pub use config::ConfigError;
 pub use fleet::{ChipId, FleetSeed};
 pub use ids::{CacheKind, CoreId, DomainId, LineAddress, SetWay};
 pub use mask::{FlipBits, FlipMask};
 pub use mode::VddMode;
-pub use rng::CounterRng;
 pub use time::SimTime;
 pub use units::{Celsius, Hertz, Joules, Millivolts, Watts};

@@ -19,8 +19,7 @@ use std::fmt;
 ///
 /// let mask = FlipMask::from_bits(&[3, 70]);
 /// assert_eq!(mask.count(), 2);
-/// assert!(mask.contains(70));
-/// assert_eq!(mask.bits().collect::<Vec<_>>(), vec![3, 70]);
+/// assert_eq!(mask.0, (1 << 3) | (1 << 70));
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FlipMask(pub u128);
@@ -55,7 +54,8 @@ impl FlipMask {
 
     /// Whether a bit position is flipped.
     #[inline]
-    pub fn contains(self, bit: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(self, bit: u32) -> bool {
         bit < 128 && self.0 & (1u128 << bit) != 0
     }
 
@@ -73,14 +73,8 @@ impl FlipMask {
 
     /// Iterates the flipped bit positions in ascending order.
     #[inline]
-    pub fn bits(self) -> FlipBits {
+    pub(crate) fn bits(self) -> FlipBits {
         FlipBits(self.0)
-    }
-
-    /// The flip positions as an allocated `Vec<u32>`; convenient in tests
-    /// and diagnostics, avoid on the hot read path.
-    pub fn to_bits_vec(self) -> Vec<u32> {
-        self.bits().collect()
     }
 }
 
@@ -143,7 +137,7 @@ mod tests {
         let bits = [0u32, 7, 63, 64, 71, 127];
         let m = FlipMask::from_bits(&bits);
         assert_eq!(m.count(), bits.len() as u32);
-        assert_eq!(m.to_bits_vec(), bits);
+        assert_eq!(m.bits().collect::<Vec<_>>(), bits);
         for b in bits {
             assert!(m.contains(b));
         }
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn bits_iterate_ascending_regardless_of_insertion_order() {
         let m = FlipMask::from_bits(&[71, 3, 40]);
-        assert_eq!(m.to_bits_vec(), vec![3, 40, 71]);
+        assert_eq!(m.bits().collect::<Vec<_>>(), vec![3, 40, 71]);
         assert_eq!(m.bits().len(), 3);
     }
 

@@ -29,9 +29,6 @@ pub enum VddMode {
 }
 
 impl VddMode {
-    /// Both modes, in a stable order.
-    pub const ALL: [VddMode; 2] = [VddMode::Nominal, VddMode::LowVoltage];
-
     /// The nominal supply voltage at this operating point.
     pub fn nominal_vdd(self) -> Millivolts {
         match self {
@@ -52,12 +49,14 @@ impl VddMode {
 
     /// The guardband the platform applies below nominal before any
     /// correctable error is expected (~100 mV at both points, §IV).
-    pub fn guardband(self) -> Millivolts {
+    #[cfg(test)]
+    pub(crate) fn guardband(self) -> Millivolts {
         Millivolts(100)
     }
 
     /// A stable small integer for RNG stream derivation.
-    pub fn stream_id(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn stream_id(self) -> u64 {
         match self {
             VddMode::Nominal => 0,
             VddMode::LowVoltage => 1,

@@ -143,7 +143,7 @@ impl CounterRng {
 
     /// Produces a normal deviate with the given mean and standard deviation.
     #[inline]
-    pub fn next_gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn next_gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.next_gaussian()
     }
 
@@ -189,12 +189,6 @@ impl CounterRng {
         let successes = count_below_dispatch(self.state, self.counter, n, threshold);
         self.counter = self.counter.wrapping_add(n);
         successes
-    }
-
-    /// Derives a child generator for a sub-stream identified by `parts`,
-    /// without perturbing this generator's own stream.
-    pub fn substream(&self, parts: &[u64]) -> CounterRng {
-        CounterRng::new(hash_key(self.state, parts))
     }
 }
 
@@ -257,7 +251,7 @@ mod tests {
     fn key_sensitivity() {
         // Changing any part of the key changes the stream.
         let base: Vec<u64> = (0..16)
-            .map(|i| CounterRng::from_key(1, &[2, 3]).substream(&[i]).next_u64())
+            .map(|i| CounterRng::from_key(1, &[2, 3, i]).next_u64())
             .collect();
         let mut sorted = base.clone();
         sorted.sort_unstable();
@@ -454,18 +448,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn substream_independent_of_parent_position() {
-        let parent = CounterRng::from_key(9, &[1]);
-        let mut advanced = parent.clone();
-        let _ = advanced.next_u64();
-        // substream is keyed off state, not counter, so it matches as long as
-        // it is derived before advancing.
-        assert_eq!(
-            parent.substream(&[7]).next_u64(),
-            parent.clone().substream(&[7]).next_u64()
-        );
     }
 }

@@ -1,15 +1,16 @@
 //! Statistics helpers used by the physical models.
 //!
-//! The SRAM failure model needs three ingredients:
+//! The SRAM failure model needs two ingredients:
 //!
-//! * the standard normal CDF ([`normal_cdf`]) and its inverse
-//!   ([`normal_quantile`]) for turning critical-voltage distributions into
-//!   failure probabilities and for order statistics;
+//! * the inverse standard normal CDF ([`normal_quantile`]) for turning
+//!   critical-voltage distributions into failure probabilities and for
+//!   order statistics;
 //! * a logistic response ([`logistic`]) for the per-access flip probability
 //!   around a cell's critical voltage (this produces the S-curves of the
-//!   paper's Figure 13);
-//! * expected Gaussian order statistics ([`expected_extreme`]), used to
-//!   place the weakest of `n` cells of a word/line without sampling all `n`.
+//!   paper's Figure 13).
+//!
+//! The forward CDF is kept for tests only, as the reference the quantile
+//! is checked against.
 
 /// The logistic sigmoid `1 / (1 + e^{-x})`.
 ///
@@ -33,7 +34,8 @@ pub fn logistic(x: f64) -> f64 {
 /// about `1.5e-7` absolute error, which is far below the resolution of any
 /// experiment in this workspace.
 #[inline]
-pub fn erf(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -46,14 +48,9 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function.
-///
-/// ```
-/// use vs_types::stats::normal_cdf;
-/// assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-/// assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
-/// ```
 #[inline]
-pub fn normal_cdf(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
@@ -115,25 +112,6 @@ pub fn normal_quantile(p: f64) -> f64 {
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
-}
-
-/// Expected value of the *minimum* of `n` independent standard normal
-/// deviates, via the Blom approximation
-/// `E[min] ≈ Φ⁻¹((1 − 0.375) / (n + 0.25))` — negative for `n ≥ 2`.
-///
-/// This is how the SRAM model places "the weakest of the 72 bits of a word"
-/// without drawing all 72 samples for every word on a 32 MB cache.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn expected_extreme(n: u64) -> f64 {
-    assert!(n > 0, "order statistic needs at least one sample");
-    if n == 1 {
-        return 0.0;
-    }
-    let alpha = 0.375;
-    normal_quantile((1.0 - alpha) / (n as f64 + 1.0 - 2.0 * alpha))
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of a slice by linear interpolation between
@@ -238,24 +216,6 @@ mod tests {
     #[should_panic(expected = "quantile argument")]
     fn quantile_rejects_zero() {
         normal_quantile(0.0);
-    }
-
-    #[test]
-    fn extreme_value_grows_with_n() {
-        // The minimum of more samples is farther into the left tail.
-        let e2 = expected_extreme(2);
-        let e72 = expected_extreme(72);
-        let e1024 = expected_extreme(1024);
-        assert!(e2 < 0.0);
-        assert!(e72 < e2);
-        assert!(e1024 < e72);
-        // Known scale: E[min of 72] is around -2.4 sigma.
-        assert!((-2.6..=-2.2).contains(&e72), "e72 = {e72}");
-    }
-
-    #[test]
-    fn extreme_of_one_is_zero() {
-        assert_eq!(expected_extreme(1), 0.0);
     }
 
     #[test]

@@ -45,14 +45,6 @@ impl SimTime {
         }
     }
 
-    /// Builds a time from fractional seconds, rounding to the nearest
-    /// microsecond. Negative inputs saturate to zero.
-    pub fn from_secs_f64(secs: f64) -> SimTime {
-        SimTime {
-            micros: (secs.max(0.0) * 1.0e6).round() as u64,
-        }
-    }
-
     /// The value in whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.micros
@@ -81,7 +73,8 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `period` is zero.
-    pub fn is_multiple_of(self, period: SimTime) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_multiple_of(self, period: SimTime) -> bool {
         assert!(period.micros > 0, "period must be positive");
         self.micros.is_multiple_of(period.micros)
     }
@@ -135,8 +128,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimTime::from_secs(2).as_millis(), 2000);
         assert_eq!(SimTime::from_millis(5).as_micros(), 5000);
-        assert_eq!(SimTime::from_secs_f64(0.0015).as_micros(), 1500);
-        assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
     }
 
     #[test]

@@ -30,36 +30,23 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 pub struct Millivolts(pub i32);
 
 impl Millivolts {
-    /// Zero millivolts.
-    pub const ZERO: Millivolts = Millivolts(0);
-
     /// Returns the value in volts as a float, for the analog models.
     #[inline]
     pub fn as_volts(self) -> f64 {
         f64::from(self.0) / 1000.0
     }
 
-    /// Builds a `Millivolts` from a float voltage, rounding to the nearest
-    /// millivolt.
-    ///
-    /// ```
-    /// # use vs_types::Millivolts;
-    /// assert_eq!(Millivolts::from_volts(0.7364), Millivolts(736));
-    /// ```
-    #[inline]
-    pub fn from_volts(v: f64) -> Millivolts {
-        Millivolts((v * 1000.0).round() as i32)
-    }
-
     /// Clamps the value into `[lo, hi]`.
     #[inline]
-    pub fn clamp(self, lo: Millivolts, hi: Millivolts) -> Millivolts {
+    #[cfg(test)]
+    pub(crate) fn clamp(self, lo: Millivolts, hi: Millivolts) -> Millivolts {
         Millivolts(self.0.clamp(lo.0, hi.0))
     }
 
     /// Absolute difference between two levels.
     #[inline]
-    pub fn abs_diff(self, other: Millivolts) -> Millivolts {
+    #[cfg(test)]
+    pub(crate) fn abs_diff(self, other: Millivolts) -> Millivolts {
         Millivolts((self.0 - other.0).abs())
     }
 
@@ -130,7 +117,6 @@ impl Mul<i32> for Millivolts {
 /// let high = Hertz::from_mhz(2530.0);
 /// let low = Hertz::from_mhz(340.0);
 /// assert!(high > low);
-/// assert_eq!(low.as_mhz(), 340.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hertz(pub f64);
@@ -144,31 +130,20 @@ impl Hertz {
 
     /// Builds a frequency from gigahertz.
     #[inline]
-    pub fn from_ghz(ghz: f64) -> Hertz {
+    pub(crate) fn from_ghz(ghz: f64) -> Hertz {
         Hertz(ghz * 1.0e9)
     }
 
     /// The frequency in megahertz.
     #[inline]
-    pub fn as_mhz(self) -> f64 {
+    pub(crate) fn as_mhz(self) -> f64 {
         self.0 / 1.0e6
     }
 
     /// The frequency in gigahertz.
     #[inline]
-    pub fn as_ghz(self) -> f64 {
+    pub(crate) fn as_ghz(self) -> f64 {
         self.0 / 1.0e9
-    }
-
-    /// The period of one cycle, in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero.
-    #[inline]
-    pub fn period_secs(self) -> f64 {
-        assert!(self.0 > 0.0, "frequency must be positive");
-        1.0 / self.0
     }
 }
 
@@ -189,9 +164,6 @@ impl fmt::Display for Hertz {
 pub struct Watts(pub f64);
 
 impl Watts {
-    /// Zero watts.
-    pub const ZERO: Watts = Watts(0.0);
-
     /// Energy accumulated by holding this power for `secs` seconds.
     #[inline]
     pub fn over_secs(self, secs: f64) -> Joules {
@@ -248,11 +220,6 @@ impl Sum for Watts {
 /// Energy in joules.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(pub f64);
-
-impl Joules {
-    /// Zero joules.
-    pub const ZERO: Joules = Joules(0.0);
-}
 
 impl fmt::Display for Joules {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -341,14 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn millivolt_volt_roundtrip() {
-        for mv in [0, 1, 5, 616, 800, 1100, -50] {
-            let m = Millivolts(mv);
-            assert_eq!(Millivolts::from_volts(m.as_volts()), m);
-        }
-    }
-
-    #[test]
     fn millivolt_clamp_and_diff() {
         assert_eq!(
             Millivolts(900).clamp(Millivolts(600), Millivolts(800)),
@@ -378,7 +337,6 @@ mod tests {
     fn hertz_conversions() {
         let f = Hertz::from_ghz(2.53);
         assert!((f.as_mhz() - 2530.0).abs() < 1e-9);
-        assert!((f.period_secs() - 1.0 / 2.53e9).abs() < 1e-22);
     }
 
     #[test]

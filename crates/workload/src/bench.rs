@@ -66,7 +66,7 @@ impl Suite {
     }
 
     /// The profiles of every benchmark in the suite.
-    pub fn benchmarks(self) -> Vec<BenchmarkProfile> {
+    pub(crate) fn benchmarks(self) -> Vec<BenchmarkProfile> {
         self.benchmark_names()
             .iter()
             .map(|n| benchmark(n).expect("suite names are all known"))
@@ -179,11 +179,6 @@ fn name_hash(name: &str) -> u64 {
 /// Table II.
 pub mod suites {
     pub use super::{benchmark, Suite};
-
-    /// All four suites in evaluation order.
-    pub fn all() -> [Suite; 4] {
-        Suite::ALL
-    }
 }
 
 /// A named benchmark with deterministic phase behaviour.

@@ -45,7 +45,8 @@ impl Demand {
 
     /// Validates invariants (all fields finite and non-negative, fractions
     /// in range). Used by property tests and debug assertions.
-    pub fn is_valid(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_valid(&self) -> bool {
         let nonneg = [
             self.activity,
             self.activity_osc_amplitude,
@@ -155,7 +156,8 @@ impl BackToBack {
     }
 
     /// The name of the segment active at `t`.
-    pub fn active_segment_name(&self, t: SimTime) -> &str {
+    #[cfg(test)]
+    pub(crate) fn active_segment_name(&self, t: SimTime) -> &str {
         let (i, _) = self.segment_at(t);
         self.segments[i].0.name()
     }

@@ -37,16 +37,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod assignment;
+mod assignment;
 mod bench;
 mod demand;
 mod stress;
-mod trace;
 mod virus;
 
 pub use assignment::AssignmentPolicy;
 pub use bench::{benchmark, suites, BenchmarkProfile, Suite};
 pub use demand::{BackToBack, Demand, Idle, Workload};
 pub use stress::{StressKernel, StressTest};
-pub use trace::TraceWorkload;
 pub use virus::VoltageVirus;

@@ -25,7 +25,7 @@ impl Default for StressTest {
 
 impl StressTest {
     /// Creates the stress mix with a phase-pattern seed.
-    pub fn new(seed: u64) -> StressTest {
+    pub(crate) fn new(seed: u64) -> StressTest {
         StressTest { seed }
     }
 }
@@ -88,7 +88,7 @@ impl StressKernel {
     /// # Panics
     ///
     /// Panics if either period is zero.
-    pub fn new(period_on: SimTime, period_off: SimTime) -> StressKernel {
+    pub(crate) fn new(period_on: SimTime, period_off: SimTime) -> StressKernel {
         assert!(
             period_on > SimTime::ZERO && period_off > SimTime::ZERO,
             "periods must be positive"
@@ -100,7 +100,7 @@ impl StressKernel {
     }
 
     /// Whether the kernel is in its active phase at `t`.
-    pub fn is_active(&self, t: SimTime) -> bool {
+    pub(crate) fn is_active(&self, t: SimTime) -> bool {
         let cycle = self.period_on.as_micros() + self.period_off.as_micros();
         (t.as_micros() % cycle) < self.period_on.as_micros()
     }

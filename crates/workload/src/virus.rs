@@ -58,7 +58,7 @@ impl VirusName {
 }
 
 /// Cycles of the high-power FMA body per loop iteration.
-pub const VIRUS_BODY_CYCLES: u32 = 13;
+pub(crate) const VIRUS_BODY_CYCLES: u32 = 13;
 
 /// Activity during the FMA burst (a power virus exceeds normal full load).
 const ACTIVITY_HIGH: f64 = 1.45;
@@ -76,11 +76,6 @@ impl VoltageVirus {
         }
     }
 
-    /// The NOP count.
-    pub fn nop_count(&self) -> u32 {
-        self.nop_count
-    }
-
     /// Duty cycle of the high-power phase.
     pub fn duty_cycle(&self) -> f64 {
         f64::from(VIRUS_BODY_CYCLES) / f64::from(VIRUS_BODY_CYCLES + self.nop_count)
@@ -93,7 +88,7 @@ impl VoltageVirus {
     }
 
     /// Mean activity over one iteration.
-    pub fn mean_activity(&self) -> f64 {
+    pub(crate) fn mean_activity(&self) -> f64 {
         let d = self.duty_cycle();
         ACTIVITY_HIGH * d + ACTIVITY_LOW * (1.0 - d)
     }
@@ -101,7 +96,7 @@ impl VoltageVirus {
     /// Amplitude of the fundamental of the activity square wave: the
     /// peak-to-mean swing `(high − low)·sin(π·duty)·(2/π)`, which vanishes
     /// for NOP-0 (no low phase) and shrinks as NOPs dominate.
-    pub fn oscillation_amplitude(&self) -> f64 {
+    pub(crate) fn oscillation_amplitude(&self) -> f64 {
         let d = self.duty_cycle();
         (ACTIVITY_HIGH - ACTIVITY_LOW)
             * (std::f64::consts::PI * d).sin()

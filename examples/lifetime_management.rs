@@ -12,7 +12,7 @@
 //! ```
 
 use voltspec::platform::ChipConfig;
-use voltspec::spec::recalibrate::recalibrate;
+use voltspec::spec::recalibrate;
 use voltspec::spec::{measure_line_response, tailor_band, ControllerConfig, SpeculationSystem};
 use voltspec::types::{DomainId, SimTime};
 use voltspec::workload::Suite;

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use voltspec::faults::{FaultPlan, FaultSpec};
-use voltspec::fleet::{replay_journal, FleetConfig, FleetRunner};
+use voltspec::fleet::{load_checkpoint_report, FleetConfig, FleetRunner};
 use voltspec::guard::CancelToken;
 use voltspec::telemetry::{EventFilter, SilentProgress};
 use voltspec::types::{ChipId, FleetSeed, SimTime};
@@ -130,7 +130,7 @@ fn journal_carries_progress_when_the_checkpoint_cannot_be_saved() {
         .unwrap();
     assert!(!first.degradation.checkpoint_failures.is_empty());
     assert!(!broken_ckpt.exists());
-    let replay = replay_journal(&journal, config.fingerprint()).unwrap();
+    let replay = load_checkpoint_report(&journal, config.fingerprint()).unwrap();
     assert_eq!(replay.summaries.len(), 6, "the journal kept every chip");
 
     // Resume replays the journal: nothing is re-simulated. (The startup
