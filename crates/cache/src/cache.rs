@@ -70,12 +70,6 @@ pub struct Cache {
     disabled: Vec<SetWay>,
     /// Monotonic access counter driving LRU stamps.
     tick: u64,
-    /// Fill count (for hit-rate accounting).
-    fills: u64,
-    /// Hit count.
-    hits: u64,
-    /// Miss count.
-    misses: u64,
 }
 
 impl fmt::Debug for Cache {
@@ -101,9 +95,6 @@ impl Cache {
             slots: vec![None; geometry.sets * geometry.ways],
             disabled: Vec::new(),
             tick: 0,
-            fills: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -221,7 +212,6 @@ impl Cache {
         let lru = self.next_tick();
         let idx = self.slot_index(victim);
         self.slots[idx] = Some(LineState { tag, words, lru });
-        self.fills += 1;
         Some(victim)
     }
 
@@ -241,19 +231,11 @@ impl Cache {
         true
     }
 
-    /// Reads the line containing `addr` through the ECC data path,
-    /// recording a hit; returns `None` on a miss.
+    /// Reads the line containing `addr` through the ECC data path;
+    /// returns `None` on a miss.
     pub fn read(&mut self, addr: u64, injector: &mut dyn Injector) -> Option<LineReadResult> {
-        match self.probe(addr) {
-            Some(loc) => {
-                self.hits += 1;
-                Some(self.read_at(loc, injector).expect("probe said resident"))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let loc = self.probe(addr)?;
+        Some(self.read_at(loc, injector).expect("probe said resident"))
     }
 
     /// Reads the line at a specific location through the ECC data path
@@ -388,10 +370,16 @@ mod tests {
     }
 
     #[test]
-    fn miss_returns_none_and_counts() {
+    fn miss_returns_none_until_filled() {
         let mut c = small_cache();
         assert!(c.read(0x100, &mut NoFaults).is_none());
-        assert_eq!((c.hits, c.misses), (0, 1));
+        let loc = c.fill(0x100, &line_data(1)).unwrap();
+        let r = c.read(0x100, &mut NoFaults).expect("a filled line hits");
+        assert_eq!(r.location, loc);
+        assert!(
+            c.read(0x200, &mut NoFaults).is_none(),
+            "other tags still miss"
+        );
     }
 
     #[test]

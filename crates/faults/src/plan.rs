@@ -133,37 +133,18 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
-/// Intensity knobs for `FaultPlan::seeded`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct InjectionProfile {
-    /// Fraction of chips whose worker job panics (and is retried) once.
-    pub panic_fraction: f64,
-    /// Fraction of chips whose worker job panics *more* times than any
-    /// retry budget will absorb (these land in the quarantine bucket).
-    pub doomed_fraction: f64,
-    /// Expected DUE injections per chip.
-    pub dues_per_chip: f64,
-    /// Expected forced core crashes per chip.
-    pub crashes_per_chip: f64,
-    /// Injection window: faults are scheduled uniformly inside
-    /// `[window_start, window_end)`.
-    pub window_start: SimTime,
-    /// End of the injection window.
-    pub window_end: SimTime,
-}
-
-impl Default for InjectionProfile {
-    fn default() -> InjectionProfile {
-        InjectionProfile {
-            panic_fraction: 0.25,
-            doomed_fraction: 0.0,
-            dues_per_chip: 0.5,
-            crashes_per_chip: 0.25,
-            window_start: SimTime::from_millis(100),
-            window_end: SimTime::from_millis(1600),
-        }
-    }
-}
+/// Fraction of chips whose worker job panics (and is retried) once in a
+/// [`FaultPlan::seeded`] population.
+const SEEDED_PANIC_FRACTION: f64 = 0.25;
+/// Expected DUE injections per chip of a seeded population.
+const SEEDED_DUES_PER_CHIP: f64 = 0.5;
+/// Expected forced core crashes per chip of a seeded population.
+const SEEDED_CRASHES_PER_CHIP: f64 = 0.25;
+/// Seeded faults are scheduled uniformly inside
+/// `[SEEDED_WINDOW_START, SEEDED_WINDOW_END)`.
+const SEEDED_WINDOW_START: SimTime = SimTime::from_millis(100);
+/// End of the seeded injection window.
+const SEEDED_WINDOW_END: SimTime = SimTime::from_millis(1600);
 
 /// A deterministic schedule of faults.
 ///
@@ -400,27 +381,26 @@ impl FaultPlan {
     }
 
     /// Draws a plan from a seed: a deterministic population of worker
-    /// panics, DUEs, and forced crashes across `num_chips` chips, shaped
-    /// by `profile`. The same `(seed, num_chips, profile)` always yields
-    /// the same plan.
-    pub(crate) fn seeded(seed: u64, num_chips: u64, profile: InjectionProfile) -> FaultPlan {
+    /// panics, DUEs, and forced crashes across `num_chips` chips. The same
+    /// `(seed, num_chips)` always yields the same plan.
+    pub(crate) fn seeded(seed: u64, num_chips: u64) -> FaultPlan {
         let mut plan = FaultPlan::new();
-        let span = profile
-            .window_end
-            .saturating_sub(profile.window_start)
-            .as_micros()
-            .max(1);
+        let span = SEEDED_WINDOW_END
+            .saturating_sub(SEEDED_WINDOW_START)
+            .as_micros();
         for chip in 0..num_chips {
             let mut rng = CounterRng::from_key(seed, &[0xFA_017, chip]);
-            if rng.next_f64() < profile.doomed_fraction {
-                plan = plan.worker_panic(ChipId(chip), u32::MAX);
-            } else if rng.next_f64() < profile.panic_fraction {
+            // The first draw once picked chips doomed to out-panic any
+            // retry budget; none are, but the draw stays so every seeded
+            // plan keeps its stream.
+            let _ = rng.next_f64();
+            if rng.next_f64() < SEEDED_PANIC_FRACTION {
                 plan = plan.worker_panic(ChipId(chip), 1);
             }
             let mut schedule = |plan: &mut FaultPlan, expected: f64, is_due: bool| {
                 let n = expected.floor() as u64 + u64::from(rng.bernoulli(expected.fract()));
                 for _ in 0..n {
-                    let at = profile.window_start + SimTime::from_micros(rng.next_below(span));
+                    let at = SEEDED_WINDOW_START + SimTime::from_micros(rng.next_below(span));
                     let kind = if is_due {
                         FaultKind::Due {
                             domain: DomainId(0),
@@ -435,8 +415,8 @@ impl FaultPlan {
                     });
                 }
             };
-            schedule(&mut plan, profile.dues_per_chip, true);
-            schedule(&mut plan, profile.crashes_per_chip, false);
+            schedule(&mut plan, SEEDED_DUES_PER_CHIP, true);
+            schedule(&mut plan, SEEDED_CRASHES_PER_CHIP, false);
         }
         plan
     }
@@ -598,11 +578,27 @@ mod tests {
     }
 
     #[test]
+    fn seeded_plan_is_pinned() {
+        // `--inject seeded:42` on a 16-chip fleet: the fixed profile and
+        // the RNG stream behind it must keep drawing exactly this plan.
+        let plan = FaultPlan::seeded(42, 16);
+        assert_eq!(
+            plan.to_spec_string(),
+            "due@1475882us:d0:chip0,due@409679us:d0:chip1,due@1543140us:d0:chip2,\
+             due@196447us:d0:chip3,crash@1344366us:c0:chip4,due@1353914us:d0:chip5,\
+             due@117906us:d0:chip9,due@1542100us:d0:chip10,due@1443057us:d0:chip12,\
+             due@774807us:d0:chip13,crash@746543us:c0:chip15,panic:chip0,panic:chip1,\
+             panic:chip8,panic:chip9,panic:chip11,panic:chip14"
+        );
+        assert_eq!(plan.digest(), 0x4032_c150_1b67_4ad3);
+    }
+
+    #[test]
     fn seeded_is_deterministic_and_profile_shaped() {
-        let a = FaultPlan::seeded(42, 64, InjectionProfile::default());
-        let b = FaultPlan::seeded(42, 64, InjectionProfile::default());
+        let a = FaultPlan::seeded(42, 64);
+        let b = FaultPlan::seeded(42, 64);
         assert_eq!(a, b);
-        assert_ne!(a, FaultPlan::seeded(43, 64, InjectionProfile::default()));
+        assert_ne!(a, FaultPlan::seeded(43, 64));
         // Roughly a quarter of chips panic once.
         let panics = a.worker_panics().len();
         assert!((4..=30).contains(&panics), "got {panics} panics");

@@ -1,8 +1,6 @@
 //! The compact `--inject` command-line grammar.
 
-use crate::plan::{
-    DaemonFaultKind, FaultKind, FaultPlan, FaultTrigger, InjectionProfile, ScheduledFault,
-};
+use crate::plan::{DaemonFaultKind, FaultKind, FaultPlan, FaultTrigger, ScheduledFault};
 use vs_types::{ChipId, CoreId, DomainId, Millivolts, SimTime};
 
 /// A parsed `--inject` specification.
@@ -11,7 +9,7 @@ use vs_types::{ChipId, CoreId, DomainId, Millivolts, SimTime};
 ///
 /// | directive | meaning |
 /// |---|---|
-/// | `seeded:SEED` | a seeded population-wide plan (`FaultPlan::seeded`, default profile) |
+/// | `seeded:SEED` | a seeded population-wide plan (`FaultPlan::seeded`) |
 /// | `panic:chipN` | chip `N`'s worker job panics once (`xM` suffix: `M` times) |
 /// | `hang:chipN` | chip `N`'s worker job hangs once until the watchdog cancels it (`xM` suffix: `M` times) |
 /// | `io-error:N` | the first `N` checkpoint saves fail with an injected I/O error |
@@ -65,7 +63,7 @@ impl FaultSpec {
     /// chips (pass 1 for single-system runs).
     pub fn materialize(&self, num_chips: u64) -> FaultPlan {
         let mut plan = match self.seeded {
-            Some(seed) => FaultPlan::seeded(seed, num_chips, InjectionProfile::default()),
+            Some(seed) => FaultPlan::seeded(seed, num_chips),
             None => FaultPlan::new(),
         };
         for f in self.explicit.events() {
@@ -292,10 +290,7 @@ mod tests {
     #[test]
     fn seeded_spec_scales_with_fleet_size() {
         let spec = FaultSpec::parse("seeded:42").unwrap();
-        assert_eq!(
-            spec.materialize(16),
-            FaultPlan::seeded(42, 16, InjectionProfile::default()),
-        );
+        assert_eq!(spec.materialize(16), FaultPlan::seeded(42, 16),);
         assert_ne!(spec.materialize(16), spec.materialize(32));
         // Explicit directives stack on top of the seeded population.
         let combo = FaultSpec::parse("seeded:42,panic:chip0x9").unwrap();

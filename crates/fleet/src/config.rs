@@ -1,7 +1,6 @@
 //! Fleet configuration: what population to simulate and how.
 
 use vs_faults::FaultPlan;
-use vs_platform::characterize::CharacterizeOptions;
 use vs_platform::ChipConfig;
 use vs_spec::{ControllerConfig, SoftwareConfig};
 use vs_types::rng::splitmix64;
@@ -41,21 +40,18 @@ impl ControllerVariant {
 }
 
 /// How per-core voltage margins are characterized for each die.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarginsMode {
     /// Oracle margins straight from the silicon model
     /// ([`vs_platform::characterize::all_analytic_core_margins`]) —
-    /// milliseconds per die; the fleet default.
+    /// milliseconds per die.
     Analytic,
-    /// Measured margins via the faithful voltage-stepped stress sweeps
-    /// (seconds per core — reserve for small fleets).
-    Measured(CharacterizeOptions),
 }
 
 /// Full description of one fleet experiment.
 ///
 /// A fleet is `num_chips` independent dies. Die `i`'s silicon is derived
-/// purely from `(seed, wafer, i)`; its workloads purely from the
+/// purely from `(seed, i)`; its workloads purely from the
 /// assignment policy and the same key. Nothing depends on worker count or
 /// scheduling, which is what makes fleet results bit-identical under any
 /// sharding (asserted by `tests/determinism.rs`).
@@ -65,11 +61,6 @@ pub struct FleetConfig {
     pub seed: FleetSeed,
     /// Number of chips to simulate.
     pub num_chips: u64,
-    /// Process-variation re-draw generation. Bumping this re-draws every
-    /// die's variation map (a fresh wafer) while keeping chip ids, counts
-    /// and workload policy fixed — the knob population-robustness
-    /// experiments turn.
-    pub wafer: u64,
     /// Template chip configuration; the per-die `seed` field is
     /// overwritten for each chip.
     pub base_chip: ChipConfig,
@@ -104,7 +95,6 @@ impl FleetConfig {
         FleetConfig {
             seed,
             num_chips,
-            wafer: 0,
             base_chip: ChipConfig::low_voltage(0),
             variant: ControllerVariant::Hardware,
             controller: ControllerConfig::default(),
@@ -128,17 +118,9 @@ impl FleetConfig {
         config
     }
 
-    /// The seed the population is actually drawn from: the master seed
-    /// re-keyed by the wafer generation (generation 0 is the master seed
-    /// itself).
+    /// The seed the population is drawn from: the master seed.
     pub fn effective_seed(&self) -> FleetSeed {
-        if self.wafer == 0 {
-            self.seed
-        } else {
-            FleetSeed(splitmix64(
-                self.seed.0 ^ splitmix64(0x57AF_E800 ^ self.wafer),
-            ))
-        }
+        self.seed
     }
 
     /// The die seed of one chip.
@@ -161,7 +143,10 @@ impl FleetConfig {
     pub fn fingerprint(&self) -> u64 {
         let mut h = splitmix64(0xF1EE_F1EE ^ self.seed.0);
         let mut mix = |v: u64| h = splitmix64(h ^ v);
-        mix(self.wafer);
+        // Stored checkpoints and journals carry fingerprints that mixed a
+        // wafer generation (always 0) here and a margins-mode tag (1 for
+        // analytic) below; both constants stay so those files still resume.
+        mix(0);
         mix(self.base_chip.seed); // template seed is ignored per-die
         mix(self.base_chip.num_cores as u64);
         mix(self.base_chip.cores_per_domain as u64);
@@ -179,9 +164,6 @@ impl FleetConfig {
         mix(self.run_duration.as_micros());
         mix(match self.margins {
             MarginsMode::Analytic => 1,
-            MarginsMode::Measured(opts) => {
-                splitmix64(2 ^ opts.window.as_micros() ^ (opts.step.0 as u64) << 32)
-            }
         });
         mix(self
             .assignment
@@ -267,30 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn wafer_redraw_changes_every_die_but_generation_zero_is_master() {
-        let base = FleetConfig::new(FleetSeed(5), 8);
-        let redrawn = FleetConfig {
-            wafer: 1,
-            ..FleetConfig::new(FleetSeed(5), 8)
-        };
-        assert_eq!(base.effective_seed(), FleetSeed(5));
-        for i in 0..8 {
-            assert_ne!(base.die_seed(ChipId(i)), redrawn.die_seed(ChipId(i)));
-        }
-    }
-
-    #[test]
     fn fingerprint_tracks_result_relevant_fields() {
         let a = FleetConfig::new(FleetSeed(5), 8);
         let same = FleetConfig::new(FleetSeed(5), 8);
         assert_eq!(a.fingerprint(), same.fingerprint());
         let other_seed = FleetConfig::new(FleetSeed(6), 8);
         assert_ne!(a.fingerprint(), other_seed.fingerprint());
-        let other_wafer = FleetConfig {
-            wafer: 3,
-            ..FleetConfig::new(FleetSeed(5), 8)
-        };
-        assert_ne!(a.fingerprint(), other_wafer.fingerprint());
         let other_variant = FleetConfig {
             variant: ControllerVariant::Software,
             ..FleetConfig::new(FleetSeed(5), 8)
@@ -312,6 +276,20 @@ mod tests {
             ..FleetConfig::new(FleetSeed(5), 8)
         };
         assert_eq!(a.fingerprint(), empty_plan.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Stored checkpoints and journals are keyed by these values.
+        assert_eq!(
+            FleetConfig::new(FleetSeed(5), 8).fingerprint(),
+            0xf6ad_9196_538e_c60f
+        );
+        let sw = FleetConfig {
+            variant: ControllerVariant::Software,
+            ..FleetConfig::small(FleetSeed(2014), 4)
+        };
+        assert_eq!(sw.fingerprint(), 0x4ae4_095f_1fb5_0f37);
     }
 
     #[test]

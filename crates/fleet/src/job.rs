@@ -10,12 +10,12 @@ use crate::config::{ControllerVariant, FleetConfig, MarginsMode};
 use crate::summary::{ChipSummary, CoreMarginSummary};
 use vs_guard::CancelToken;
 use vs_obs::span::{batch_span, chip_span, lane_of, lane_span};
-use vs_platform::characterize::{all_analytic_core_margins, all_core_margins};
+use vs_platform::characterize::all_analytic_core_margins;
 use vs_platform::{BankMap, Chip, ChipConfig};
-use vs_spec::{SoftwareSpeculation, SpecRun, SpeculationSystem};
+use vs_spec::{RunStats, SpecRun, SpeculationSystem, Testbed};
 use vs_telemetry::{EventCategory, EventFilter, Recorder, SpanLevel, TelemetryEvent};
 use vs_types::rng::CounterRng;
-use vs_types::{CacheKind, ChipId, CoreId, Millivolts};
+use vs_types::{ChipId, CoreId};
 
 /// Stream id of the per-chip workload-assignment RNG (domain-separated
 /// from every other [`FleetSeed::chip_rng`](vs_types::FleetSeed::chip_rng)
@@ -86,31 +86,46 @@ pub(crate) fn simulate_chip_guarded(
         events.push(TelemetryEvent::JobStarted { chip });
     }
 
-    let out = match config.variant {
-        ControllerVariant::Hardware => run_hardware(
-            config,
-            chip,
-            &chip_config,
-            &banks,
-            filter,
-            &mut events,
-            cancel,
-            &mut beat,
-        )?,
+    // The die and its workloads, on which the variant and the
+    // fixed-nominal baseline both run.
+    let bed = Testbed::new(chip_config.clone(), config.run_duration, |target| {
+        assign_workloads(config, chip, target)
+    })
+    .with_banks(&banks);
+    let (stats, energy_savings, sw_overhead) = match config.variant {
+        ControllerVariant::Hardware => {
+            let stats = run_hardware(
+                config,
+                chip,
+                &chip_config,
+                &banks,
+                filter,
+                &mut events,
+                cancel,
+                &mut beat,
+            )?;
+            let saved = saved_fraction(stats.core_rail_energy_j, &bed.nominal());
+            (stats, saved, 0.0)
+        }
         // The firmware and no-speculation baselines run monolithically
         // (no slice loop to poll inside); the entry check above still
         // bounds how late a cancelled claim can start.
-        ControllerVariant::Software => run_software(config, chip, &chip_config, &banks),
-        ControllerVariant::Baseline => run_baseline_only(config, chip, &chip_config, &banks),
+        ControllerVariant::Software => {
+            let fw = bed.firmware(config.software);
+            let saved = saved_fraction(fw.rail_energy_j(), &bed.nominal());
+            (fw.stats, saved, fw.overhead_fraction)
+        }
+        ControllerVariant::Baseline => (bed.nominal(), 0.0, 0.0),
     };
+    let crashes = stats.crashed_cores.len() as u64;
 
     if filter.accepts(EventCategory::Fleet) {
         events.push(TelemetryEvent::JobFinished {
             chip,
             sim_time: config.run_duration,
-            correctable: out.correctable,
-            emergencies: out.emergencies,
-            crashes: out.crashes,
+            correctable: stats.correctable,
+            emergencies: stats.emergencies,
+            crashes,
         });
     }
     if spans {
@@ -126,15 +141,15 @@ pub(crate) fn simulate_chip_guarded(
         chip,
         die_seed,
         margins,
-        mean_vdd_mv: out.mean_vdd_mv,
-        vdd_reduction: out.vdd_reduction,
-        energy_savings: out.energy_savings,
-        correctable: out.correctable,
-        emergencies: out.emergencies,
-        crashes: out.crashes,
-        sw_overhead: out.sw_overhead,
-        dues: out.dues,
-        rollbacks: out.rollbacks,
+        vdd_reduction: SpeculationSystem::voltage_reduction(&stats, chip_config.mode.nominal_vdd()),
+        mean_vdd_mv: stats.mean_vdd_mv,
+        energy_savings,
+        correctable: stats.correctable,
+        emergencies: stats.emergencies,
+        crashes,
+        sw_overhead,
+        dues: stats.dues_consumed,
+        rollbacks: stats.crash_rollbacks,
     };
     Some((summary, events))
 }
@@ -150,9 +165,8 @@ fn characterize(
     chip_config: &ChipConfig,
 ) -> (Vec<CoreMarginSummary>, BankMap) {
     let mut scratch = Chip::new(chip_config.clone());
-    let measured = match &config.margins {
+    let measured = match config.margins {
         MarginsMode::Analytic => all_analytic_core_margins(&mut scratch),
-        MarginsMode::Measured(opts) => all_core_margins(&mut scratch, opts),
     };
     let margins = measured
         .into_iter()
@@ -181,37 +195,8 @@ fn assign_workloads(config: &FleetConfig, chip: ChipId, target: &mut Chip) {
     }
 }
 
-/// What one controller variant's run produced, before packaging into a
-/// [`ChipSummary`].
-struct RunOutcome {
-    mean_vdd_mv: Vec<f64>,
-    vdd_reduction: Vec<f64>,
-    energy_savings: f64,
-    correctable: u64,
-    emergencies: u64,
-    crashes: u64,
-    sw_overhead: f64,
-    dues: u64,
-    rollbacks: u64,
-}
-
-/// Runs the fixed-nominal baseline on fresh silicon with the same
-/// workloads; returns its core-rail energy (the savings denominator).
-fn baseline_rail_energy(
-    config: &FleetConfig,
-    chip: ChipId,
-    chip_config: &ChipConfig,
-    banks: &BankMap,
-) -> f64 {
-    let mut sys = SpeculationSystem::new(chip_config.clone(), config.controller);
-    sys.chip_mut().preload_banks(banks);
-    assign_workloads(config, chip, sys.chip_mut());
-    let base = sys.run_baseline(config.run_duration);
-    base.core_rail_energy_j
-}
-
-/// The paper's hardware controller (§III), normalized against the
-/// fixed-nominal baseline.
+/// The paper's hardware controller (§III), run in slices under the job's
+/// supervision and telemetry.
 #[allow(clippy::too_many_arguments)]
 fn run_hardware(
     config: &FleetConfig,
@@ -222,7 +207,7 @@ fn run_hardware(
     events: &mut Vec<TelemetryEvent>,
     cancel: &CancelToken,
     beat: &mut dyn FnMut(),
-) -> Option<RunOutcome> {
+) -> Option<RunStats> {
     let mut sys = SpeculationSystem::new(chip_config.clone(), config.controller);
     sys.chip_mut().preload_banks(banks);
     if !filter.is_empty() {
@@ -275,114 +260,16 @@ fn run_hardware(
     }
     let stats = session.finish(&sys);
     events.extend(sys.take_events());
-
-    let nominal = sys.chip().mode().nominal_vdd();
-    let reduction = SpeculationSystem::voltage_reduction(&stats, nominal);
-    let base_energy = baseline_rail_energy(config, chip, chip_config, banks);
-    let savings = if base_energy > 0.0 {
-        1.0 - stats.core_rail_energy_j / base_energy
-    } else {
-        0.0
-    };
-    Some(RunOutcome {
-        mean_vdd_mv: stats.mean_vdd_mv,
-        vdd_reduction: reduction,
-        energy_savings: savings,
-        correctable: stats.correctable,
-        emergencies: stats.emergencies,
-        crashes: stats.crashed_cores.len() as u64,
-        sw_overhead: 0.0,
-        dues: stats.dues_consumed,
-        rollbacks: stats.crash_rollbacks,
-    })
+    Some(stats)
 }
 
-/// The firmware-speculation baseline (§V-F): workload-triggered errors
-/// only, guard margin above the off-line onsets, per-error handling stall.
-fn run_software(
-    config: &FleetConfig,
-    chip: ChipId,
-    chip_config: &ChipConfig,
-    banks: &BankMap,
-) -> RunOutcome {
-    let mut die = Chip::new(chip_config.clone());
-    die.preload_banks(banks);
-    assign_workloads(config, chip, &mut die);
-
-    // The off-line calibration the prior-work system ran at boot: the
-    // highest weak-line critical voltage per domain (oracle form).
-    let n_domains = chip_config.num_domains();
-    let mut onsets = vec![f64::NEG_INFINITY; n_domains];
-    for core in 0..chip_config.num_cores {
-        let d = chip_config.domain_of(CoreId(core)).0;
-        for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-            onsets[d] = onsets[d].max(die.weak_table(CoreId(core), kind).first_error_voltage_mv());
-        }
-    }
-    let onsets: Vec<Millivolts> = onsets
-        .into_iter()
-        .map(|v| Millivolts(v.ceil() as i32))
-        .collect();
-
-    let rail_before = die.core_rail_energy().total().0;
-    let mut sw = SoftwareSpeculation::new(config.software, &onsets);
-    let (mean_vdd_mv, _) = sw.run(&mut die, config.run_duration);
-    let rail_energy = die.core_rail_energy().total().0 - rail_before;
-    let overhead = sw.overhead_fraction(config.run_duration);
-
-    let nominal = f64::from(die.mode().nominal_vdd().0);
-    let reduction: Vec<f64> = mean_vdd_mv.iter().map(|v| 1.0 - v / nominal).collect();
-
-    // Firmware stall burns energy at the run's mean rail power: the
-    // effective energy is the measured rail energy scaled by the stall
-    // fraction (the software_energy_j model applied to the whole rail).
-    let effective = rail_energy * (1.0 + overhead);
-    let base_energy = baseline_rail_energy(config, chip, chip_config, banks);
-    let savings = if base_energy > 0.0 {
-        1.0 - effective / base_energy
+/// The fraction of the fixed-nominal run's core-rail energy that a run
+/// using `rail_energy_j` saved.
+fn saved_fraction(rail_energy_j: f64, nominal: &RunStats) -> f64 {
+    if nominal.core_rail_energy_j > 0.0 {
+        1.0 - rail_energy_j / nominal.core_rail_energy_j
     } else {
         0.0
-    };
-
-    let crashes = (0..chip_config.num_cores)
-        .filter(|i| die.crash_info(CoreId(*i)).is_some())
-        .count() as u64;
-    let correctable = die.log().correctable_count();
-    RunOutcome {
-        mean_vdd_mv,
-        vdd_reduction: reduction,
-        energy_savings: savings,
-        correctable,
-        emergencies: 0,
-        crashes,
-        sw_overhead: overhead,
-        dues: 0,
-        rollbacks: 0,
-    }
-}
-
-/// No speculation at all: the fleet-wide energy/Vdd denominator.
-fn run_baseline_only(
-    config: &FleetConfig,
-    chip: ChipId,
-    chip_config: &ChipConfig,
-    banks: &BankMap,
-) -> RunOutcome {
-    let mut sys = SpeculationSystem::new(chip_config.clone(), config.controller);
-    sys.chip_mut().preload_banks(banks);
-    assign_workloads(config, chip, sys.chip_mut());
-    let stats = sys.run_baseline(config.run_duration);
-    let n_domains = chip_config.num_domains();
-    RunOutcome {
-        mean_vdd_mv: stats.mean_vdd_mv,
-        vdd_reduction: vec![0.0; n_domains],
-        energy_savings: 0.0,
-        correctable: stats.correctable,
-        emergencies: stats.emergencies,
-        crashes: stats.crashed_cores.len() as u64,
-        sw_overhead: 0.0,
-        dues: 0,
-        rollbacks: 0,
     }
 }
 
@@ -436,6 +323,28 @@ mod tests {
             "firmware is structurally more conservative: sw {} vs hw {}",
             sw.mean_reduction(),
             hw.mean_reduction()
+        );
+    }
+
+    #[test]
+    fn software_variant_is_the_shared_firmware_arm_against_the_shared_nominal_run() {
+        let config = small(ControllerVariant::Software);
+        let id = ChipId(2);
+        let summary = simulate_chip(&config, id);
+        // The shared arms on the bare die: no banks carried over from
+        // characterization, the policy's workloads.
+        let bed = Testbed::new(config.chip_config(id), config.run_duration, |target| {
+            assign_workloads(&config, id, target)
+        });
+        let fw = bed.firmware(config.software);
+        let nominal = bed.nominal();
+        assert_eq!(summary.mean_vdd_mv, fw.stats.mean_vdd_mv);
+        assert_eq!(summary.correctable, fw.stats.correctable);
+        assert_eq!(summary.crashes, fw.stats.crashed_cores.len() as u64);
+        assert_eq!(summary.sw_overhead, fw.overhead_fraction);
+        assert_eq!(
+            summary.energy_savings,
+            1.0 - fw.rail_energy_j() / nominal.core_rail_energy_j
         );
     }
 

@@ -16,7 +16,6 @@ pub struct VoltageRegulator {
     min: Millivolts,
     max: Millivolts,
     step: Millivolts,
-    adjustments: u64,
 }
 
 impl VoltageRegulator {
@@ -40,7 +39,6 @@ impl VoltageRegulator {
             min,
             max,
             step: Self::DEFAULT_STEP,
-            adjustments: 0,
         }
     }
 
@@ -81,7 +79,6 @@ impl VoltageRegulator {
     pub(crate) fn tick(&mut self) -> bool {
         if self.pending != self.output {
             self.output = self.pending;
-            self.adjustments += 1;
             true
         } else {
             false
@@ -149,14 +146,18 @@ mod tests {
     }
 
     #[test]
-    fn adjustment_counter() {
+    fn tick_reports_whether_the_output_moved() {
         let mut r = vr();
         r.step_down();
-        r.tick();
+        assert!(r.tick());
         r.step_down();
-        r.tick();
-        r.tick();
-        assert_eq!(r.adjustments, 2);
+        assert_eq!(r.pending(), Millivolts(790));
+        assert!(r.tick());
+        assert!(!r.tick(), "a settled regulator does not move");
+        assert_eq!(
+            (r.output(), r.pending()),
+            (Millivolts(790), Millivolts(790))
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! [`SpeculationSystem::step`] and closes the shared thermal loop.
 
 use crate::system::{RunStats, SpeculationSystem};
+use crate::tally::RunTally;
 use crate::{CalibrationPlan, ControllerConfig};
 use std::fmt;
 use vs_platform::ChipConfig;
@@ -126,40 +127,18 @@ impl BladeServer {
             "sockets must share a tick length"
         );
         let ticks = (duration.as_micros() / tick.as_micros()).max(1);
-
-        let n = self.sockets.len();
-        let mut vdd_sums: Vec<Vec<f64>> = self
+        let mut runs: Vec<_> = self
             .sockets
             .iter()
-            .map(|s| vec![0.0; s.chip().config().num_domains()])
+            .map(|s| (RunTally::start(s.chip()), s.recovery_mark()))
             .collect();
         let mut power_sum = 0.0;
-        let mut emergencies = vec![0u64; n];
-        let energy_before: Vec<f64> = self
-            .sockets
-            .iter()
-            .map(|s| s.chip().energy().total().0)
-            .collect();
-        let rail_before: Vec<f64> = self
-            .sockets
-            .iter()
-            .map(|s| s.chip().core_rail_energy().total().0)
-            .collect();
-        let ce_before: Vec<u64> = self
-            .sockets
-            .iter()
-            .map(|s| s.chip().log().correctable_count())
-            .collect();
-
         for _ in 0..ticks {
             let mut blade_power = 0.0;
-            for (i, socket) in self.sockets.iter_mut().enumerate() {
+            for (socket, (tally, _)) in self.sockets.iter_mut().zip(&mut runs) {
                 let report = socket.step();
                 blade_power += report.power.0;
-                emergencies[i] += report.emergencies;
-                for (d, sum) in vdd_sums[i].iter_mut().enumerate() {
-                    *sum += f64::from(socket.chip().domain_set_point(vs_types::DomainId(d)).0);
-                }
+                tally.record(socket.chip(), report.power, report.emergencies);
             }
             power_sum += blade_power;
             // Shared enclosure: both sockets see the blade's temperature.
@@ -173,27 +152,8 @@ impl BladeServer {
         let sockets = self
             .sockets
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let chip = s.chip();
-                RunStats {
-                    duration,
-                    mean_vdd_mv: vdd_sums[i].iter().map(|v| v / ticks as f64).collect(),
-                    mean_power_w: 0.0,
-                    energy_j: chip.energy().total().0 - energy_before[i],
-                    core_rail_energy_j: chip.core_rail_energy().total().0 - rail_before[i],
-                    correctable: chip.log().correctable_count() - ce_before[i],
-                    emergencies: emergencies[i],
-                    crashed_cores: (0..chip.config().num_cores)
-                        .filter(|c| chip.crash_info(vs_types::CoreId(*c)).is_some())
-                        .collect(),
-                    dues_consumed: s.dues_consumed(),
-                    crash_rollbacks: s.crash_rollbacks(),
-                    recovery_time: s.recovery_time(),
-                    quarantined_domains: s.quarantined_domains(),
-                    trace: Vec::new(),
-                }
-            })
+            .zip(runs)
+            .map(|(s, (tally, mark))| s.close_run(tally, mark, duration))
             .collect();
 
         BladeRunStats {

@@ -115,9 +115,6 @@ pub struct DomainController {
     monitor: EccMonitor,
     config: ControllerConfig,
     last_reading: f64,
-    emergencies: u64,
-    adjustments_up: u64,
-    adjustments_down: u64,
     stuck_rate: Option<f64>,
 }
 
@@ -141,9 +138,6 @@ impl DomainController {
             monitor,
             config,
             last_reading: 0.0,
-            emergencies: 0,
-            adjustments_up: 0,
-            adjustments_down: 0,
             stuck_rate: None,
         }
     }
@@ -214,7 +208,6 @@ impl DomainController {
     fn emergency(&mut self, chip: &mut Chip, rate: f64) {
         chip.domain_regulator_mut(self.domain)
             .step_up_by(self.config.emergency_steps);
-        self.emergencies += 1;
         self.last_reading = rate;
         self.monitor.reset_counters();
     }
@@ -231,15 +224,12 @@ impl DomainController {
         if rate >= self.config.emergency_ceiling {
             chip.domain_regulator_mut(self.domain)
                 .step_up_by(self.config.emergency_steps);
-            self.emergencies += 1;
             ControlAction::Emergency { rate }
         } else if rate > self.config.ceiling {
             chip.domain_regulator_mut(self.domain).step_up();
-            self.adjustments_up += 1;
             ControlAction::SteppedUp { rate }
         } else if rate < self.config.floor {
             chip.domain_regulator_mut(self.domain).step_down();
-            self.adjustments_down += 1;
             ControlAction::SteppedDown { rate }
         } else {
             ControlAction::Held { rate }
@@ -331,12 +321,13 @@ mod tests {
         ctrl.on_tick(&mut chip);
         let action = ctrl.on_control_period(&mut chip);
         assert!(matches!(action, ControlAction::SteppedDown { rate } if rate == 0.0));
+        assert_eq!(
+            chip.domain_regulator_mut(DomainId(0)).pending(),
+            before - Millivolts(5),
+            "exactly one step down is pending"
+        );
         chip.tick();
         assert_eq!(chip.domain_set_point(DomainId(0)), before - Millivolts(5));
-        assert_eq!(
-            (ctrl.adjustments_up, ctrl.adjustments_down, ctrl.emergencies),
-            (0, 1, 0)
-        );
     }
 
     #[test]
@@ -414,6 +405,11 @@ mod tests {
             before + Millivolts(25),
             "emergency bump is emergency_steps x 5 mV"
         );
-        assert_eq!(ctrl.emergencies, 1);
+        assert!(ctrl.last_reading() >= ControllerConfig::default().emergency_ceiling);
+        assert_eq!(
+            ctrl.monitor().access_count(),
+            0,
+            "the interrupt resets the window"
+        );
     }
 }

@@ -23,6 +23,8 @@
 //! systems, while ECC feedback rides directly on the structure that fails
 //! first.
 
+use crate::system::RunStats;
+use crate::tally::run_periodic;
 use vs_platform::Chip;
 use vs_types::rng::CounterRng;
 use vs_types::{DomainId, Millivolts, SimTime};
@@ -148,50 +150,18 @@ impl CpmSpeculation {
         }
     }
 
-    /// Runs the CPM system for `duration`; returns the mean set point per
-    /// domain.
-    pub(crate) fn run(&mut self, chip: &mut Chip, duration: SimTime) -> Vec<f64> {
-        let tick = chip.config().tick;
-        let ticks = (duration.as_micros() / tick.as_micros()).max(1);
-        let period_ticks = (self.config.control_period.as_micros() / tick.as_micros()).max(1);
-        let n = self.domains.len();
-        let mut sums = vec![0.0f64; n];
-        for t in 0..ticks {
-            chip.tick();
-            for (d, sum) in sums.iter_mut().enumerate() {
-                *sum += f64::from(chip.domain_set_point(DomainId(d)).0);
-            }
-            if (t + 1) % period_ticks == 0 {
-                self.on_control_period(chip);
-            }
-        }
-        sums.into_iter().map(|s| s / ticks as f64).collect()
-    }
-}
-
-/// Convenience: the off-line SRAM onsets of a chip, per domain (shared
-/// with the software baseline).
-pub(crate) fn offline_onsets(chip: &mut Chip) -> Vec<Millivolts> {
-    (0..chip.config().num_domains())
-        .map(|d| {
-            let cores = chip.config().cores_in_domain(DomainId(d));
-            let mut vc = f64::NEG_INFINITY;
-            for core in cores {
-                for kind in [
-                    vs_types::CacheKind::L2Data,
-                    vs_types::CacheKind::L2Instruction,
-                ] {
-                    vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
-                }
-            }
-            Millivolts(vc.ceil() as i32)
+    /// Runs the CPM system for `duration`.
+    pub(crate) fn run(&mut self, chip: &mut Chip, duration: SimTime) -> RunStats {
+        run_periodic(chip, duration, self.config.control_period, |chip| {
+            self.on_control_period(chip)
         })
-        .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::software::offline_onsets;
     use vs_platform::ChipConfig;
     use vs_types::CoreId;
     use vs_workload::StressTest;
@@ -224,15 +194,15 @@ mod tests {
         let onsets = offline_onsets(&mut c);
         let mut cpm = CpmSpeculation::new(CpmConfig::default(), &mut c, &onsets);
         c.set_workload(CoreId(0), Box::new(StressTest::default()));
-        let means = cpm.run(&mut c, SimTime::from_secs(30));
-        assert!(!c.any_crashed());
+        let stats = cpm.run(&mut c, SimTime::from_secs(30));
+        assert!(stats.is_safe());
         let final_v = c.domain_set_point(DomainId(0));
         let floor = cpm.domain_floor(DomainId(0));
         assert!(
             final_v >= floor && final_v < floor + Millivolts(10),
             "CPM must park just above its floor: {final_v} vs {floor}"
         );
-        assert!(means[0] > f64::from(final_v.0));
+        assert!(stats.mean_vdd_mv[0] > f64::from(final_v.0));
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //!   fixed band.
 
 use crate::calibrate::CalibrationPlan;
-use crate::cpm::{offline_onsets, CpmConfig, CpmSpeculation};
-use crate::software::{SoftwareConfig, SoftwareSpeculation};
-use crate::system::SpeculationSystem;
+use crate::software::SoftwareConfig;
+use crate::system::{RunStats, SpeculationSystem};
+use crate::testbed::Testbed;
 use crate::tuning::{measure_line_response, tailor_band};
 use crate::ControllerConfig;
 use vs_platform::{Chip, ChipConfig};
-use vs_types::{CoreId, SimTime};
+use vs_types::SimTime;
 use vs_workload::Suite;
 
 /// Results of one guidance mechanism on one workload.
@@ -40,12 +40,6 @@ fn chip_config(seed: u64) -> ChipConfig {
     ChipConfig::low_voltage(seed)
 }
 
-fn assign_suite(chip: &mut Chip, suite: Suite, per_benchmark: SimTime) {
-    for i in 0..chip.config().num_cores {
-        chip.set_workload(CoreId(i), Box::new(suite.back_to_back(per_benchmark)));
-    }
-}
-
 /// Runs all four mechanisms (static nominal, CPM, software, ECC hardware)
 /// on the same die and workload; returns the results, static first.
 pub fn mechanism_comparison(
@@ -54,75 +48,22 @@ pub fn mechanism_comparison(
     per_benchmark: SimTime,
     duration: SimTime,
 ) -> Vec<MechanismResult> {
-    let mut results = Vec::new();
-
-    // Static nominal (the reference).
-    {
-        let mut sys = SpeculationSystem::builder(chip_config(seed))
-            .build()
-            .expect("reference config is valid");
-        sys.assign_suite(suite, per_benchmark);
-        let stats = sys.run_baseline(duration);
-        results.push(MechanismResult {
-            mechanism: "static".into(),
-            mean_vdd_mv: stats.mean_vdd_mv,
-            energy_j: stats.core_rail_energy_j,
-            safe: stats.crashed_cores.is_empty(),
-        });
-    }
-
-    // CPM baseline.
-    {
-        let mut chip = Chip::new(chip_config(seed));
-        let onsets = offline_onsets(&mut chip);
-        let mut cpm = CpmSpeculation::new(CpmConfig::default(), &mut chip, &onsets);
-        assign_suite(&mut chip, suite, per_benchmark);
-        let before = chip.core_rail_energy().total();
-        let means = cpm.run(&mut chip, duration);
-        results.push(MechanismResult {
-            mechanism: "cpm".into(),
-            mean_vdd_mv: means,
-            energy_j: (chip.core_rail_energy().total() - before).0,
-            safe: !chip.any_crashed(),
-        });
-    }
-
-    // Software (prior-work) baseline, including its stall-energy penalty.
-    {
-        let mut chip = Chip::new(chip_config(seed));
-        let onsets = offline_onsets(&mut chip);
-        let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &onsets);
-        assign_suite(&mut chip, suite, per_benchmark);
-        let before = chip.core_rail_energy().total();
-        let (means, overhead) = sw.run(&mut chip, duration);
-        let energy = (chip.core_rail_energy().total() - before).0;
-        let mean_power = energy / duration.as_secs_f64();
-        results.push(MechanismResult {
-            mechanism: "software".into(),
-            mean_vdd_mv: means,
-            energy_j: energy + mean_power * overhead.as_secs_f64(),
-            safe: !chip.any_crashed(),
-        });
-    }
-
-    // The paper's hardware ECC-monitor system.
-    {
-        let mut sys = SpeculationSystem::builder(chip_config(seed))
-            .build()
-            .expect("reference config is valid");
-        sys.calibrate_with(&CalibrationPlan::fast());
-        sys.assign_suite(suite, per_benchmark);
-        let stats = sys.run(duration);
-        let safe = stats.is_safe();
-        results.push(MechanismResult {
-            mechanism: "ecc-hw".into(),
-            mean_vdd_mv: stats.mean_vdd_mv,
-            energy_j: stats.core_rail_energy_j,
-            safe,
-        });
-    }
-
-    results
+    let bed = Testbed::suite(seed, suite, per_benchmark, duration);
+    let result = |mechanism: &str, stats: &RunStats, energy_j: f64| MechanismResult {
+        mechanism: mechanism.into(),
+        mean_vdd_mv: stats.mean_vdd_mv.clone(),
+        energy_j,
+        safe: stats.is_safe(),
+    };
+    let (nominal, cpm, hw) = (bed.nominal(), bed.cpm(), bed.hardware());
+    let sw = bed.firmware(SoftwareConfig::default());
+    vec![
+        result("static", &nominal, nominal.core_rail_energy_j),
+        result("cpm", &cpm, cpm.core_rail_energy_j),
+        // The software baseline pays its firmware stall in energy.
+        result("software", &sw.stats, sw.rail_energy_j()),
+        result("ecc-hw", &hw, hw.core_rail_energy_j),
+    ]
 }
 
 /// One domain's fixed-band vs tailored-band comparison.
@@ -190,6 +131,20 @@ pub fn tailoring_comparison(seed: u64, margin_mv: f64, duration: SimTime) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::power::{hw_vs_sw_energy, SuiteRunOptions};
+
+    #[test]
+    fn figure_17_and_the_mechanism_table_share_one_reference() {
+        let opts = SuiteRunOptions::fast();
+        let fig17 = hw_vs_sw_energy(5, Suite::CoreMark, &opts);
+        let table = mechanism_comparison(5, Suite::CoreMark, opts.per_benchmark, opts.duration);
+        let energy = |m: &str| table.iter().find(|r| r.mechanism == m).unwrap().energy_j;
+        assert_eq!(fig17.hardware_relative, energy("ecc-hw") / energy("static"));
+        assert_eq!(
+            fig17.software_relative,
+            energy("software") / energy("static")
+        );
+    }
 
     #[test]
     fn mechanisms_rank_as_expected() {

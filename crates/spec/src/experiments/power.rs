@@ -1,10 +1,9 @@
 //! Power and energy experiments (Figures 10, 11, 17, 18).
 
-use crate::calibrate::CalibrationPlan;
-use crate::software::{software_energy_j, SoftwareConfig, SoftwareSpeculation};
-use crate::system::SpeculationSystem;
+use crate::software::{stall_energy_j, stall_fraction, SoftwareConfig};
+use crate::testbed::Testbed;
 use vs_platform::{Chip, ChipConfig};
-use vs_types::{CoreId, DomainId, Millivolts, SimTime};
+use vs_types::{CoreId, Millivolts, SimTime};
 use vs_workload::{StressTest, Suite};
 
 /// Result of one suite run under hardware speculation (Figures 10/11).
@@ -54,29 +53,22 @@ impl SuiteRunOptions {
             duration: SimTime::from_secs(10),
         }
     }
+
+    /// The reference die running `suite` under these options.
+    fn testbed(&self, seed: u64, suite: Suite) -> Testbed<'static> {
+        Testbed::suite(seed, suite, self.per_benchmark, self.duration)
+    }
 }
 
 /// Runs one suite under hardware speculation and under the fixed-nominal
 /// baseline, returning the comparison (one bar group of Figures 10/11).
 pub fn suite_power(seed: u64, suite: Suite, opts: &SuiteRunOptions) -> SuitePowerResult {
-    // Speculated run.
-    let mut sys = SpeculationSystem::builder(ChipConfig::low_voltage(seed))
-        .build()
-        .expect("reference config is valid");
-    sys.calibrate_with(&CalibrationPlan::fast());
-    sys.assign_suite(suite, opts.per_benchmark);
-    let spec = sys.run(opts.duration);
-
-    // Baseline run on identical silicon and workload.
-    let mut base_sys = SpeculationSystem::builder(ChipConfig::low_voltage(seed))
-        .build()
-        .expect("reference config is valid");
-    base_sys.assign_suite(suite, opts.per_benchmark);
-    let base = base_sys.run_baseline(opts.duration);
-
-    let cores_per_domain = sys.chip().config().cores_per_domain;
-    let per_core_vdd_mv: Vec<f64> = (0..sys.chip().config().num_cores)
-        .map(|c| spec.mean_vdd_mv[c / cores_per_domain])
+    let bed = opts.testbed(seed, suite);
+    let spec = bed.hardware();
+    let base = bed.nominal();
+    let config = bed.chip_config();
+    let per_core_vdd_mv: Vec<f64> = (0..config.num_cores)
+        .map(|c| spec.mean_vdd_mv[c / config.cores_per_domain])
         .collect();
 
     SuitePowerResult {
@@ -111,50 +103,17 @@ pub struct EnergyComparison {
     pub software_relative: f64,
 }
 
-/// Compares hardware and software speculation on one suite (Figure 17).
+/// Compares hardware and software speculation on one suite (Figure 17):
+/// both normalized against one fixed-nominal run on the same die and
+/// workload.
 pub fn hw_vs_sw_energy(seed: u64, suite: Suite, opts: &SuiteRunOptions) -> EnergyComparison {
-    let hw = suite_power(seed, suite, opts);
-
-    // Software baseline run: same silicon, same workload.
-    let mut chip = Chip::new(ChipConfig::low_voltage(seed));
-    let onsets: Vec<Millivolts> = (0..chip.config().num_domains())
-        .map(|d| {
-            let cores = chip.config().cores_in_domain(DomainId(d));
-            let mut vc = f64::NEG_INFINITY;
-            for core in cores {
-                for kind in [
-                    vs_types::CacheKind::L2Data,
-                    vs_types::CacheKind::L2Instruction,
-                ] {
-                    vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
-                }
-            }
-            Millivolts(vc.ceil() as i32)
-        })
-        .collect();
-    let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &onsets);
-    for i in 0..chip.config().num_cores {
-        chip.set_workload(CoreId(i), Box::new(suite.back_to_back(opts.per_benchmark)));
-    }
-    let energy_before = chip.core_rail_energy().total();
-    let (_means, overhead) = sw.run(&mut chip, opts.duration);
-    let sw_energy = (chip.core_rail_energy().total() - energy_before).0;
-    // Firmware stall time extends the run: the stalled cores keep burning
-    // their current power while handling errors.
-    let mean_power = sw_energy / opts.duration.as_secs_f64();
-    let sw_total = sw_energy + mean_power * overhead.as_secs_f64();
-
-    // Baseline for normalization.
-    let mut base_sys = SpeculationSystem::builder(ChipConfig::low_voltage(seed))
-        .build()
-        .expect("reference config is valid");
-    base_sys.assign_suite(suite, opts.per_benchmark);
-    let base = base_sys.run_baseline(opts.duration);
-
+    let bed = opts.testbed(seed, suite);
+    let base = bed.nominal();
+    let sw = bed.firmware(SoftwareConfig::default());
     EnergyComparison {
         suite,
-        hardware_relative: hw.relative_energy,
-        software_relative: sw_total / base.core_rail_energy_j,
+        hardware_relative: bed.hardware().core_rail_energy_j / base.core_rail_energy_j,
+        software_relative: sw.rail_energy_j() / base.core_rail_energy_j,
     }
 }
 
@@ -236,11 +195,11 @@ pub fn energy_vs_vdd(
             break;
         }
         let errors = chip.log().correctable_count() - before_ce;
-        let mean_power = energy / window.as_secs_f64();
+        let sw_energy = stall_energy_j(energy, stall_fraction(sw_cfg.stall(errors), window));
         points.push(EnergyVsVddPoint {
             vdd: v,
             hardware_relative: energy / reference,
-            software_relative: software_energy_j(mean_power, window, errors, &sw_cfg) / reference,
+            software_relative: sw_energy / reference,
             errors,
             safe: true,
         });

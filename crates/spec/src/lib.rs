@@ -19,6 +19,9 @@
 //! * [`SoftwareSpeculation`] — the firmware-based prior-work baseline the
 //!   paper compares against (§V-F): driven by *workload-triggered* errors
 //!   only, with a per-error firmware handling cost.
+//! * [`Testbed`] — one die and its workloads, on which every mechanism
+//!   (fixed nominal, firmware, CPM, ECC hardware) runs and is measured the
+//!   same way; the figure experiments and the fleet job share it.
 //! * [`experiments`] — drivers that regenerate every evaluation figure.
 //!
 //! # Examples
@@ -49,6 +52,8 @@ mod monitor;
 mod recalibrate;
 mod software;
 mod system;
+mod tally;
+mod testbed;
 mod tuning;
 
 pub use blade::{BladeRunStats, BladeServer};
@@ -59,4 +64,5 @@ pub use monitor::EccMonitor;
 pub use recalibrate::{recalibrate, RecalibrationOutcome};
 pub use software::{SoftwareConfig, SoftwareSpeculation};
 pub use system::{RunStats, SpecRun, SpeculationSystem, StepReport, TracePoint};
+pub use testbed::{FirmwareRun, Testbed};
 pub use tuning::{measure_line_response, tailor_band, LineResponse};

@@ -26,8 +26,6 @@ pub struct EccMonitor {
     active: bool,
     accesses: u64,
     errors: u64,
-    uncorrectable: u64,
-    lifetime_accesses: u64,
     lifetime_errors: u64,
     lifetime_uncorrectable: u64,
 }
@@ -48,8 +46,6 @@ impl EccMonitor {
             active: false,
             accesses: 0,
             errors: 0,
-            uncorrectable: 0,
-            lifetime_accesses: 0,
             lifetime_errors: 0,
             lifetime_uncorrectable: 0,
         }
@@ -103,8 +99,6 @@ impl EccMonitor {
         let outcome = chip.monitor_probe(self.core, self.kind, self.line, accesses);
         self.accesses += outcome.accesses;
         self.errors += outcome.correctable;
-        self.uncorrectable += outcome.uncorrectable;
-        self.lifetime_accesses += outcome.accesses;
         self.lifetime_errors += outcome.correctable;
         self.lifetime_uncorrectable += outcome.uncorrectable;
         outcome.uncorrectable
@@ -129,9 +123,9 @@ impl EccMonitor {
         self.errors
     }
 
-    /// Lifetime totals `(accesses, correctable_errors)` across resets.
-    pub(crate) fn lifetime_counts(&self) -> (u64, u64) {
-        (self.lifetime_accesses, self.lifetime_errors)
+    /// Lifetime correctable errors across resets.
+    pub(crate) fn lifetime_errors(&self) -> u64 {
+        self.lifetime_errors
     }
 
     /// Lifetime uncorrectable (detected-only) events across resets.
@@ -144,7 +138,6 @@ impl EccMonitor {
     pub(crate) fn reset_counters(&mut self) {
         self.accesses = 0;
         self.errors = 0;
-        self.uncorrectable = 0;
     }
 
     /// Retargets the monitor at a new line (recalibration path, §III-D).
@@ -196,7 +189,8 @@ mod tests {
         assert_eq!(m.error_rate(), 0.0, "no errors at nominal voltage");
         m.reset_counters();
         assert_eq!(m.access_count(), 0);
-        assert_eq!(m.lifetime_counts().0, 500);
+        m.probe(&mut chip, 200);
+        assert_eq!(m.access_count(), 200, "a reset starts a fresh window");
         m.deactivate(&mut chip);
         assert!(!m.is_active());
     }

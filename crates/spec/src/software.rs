@@ -16,8 +16,10 @@
 //!    overhead grows until it overtakes the savings — the energy
 //!    turn-around of Figure 18.
 
+use crate::system::RunStats;
+use crate::tally::run_periodic;
 use vs_platform::Chip;
-use vs_types::{DomainId, Millivolts, SimTime};
+use vs_types::{CacheKind, DomainId, Millivolts, SimTime};
 
 /// Tunables of the software baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +51,13 @@ impl Default for SoftwareConfig {
             step: Millivolts(5),
             quiet_periods_to_lower: 3,
         }
+    }
+}
+
+impl SoftwareConfig {
+    /// Firmware stall for handling `errors` correctable errors.
+    pub(crate) fn stall(&self, errors: u64) -> SimTime {
+        SimTime::from_micros(self.handling_cost.as_micros() * errors)
     }
 }
 
@@ -120,8 +129,7 @@ impl SoftwareSpeculation {
             let state = &mut self.domains[d];
             state.seen += new_count;
             self.handled += new_count;
-            self.overhead +=
-                SimTime::from_micros(self.config.handling_cost.as_micros() * new_count);
+            self.overhead += self.config.stall(*new_count);
             let domain = DomainId(d);
             let current = chip.domain_set_point(domain);
             if *new_count > 0 {
@@ -142,57 +150,58 @@ impl SoftwareSpeculation {
     }
 
     /// Runs the baseline system for `duration` on an already-configured
-    /// chip; returns `(mean set point per domain, firmware overhead)`.
-    pub fn run(&mut self, chip: &mut Chip, duration: SimTime) -> (Vec<f64>, SimTime) {
-        let tick = chip.config().tick;
-        let ticks = (duration.as_micros() / tick.as_micros()).max(1);
-        let period_ticks = (self.config.control_period.as_micros() / tick.as_micros()).max(1);
-        let n = self.domains.len();
-        let mut sums = vec![0.0f64; n];
-        for t in 0..ticks {
-            chip.tick();
-            for (d, sum) in sums.iter_mut().enumerate() {
-                *sum += f64::from(chip.domain_set_point(DomainId(d)).0);
-            }
-            if (t + 1) % period_ticks == 0 {
-                self.on_control_period(chip);
-            }
-        }
-        (
-            sums.into_iter().map(|s| s / ticks as f64).collect(),
-            self.overhead,
-        )
+    /// chip. The statistics' core-rail energy excludes the firmware
+    /// stall, which accumulates in [`SoftwareSpeculation::overhead`].
+    pub fn run(&mut self, chip: &mut Chip, duration: SimTime) -> RunStats {
+        run_periodic(chip, duration, self.config.control_period, |chip| {
+            self.on_control_period(chip)
+        })
     }
 
     /// The fraction of `duration` lost to firmware error handling.
     pub fn overhead_fraction(&self, duration: SimTime) -> f64 {
-        if duration == SimTime::ZERO {
-            return 0.0;
-        }
-        self.overhead.as_secs_f64() / duration.as_secs_f64()
+        stall_fraction(self.overhead, duration)
     }
 }
 
-/// Convenience: per-core energy penalty model for fixed-voltage operation
-/// (used by the Figure 18 sweep). Given a run of `duration` that produced
-/// `errors` correctable events on a core drawing `power_w`, the software
-/// system's effective energy is the hardware energy plus the stall-time
-/// energy of handling every event in firmware.
-pub(crate) fn software_energy_j(
-    power_w: f64,
-    duration: SimTime,
-    errors: u64,
-    config: &SoftwareConfig,
-) -> f64 {
-    let stall = config.handling_cost.as_secs_f64() * errors as f64;
-    power_w * (duration.as_secs_f64() + stall)
+/// The off-line calibration the prior-work system ran at boot: per domain,
+/// the highest critical voltage of any weak line in its cores' L2s (the
+/// voltage at which a stepped sweep first sees a correctable error, in
+/// oracle form). The CPM baseline guards the same onsets.
+pub(crate) fn offline_onsets(chip: &mut Chip) -> Vec<Millivolts> {
+    (0..chip.config().num_domains())
+        .map(|d| {
+            let mut vc = f64::NEG_INFINITY;
+            for core in chip.config().cores_in_domain(DomainId(d)) {
+                for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
+                    vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                }
+            }
+            Millivolts(vc.ceil() as i32)
+        })
+        .collect()
+}
+
+/// The fraction of `duration` a firmware `stall` takes up.
+pub(crate) fn stall_fraction(stall: SimTime, duration: SimTime) -> f64 {
+    if duration == SimTime::ZERO {
+        return 0.0;
+    }
+    stall.as_secs_f64() / duration.as_secs_f64()
+}
+
+/// The stall-energy rule: firmware stall burns energy at the run's mean
+/// power, so a run that lost `stall_fraction` of its time to error
+/// handling costs its measured `energy_j` scaled by that fraction.
+pub(crate) fn stall_energy_j(energy_j: f64, stall_fraction: f64) -> f64 {
+    energy_j * (1.0 + stall_fraction)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vs_platform::ChipConfig;
-    use vs_types::{CacheKind, CoreId};
+    use vs_types::CoreId;
     use vs_workload::StressTest;
 
     fn small_chip(seed: u64) -> Chip {
@@ -201,16 +210,6 @@ mod tests {
             weak_lines_tracked: 8,
             ..ChipConfig::low_voltage(seed)
         })
-    }
-
-    fn onset_of(chip: &mut Chip) -> Millivolts {
-        let mut vc = f64::NEG_INFINITY;
-        for core in [CoreId(0), CoreId(1)] {
-            for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
-            }
-        }
-        Millivolts(vc.ceil() as i32)
     }
 
     #[test]
@@ -222,26 +221,30 @@ mod tests {
     #[test]
     fn descends_only_to_the_firmware_floor_when_quiet() {
         let mut chip = small_chip(7);
-        let onset = onset_of(&mut chip);
-        let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &[onset]);
+        let onsets = offline_onsets(&mut chip);
+        let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &onsets);
         // Idle chip: no workload errors ever; firmware walks down and
         // parks at the lowest 5 mV grid point at or above its floor.
-        let (means, overhead) = sw.run(&mut chip, SimTime::from_secs(60));
+        let stats = sw.run(&mut chip, SimTime::from_secs(60));
         let final_v = chip.domain_set_point(DomainId(0));
         let floor = sw.domain_floor(DomainId(0));
         assert!(
             final_v >= floor && final_v < floor + Millivolts(5),
             "park point {final_v} vs floor {floor}"
         );
-        assert!(means[0] > f64::from(final_v.0), "mean includes the descent");
-        assert_eq!(overhead, SimTime::ZERO);
+        assert!(
+            stats.mean_vdd_mv[0] > f64::from(final_v.0),
+            "mean includes the descent"
+        );
+        assert_eq!(stats.correctable, 0);
+        assert_eq!(sw.overhead, SimTime::ZERO);
         assert_eq!(sw.handled, 0);
     }
 
     #[test]
     fn backs_off_when_workload_trips_errors() {
         let mut chip = small_chip(7);
-        let onset = onset_of(&mut chip);
+        let onset = offline_onsets(&mut chip)[0];
         // Force an aggressive (wrong) calibration so the workload *will*
         // trip errors, and verify firmware reacts by raising.
         let mut sw = SoftwareSpeculation::new(
@@ -268,8 +271,8 @@ mod tests {
         // The headline §V-F comparison at system level: the firmware
         // baseline parks above where the hardware controller settles.
         let mut chip = small_chip(7);
-        let onset = onset_of(&mut chip);
-        let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &[onset]);
+        let onsets = offline_onsets(&mut chip);
+        let mut sw = SoftwareSpeculation::new(SoftwareConfig::default(), &onsets);
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         let _ = sw.run(&mut chip, SimTime::from_secs(60));
         let sw_v = chip.domain_set_point(DomainId(0));
@@ -295,13 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn energy_helper_adds_stall_energy() {
+    fn stall_energy_scales_by_the_stall_fraction() {
         let cfg = SoftwareConfig::default();
-        let base = software_energy_j(2.0, SimTime::from_secs(10), 0, &cfg);
-        let with_errors = software_energy_j(2.0, SimTime::from_secs(10), 10_000, &cfg);
-        assert!((base - 20.0).abs() < 1e-12);
-        assert!(with_errors > base);
-        // 10k errors x 300 us = 3 s of stall at 2 W = 6 J extra.
+        let run = SimTime::from_secs(10);
+        assert_eq!(
+            stall_energy_j(20.0, stall_fraction(cfg.stall(0), run)),
+            20.0
+        );
+        // 10k errors x 300 us = 3 s of stall in a 10 s run: 30 % more.
+        let with_errors = stall_energy_j(20.0, stall_fraction(cfg.stall(10_000), run));
         assert!((with_errors - 26.0).abs() < 1e-9);
     }
 

@@ -3,6 +3,7 @@
 use crate::calibrate::{calibrate_all, CalibrationOutcome, CalibrationPlan};
 use crate::controller::{ControlAction, ControllerConfig, DomainController};
 use crate::monitor::EccMonitor;
+use crate::tally::{run_nominal, RunTally};
 use std::fmt;
 use vs_faults::{FaultAction, FaultInjector, FaultPlan, RecoveryPolicy};
 use vs_platform::{Chip, ChipConfig, CrashReason};
@@ -144,18 +145,10 @@ impl RunStats {
 pub struct SpecRun {
     duration: SimTime,
     ticks_total: u64,
-    ticks_done: u64,
-    vdd_sums: Vec<f64>,
-    power_sum: f64,
-    emergencies: u64,
+    tally: RunTally,
+    recovery: RecoveryMark,
     trace: Vec<TracePoint>,
     last_trace: Option<SimTime>,
-    energy_before: f64,
-    rail_energy_before: f64,
-    ce_before: u64,
-    dues_before: u64,
-    rollbacks_before: u64,
-    recovery_before: SimTime,
 }
 
 impl SpecRun {
@@ -173,18 +166,10 @@ impl SpecRun {
         SpecRun {
             duration,
             ticks_total: (duration.as_micros() / tick.as_micros()).max(1),
-            ticks_done: 0,
-            vdd_sums: vec![0.0; sys.controllers.len()],
-            power_sum: 0.0,
-            emergencies: 0,
+            tally: RunTally::start(&sys.chip),
+            recovery: sys.recovery_mark(),
             trace: Vec::new(),
             last_trace: None,
-            energy_before: sys.chip.energy().total().0,
-            rail_energy_before: sys.chip.core_rail_energy().total().0,
-            ce_before: sys.chip.log().correctable_count(),
-            dues_before: sys.dues_consumed,
-            rollbacks_before: sys.crash_rollbacks,
-            recovery_before: sys.recovery_time,
         }
     }
 
@@ -192,15 +177,12 @@ impl SpecRun {
     /// remaining); returns the number executed. A zero return means the
     /// run is complete.
     pub fn advance(&mut self, sys: &mut SpeculationSystem, max_ticks: u64) -> u64 {
-        let n_domains = self.vdd_sums.len();
-        let budget = max_ticks.min(self.ticks_total - self.ticks_done);
+        let n_domains = sys.controllers.len();
+        let budget = max_ticks.min(self.ticks_total - self.tally.ticks());
         for _ in 0..budget {
             let report = sys.step();
-            self.power_sum += report.power.0;
-            for (d, sum) in self.vdd_sums.iter_mut().enumerate() {
-                *sum += f64::from(sys.chip.domain_set_point(DomainId(d)).0);
-            }
-            self.emergencies += report.emergencies;
+            self.tally
+                .record(&sys.chip, report.power, report.emergencies);
             let now = sys.chip.now();
             let due = self
                 .last_trace
@@ -220,7 +202,6 @@ impl SpecRun {
                 });
             }
         }
-        self.ticks_done += budget;
         budget
     }
 
@@ -248,43 +229,37 @@ impl SpecRun {
 
     /// True once every tick of the requested duration has executed.
     pub(crate) fn is_done(&self) -> bool {
-        self.ticks_done == self.ticks_total
+        self.tally.ticks() == self.ticks_total
     }
 
     /// `(ticks_done, ticks_total)`.
     pub fn progress(&self) -> (u64, u64) {
-        (self.ticks_done, self.ticks_total)
+        (self.tally.ticks(), self.ticks_total)
     }
 
     /// Closes the run and produces its statistics. May be called before
     /// the run is complete; means are then over the ticks actually
     /// executed and `duration` reflects the simulated time covered.
     pub fn finish(self, sys: &SpeculationSystem) -> RunStats {
-        let ticks = self.ticks_done.max(1);
         let duration = if self.is_done() {
             self.duration
         } else {
-            SimTime::from_micros(self.ticks_done * sys.chip.config().tick.as_micros())
+            SimTime::from_micros(self.tally.ticks() * sys.chip.config().tick.as_micros())
         };
-        let crashed_cores = (0..sys.chip.config().num_cores)
-            .filter(|i| sys.chip.crash_info(CoreId(*i)).is_some())
-            .collect();
         RunStats {
-            duration,
-            mean_vdd_mv: self.vdd_sums.iter().map(|s| s / ticks as f64).collect(),
-            mean_power_w: self.power_sum / ticks as f64,
-            energy_j: sys.chip.energy().total().0 - self.energy_before,
-            core_rail_energy_j: sys.chip.core_rail_energy().total().0 - self.rail_energy_before,
-            correctable: sys.chip.log().correctable_count() - self.ce_before,
-            emergencies: self.emergencies,
-            crashed_cores,
-            dues_consumed: sys.dues_consumed - self.dues_before,
-            crash_rollbacks: sys.crash_rollbacks - self.rollbacks_before,
-            recovery_time: sys.recovery_time.saturating_sub(self.recovery_before),
-            quarantined_domains: sys.quarantined_domains(),
             trace: self.trace,
+            ..sys.close_run(self.tally, self.recovery, duration)
         }
     }
+}
+
+/// A speculation system's recovery counters at the start of a run, so the
+/// run's statistics report what happened during it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecoveryMark {
+    dues: u64,
+    rollbacks: u64,
+    time: SimTime,
 }
 
 /// The complete ECC-guided voltage-speculation system: a chip plus one
@@ -417,11 +392,6 @@ impl SpeculationSystem {
         self.dues_consumed
     }
 
-    /// Crashes recovered by rolling the domain back so far.
-    pub(crate) fn crash_rollbacks(&self) -> u64 {
-        self.crash_rollbacks
-    }
-
     /// Total simulated recovery latency charged so far.
     pub fn recovery_time(&self) -> SimTime {
         self.recovery_time
@@ -438,11 +408,33 @@ impl SpeculationSystem {
         self.quarantined.get(domain.0).copied().unwrap_or(false)
     }
 
-    /// Indices of quarantined domains, ascending.
-    pub(crate) fn quarantined_domains(&self) -> Vec<usize> {
-        (0..self.quarantined.len())
-            .filter(|d| self.quarantined[*d])
-            .collect()
+    /// Marks the recovery counters at the start of a run.
+    pub(crate) fn recovery_mark(&self) -> RecoveryMark {
+        RecoveryMark {
+            dues: self.dues_consumed,
+            rollbacks: self.crash_rollbacks,
+            time: self.recovery_time,
+        }
+    }
+
+    /// Closes a run of this system started at `mark`: the tally's
+    /// statistics plus the recovery path's deltas and the domains
+    /// quarantined by now.
+    pub(crate) fn close_run(
+        &self,
+        tally: RunTally,
+        mark: RecoveryMark,
+        duration: SimTime,
+    ) -> RunStats {
+        RunStats {
+            dues_consumed: self.dues_consumed - mark.dues,
+            crash_rollbacks: self.crash_rollbacks - mark.rollbacks,
+            recovery_time: self.recovery_time.saturating_sub(mark.time),
+            quarantined_domains: (0..self.quarantined.len())
+                .filter(|d| self.quarantined[*d])
+                .collect(),
+            ..tally.finish(&self.chip, duration)
+        }
     }
 
     /// The chip under control.
@@ -601,7 +593,7 @@ impl SpeculationSystem {
             }
             let ecc_before = if rec_ecc {
                 let m = ctrl.monitor();
-                (m.lifetime_counts().1, m.lifetime_uncorrectable())
+                (m.lifetime_errors(), m.lifetime_uncorrectable())
             } else {
                 (0, 0)
             };
@@ -618,7 +610,7 @@ impl SpeculationSystem {
             // emergency this tick, so they precede it in the stream.
             if rec_ecc {
                 let m = ctrl.monitor();
-                let (errors, uncorrectable) = (m.lifetime_counts().1, m.lifetime_uncorrectable());
+                let (errors, uncorrectable) = (m.lifetime_errors(), m.lifetime_uncorrectable());
                 if errors > ecc_before.0 {
                     self.recorder.emit(TelemetryEvent::EccCorrection {
                         at: now,
@@ -879,37 +871,7 @@ impl SpeculationSystem {
     /// Runs the chip at fixed nominal voltage with NO speculation for
     /// `duration` (the baseline the power figures normalize against).
     pub fn run_baseline(&mut self, duration: SimTime) -> RunStats {
-        let tick = self.chip.config().tick;
-        let ticks = (duration.as_micros() / tick.as_micros()).max(1);
-        let nominal = self.chip.mode().nominal_vdd();
-        for d in 0..self.chip.config().num_domains() {
-            self.chip.request_domain_voltage(DomainId(d), nominal);
-        }
-        let mut power_sum = 0.0;
-        let energy_before = self.chip.energy().total();
-        let rail_before = self.chip.core_rail_energy().total();
-        let ce_before = self.chip.log().correctable_count();
-        for _ in 0..ticks {
-            power_sum += self.chip.tick().power.0;
-        }
-        let n_domains = self.chip.config().num_domains();
-        RunStats {
-            duration,
-            mean_vdd_mv: vec![f64::from(nominal.0); n_domains],
-            mean_power_w: power_sum / ticks as f64,
-            energy_j: (self.chip.energy().total() - energy_before).0,
-            core_rail_energy_j: (self.chip.core_rail_energy().total() - rail_before).0,
-            correctable: self.chip.log().correctable_count() - ce_before,
-            emergencies: 0,
-            crashed_cores: (0..self.chip.config().num_cores)
-                .filter(|i| self.chip.crash_info(CoreId(*i)).is_some())
-                .collect(),
-            dues_consumed: 0,
-            crash_rollbacks: 0,
-            recovery_time: SimTime::ZERO,
-            quarantined_domains: Vec::new(),
-            trace: Vec::new(),
-        }
+        run_nominal(&mut self.chip, duration)
     }
 
     /// The achieved voltage reduction per domain relative to nominal, as a

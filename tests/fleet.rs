@@ -132,24 +132,18 @@ fn property_chip_rng_streams_do_not_overlap() {
     assert_eq!(all_draws.len(), streams * DRAWS);
 }
 
-/// Property: die seeds are unique across fleets and chips, and changing
-/// the wafer generation re-draws every die.
+/// Property: die seeds are unique across fleets and chips.
 #[test]
-fn property_die_seeds_unique_across_fleets_and_wafers() {
+fn property_die_seeds_unique_across_fleets() {
     let mut seeds: HashSet<u64> = HashSet::new();
-    for fleet in 0..16u64 {
-        for wafer in 0..4u64 {
-            let config = FleetConfig {
-                wafer,
-                ..FleetConfig::small(FleetSeed(fleet), 64)
-            };
-            for chip in 0..64 {
-                assert!(
-                    seeds.insert(config.die_seed(ChipId(chip))),
-                    "die seed collision: fleet {fleet} wafer {wafer} chip {chip}"
-                );
-            }
+    for fleet in 0..64u64 {
+        let config = FleetConfig::small(FleetSeed(fleet), 64);
+        for chip in 0..64 {
+            assert!(
+                seeds.insert(config.die_seed(ChipId(chip))),
+                "die seed collision: fleet {fleet} chip {chip}"
+            );
         }
     }
-    assert_eq!(seeds.len(), 16 * 4 * 64);
+    assert_eq!(seeds.len(), 64 * 64);
 }
