@@ -7,6 +7,8 @@
 //! `repro --fleet 256 --workers 8`.
 
 use std::collections::HashSet;
+use std::fs;
+use std::path::PathBuf;
 use voltspec::fleet::{ControllerVariant, FleetConfig, FleetRunner};
 use voltspec::types::rng::CounterRng;
 use voltspec::types::{ChipId, FleetSeed, SimTime};
@@ -146,4 +148,51 @@ fn property_die_seeds_unique_across_fleets() {
         }
     }
     assert_eq!(seeds.len(), 64 * 64);
+}
+
+/// The firmware and fixed-nominal arms are golden artifacts: the
+/// checkpoint of a 4-chip `--quick` fleet at seed 2014, built the way
+/// `repro --quick --fleet 4 --variant sw|baseline` builds it, must match
+/// `tests/golden/fleet-{sw,baseline}.ckpt` byte for byte (every summary
+/// field is stored as exact f64 bits). Regenerate with
+/// `BLESS=1 cargo test -q --test fleet` after a deliberate change.
+#[test]
+fn golden_checkpoints_pin_the_firmware_and_nominal_arms() {
+    let dir = std::env::temp_dir().join("voltspec-fleet-golden");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (variant, name) in [
+        (ControllerVariant::Software, "fleet-sw.ckpt"),
+        (ControllerVariant::Baseline, "fleet-baseline.ckpt"),
+    ] {
+        let config = vs_fleetd::config_for(&vs_fleetd::SweepSpec {
+            seed: 2014,
+            chips: 4,
+            variant,
+            quick: true,
+            run_ms: 500,
+            sentinel: false,
+            inject: String::new(),
+            key: String::new(),
+            deadline_ms: 0,
+        });
+        let path = dir.join(name);
+        FleetRunner::new(config, 2)
+            .with_checkpoint(path.clone())
+            .run()
+            .unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let golden = golden_dir.join(name);
+        if std::env::var_os("BLESS").is_some() {
+            fs::write(&golden, &bytes).unwrap();
+        }
+        let expected = fs::read(&golden).expect("golden file (bless with BLESS=1)");
+        assert!(
+            bytes == expected,
+            "checkpoint drifted from tests/golden/{name}; \
+             re-bless with BLESS=1 if the change is intentional"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
