@@ -1,12 +1,13 @@
-//! SEC-DED error-correcting codes and ECC event reporting.
+//! SEC-DED error-correcting codes.
 //!
 //! The voltage-speculation system in the reproduced paper is driven entirely
 //! by *correctable* error reports from the ECC logic that protects on-chip
 //! SRAM. This crate implements that logic for real: cache lines in the
 //! simulator are stored as Hsiao-encoded codewords, bit flips are physically
 //! injected into the stored words by the SRAM failure model, and the decoder
-//! here either corrects them (raising a [`CorrectableError`] event with the
-//! failing bit and syndrome) or flags them uncorrectable.
+//! here either corrects them (a [`DecodeOutcome::Corrected`] naming the
+//! failing bit and syndrome) or flags them uncorrectable. The chip counts
+//! the outcomes (`vs_platform::EccCounts`).
 //!
 //! Two standard geometries are provided:
 //!
@@ -45,7 +46,5 @@
 #![warn(missing_debug_implementations)]
 
 mod code;
-mod events;
 
 pub use code::{DecodeOutcome, SecDed};
-pub use events::{CorrectableError, EccEventLog, UncorrectableError};

@@ -85,7 +85,7 @@ pub(crate) fn stress_window(
     }
     chip.request_domain_voltage(domain, vdd);
     let ticks = ticks_in(chip, window);
-    let before = chip.log().correctable_count();
+    let before = chip.ecc_counts().correctable();
     let mut crashed = false;
     for _ in 0..ticks {
         let report = chip.tick();
@@ -94,7 +94,7 @@ pub(crate) fn stress_window(
             break;
         }
     }
-    (chip.log().correctable_count() - before, crashed)
+    (chip.ecc_counts().correctable() - before, crashed)
 }
 
 /// Measures a core's first-error and minimum safe voltages by stepping the
@@ -254,14 +254,14 @@ pub fn error_breakdown(
     margins
         .iter()
         .map(|m| {
-            let before_d = chip.log().count_for_core(m.core, CacheKind::L2Data);
-            let before_i = chip.log().count_for_core(m.core, CacheKind::L2Instruction);
+            // The window starts from a reset chip, so its counts are the
+            // window's own.
             let _ = stress_window(chip, m.core, m.min_safe_vdd, window);
+            let counts = chip.ecc_counts();
             ErrorBreakdown {
                 core: m.core,
-                data_errors: chip.log().count_for_core(m.core, CacheKind::L2Data) - before_d,
-                instruction_errors: chip.log().count_for_core(m.core, CacheKind::L2Instruction)
-                    - before_i,
+                data_errors: counts.correctable_in(m.core, CacheKind::L2Data),
+                instruction_errors: counts.correctable_in(m.core, CacheKind::L2Instruction),
             }
         })
         .collect()

@@ -1,13 +1,14 @@
 //! The chip: cores, domains, and the discrete-time simulation engine.
 
 use crate::config::ChipConfig;
+use crate::counts::EccCounts;
 use crate::weakline::WeakLineTable;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vs_cache::hierarchy::CoreCaches;
 use vs_cache::{Cache, CacheGeometry};
-use vs_ecc::{CorrectableError, DecodeOutcome, EccEventLog, SecDed, UncorrectableError};
+use vs_ecc::SecDed;
 use vs_pdn::{DomainSupply, LoadCurrent, Pdn, VoltageRegulator};
 use vs_power::{EnergyMeter, FanSpeed, PowerModel, ThermalParams, ThermalState};
 use vs_sram::{CellBank, ChipVariation, FailureLut};
@@ -199,7 +200,7 @@ pub struct Chip {
     cores: Vec<CoreState>,
     /// Per core, the logic floor at the configured mode.
     logic_floors: Vec<Millivolts>,
-    log: EccEventLog,
+    counts: EccCounts,
     now: SimTime,
     energy: EnergyMeter,
     core_rail_energy: EnergyMeter,
@@ -218,7 +219,7 @@ impl fmt::Debug for Chip {
             .field("mode", &self.config.mode)
             .field("cores", &self.cores.len())
             .field("now", &self.now)
-            .field("correctable", &self.log.correctable_count())
+            .field("correctable", &self.counts.correctable())
             .finish()
     }
 }
@@ -265,7 +266,7 @@ impl Chip {
             domains,
             domain_v_eff_mv: vec![nominal_mv; n_domains],
             logic_floors,
-            log: EccEventLog::new(),
+            counts: EccCounts::default(),
             now: SimTime::ZERO,
             energy: EnergyMeter::new(),
             core_rail_energy: EnergyMeter::new(),
@@ -366,9 +367,9 @@ impl Chip {
         self.now
     }
 
-    /// The chip-wide ECC event log.
-    pub fn log(&self) -> &EccEventLog {
-        &self.log
+    /// The chip-wide ECC error counts.
+    pub fn ecc_counts(&self) -> &EccCounts {
+        &self.counts
     }
 
     /// Total socket energy so far.
@@ -583,7 +584,8 @@ impl Chip {
     /// classifies the read exactly as decoding the stored codeword with
     /// the mask applied. The remainder are sampled from the identical
     /// analytic distribution. Correctable and uncorrectable counts land
-    /// both in the returned [`ProbeOutcome`] and in the chip log.
+    /// both in the returned [`ProbeOutcome`] and in the chip's
+    /// [`EccCounts`].
     ///
     /// # Panics
     ///
@@ -626,7 +628,6 @@ impl Chip {
         // Shifting every cell up by the aging delta is equivalent to
         // querying at `v_eff − aging` (see `line_aging_shift_mv`).
         let v_query = v_eff - aging;
-        let now = self.now;
         let line = LineAddress::new(core, kind, location);
         let n_real = accesses.min(self.config.monitor_real_reads);
         let n_analytic = accesses - n_real;
@@ -669,48 +670,42 @@ impl Chip {
                 cache.touch_at(location, n_real),
                 "designated line is always resident"
             );
+            // Every erring word counts once in the chip's tallies; a read
+            // with several uncorrectable words counts once in the outcome.
             let code = SecDed::hsiao_72_64();
-            let log = &mut self.log;
-            let mut last_ue_read = None;
-            let visit = |read, word, mask: FlipMask| {
+            let (mut last_ue_read, mut ue_words) = (None, 0);
+            let visit = |read, _word, mask: FlipMask| {
                 if mask.is_empty() {
                     return;
                 }
                 let decoded = code.decode(mask.0);
                 if decoded.is_correctable_error() {
                     outcome.correctable += 1;
-                } else if decoded.is_uncorrectable() && last_ue_read != Some(read) {
-                    last_ue_read = Some(read);
-                    outcome.uncorrectable += 1;
+                } else if decoded.is_uncorrectable() {
+                    ue_words += 1;
+                    if last_ue_read != Some(read) {
+                        last_ue_read = Some(read);
+                        outcome.uncorrectable += 1;
+                    }
                 }
-                record_event(log, now, line, word, decoded);
             };
             lut.sample_burst(bank, li, v_query, temperature, n_real, rng, visit);
+            // So far the outcome holds the burst alone.
+            self.counts.add_correctable(line, outcome.correctable);
+            self.counts.add_uncorrectable(ue_words);
         }
 
         // Analytic remainder, sampled from the same distribution.
         if n_analytic > 0 {
             let (_, p_ce, p_ue) = lut.line_probabilities(bank, li, v_query, temperature);
-            let representative = bank_weakest_word(bank, li);
             let state = &mut self.cores[core.0];
             let ce = state.rng.binomial(n_analytic, p_ce);
             let ue = state.rng.binomial(n_analytic, p_ue);
             outcome.correctable += ce;
             outcome.uncorrectable += ue;
-            if ce > 0 {
-                let (word, bit) = representative;
-                let syndrome = single_bit_syndrome(bit);
-                // Record a representative subsample (one log entry per
-                // probe burst at most) to keep the log bounded; counters
-                // carry the full totals.
-                self.log.record_correctable(CorrectableError {
-                    at: now,
-                    line,
-                    word,
-                    bit,
-                    syndrome,
-                });
-            }
+            // The chip's tallies take one error per remainder that erred at
+            // all; the outcome carries the full draw.
+            self.counts.add_correctable(line, u64::from(ce > 0));
         }
 
         if outcome.uncorrectable > 0 {
@@ -844,8 +839,7 @@ impl Chip {
         let reuse = self.config.uniform_reuse_fraction;
         let rf_rate = self.config.rf_weak_access_per_ms;
         let age_hours = self.age_hours;
-        let now = self.now;
-        let phase = now.as_millis() / 2000;
+        let phase = self.now.as_millis() / 2000;
 
         let kinds = [
             (
@@ -948,40 +942,22 @@ impl Chip {
                 }
                 let ce = rng.binomial(n, p_ce);
                 let ue = rng.binomial(n, p_ue);
-                if ce > 0 {
-                    total_ce += ce;
-                    let (word, bit) = bank_weakest_word(bank, li);
-                    let event = CorrectableError {
-                        at: now,
-                        line: LineAddress::new(core, kind, location),
-                        word,
-                        bit,
-                        syndrome: single_bit_syndrome(bit),
-                    };
-                    // Record each error (counts in Figures 3/4 come from
-                    // these logs).
-                    for _ in 0..ce {
-                        self.log.record_correctable(event);
-                    }
-                }
+                // Figures 3 and 4 read these counts.
+                total_ce += ce;
+                self.counts
+                    .add_correctable(LineAddress::new(core, kind, location), ce);
                 if ue > 0 {
                     any_ue = true;
-                    let (word, _) = bank_weakest_word(bank, li);
-                    self.log.record_uncorrectable(UncorrectableError {
-                        at: now,
-                        line: LineAddress::new(core, kind, location),
-                        word,
-                        syndrome: 0b11,
-                    });
+                    self.counts.add_uncorrectable(1);
                 }
             }
         }
         (total_ce, any_ue)
     }
 
-    /// Resets time, logs, crashes, caches, and regulators to power-on
-    /// state, keeping the (expensive) cell banks, failure LUTs, and
-    /// weak-line tables. Used between characterization runs on the same
+    /// Resets time, error counts, crashes, caches, and regulators to
+    /// power-on state, keeping the (expensive) cell banks, failure LUTs,
+    /// and weak-line tables. Used between characterization runs on the same
     /// silicon.
     pub fn reset(&mut self) {
         let nominal = self.config.mode.nominal_vdd();
@@ -1001,7 +977,7 @@ impl Chip {
             core.monitor_lines.clear();
             core.rng = CounterRng::from_key(self.config.seed, &[0xACC, i as u64]);
         }
-        self.log.clear();
+        self.counts = EccCounts::default();
         self.now = SimTime::ZERO;
         self.energy = EnergyMeter::new();
         self.core_rail_energy = EnergyMeter::new();
@@ -1044,62 +1020,10 @@ fn in_working_set(u: f64, footprint: f64) -> bool {
     }
 }
 
-/// Logs one word's decode outcome of a monitor read: a corrected flip as
-/// a correctable error, a detected multi-bit error as an uncorrectable
-/// one; a clean word logs nothing.
-fn record_event(
-    log: &mut EccEventLog,
-    at: SimTime,
-    line: LineAddress,
-    word: u32,
-    outcome: DecodeOutcome,
-) {
-    match outcome {
-        DecodeOutcome::Corrected { bit, syndrome, .. } => {
-            log.record_correctable(CorrectableError {
-                at,
-                line,
-                word,
-                bit,
-                syndrome,
-            });
-        }
-        DecodeOutcome::Uncorrectable { syndrome } => {
-            log.record_uncorrectable(UncorrectableError {
-                at,
-                line,
-                word,
-                syndrome,
-            });
-        }
-        DecodeOutcome::Clean { .. } => {}
-    }
-}
-
-/// Index and weakest-cell bit of the word holding a tracked line's
-/// weakest cell. A tie keeps the *last* maximal word.
-fn bank_weakest_word(bank: &CellBank, line: usize) -> (u32, u32) {
-    let mut best = (0u32, 0u32);
-    let mut best_vc = f64::NEG_INFINITY;
-    for w in 0..bank.words_per_line() as u32 {
-        let vc = bank.word_vcs(line, w)[0];
-        if vc >= best_vc {
-            best_vc = vc;
-            best = (w, bank.word_bits(line, w)[0]);
-        }
-    }
-    best
-}
-
-/// The Hsiao (72,64) syndrome a single flip of `bit` produces: the
-/// bit's parity-check column.
-fn single_bit_syndrome(bit: u32) -> u32 {
-    SecDed::hsiao_72_64().syndrome(1u128 << bit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vs_ecc::DecodeOutcome;
     use vs_types::Celsius;
     use vs_workload::{Idle, StressTest};
 
@@ -1189,7 +1113,7 @@ mod tests {
         assert_eq!(chip.now(), SimTime::ZERO);
         assert_eq!(chip.domain_set_point(DomainId(0)), Millivolts(800));
         assert!(!chip.any_crashed());
-        assert_eq!(chip.log().correctable_count(), 0);
+        assert_eq!(chip.ecc_counts().correctable(), 0);
     }
 
     #[test]
@@ -1385,7 +1309,7 @@ mod tests {
             (0.02..0.98).contains(&rate),
             "expected a mid-ramp error rate near Vc, got {rate}"
         );
-        assert!(chip.log().correctable_count() > 0);
+        assert!(chip.ecc_counts().correctable() > 0);
     }
 
     /// An injector drawing each word of a tracked line from the LUT, one
@@ -1470,7 +1394,7 @@ mod tests {
                 rng: &mut rng,
             };
             let mut want = ProbeOutcome::default();
-            let (mut want_ce, mut want_ue) = (Vec::new(), Vec::new());
+            let (mut want_ce, mut want_ue) = (0, 0);
             for _ in 0..READS {
                 let read = cache.read_at(location, &mut injector).unwrap();
                 want.accesses += 1;
@@ -1478,38 +1402,31 @@ mod tests {
                 want.uncorrectable += u64::from(read.has_uncorrectable());
                 for e in &read.events {
                     match e.outcome {
-                        DecodeOutcome::Corrected { bit, syndrome, .. } => {
-                            want_ce.push((e.word, bit, syndrome));
-                        }
-                        DecodeOutcome::Uncorrectable { syndrome } => {
-                            want_ue.push((e.word, syndrome));
-                        }
-                        DecodeOutcome::Clean { .. } => unreachable!("clean words log nothing"),
+                        DecodeOutcome::Corrected { .. } => want_ce += 1,
+                        DecodeOutcome::Uncorrectable { .. } => want_ue += 1,
+                        DecodeOutcome::Clean { .. } => unreachable!("clean words raise nothing"),
                     }
                 }
             }
 
             let got = chip.monitor_probe(CoreId(0), CacheKind::L2Data, location, READS);
             assert_eq!(got, want, "dv {dv}");
-            let log = chip.log();
-            assert!(log.correctable().iter().all(|e| e.line == line));
-            assert!(log.uncorrectable().iter().all(|e| e.line == line));
-            let got_ce: Vec<_> = log
-                .correctable()
-                .iter()
-                .map(|e| (e.word, e.bit, e.syndrome))
-                .collect();
-            let got_ue: Vec<_> = log
-                .uncorrectable()
-                .iter()
-                .map(|e| (e.word, e.syndrome))
-                .collect();
-            assert_eq!(got_ce, want_ce, "dv {dv}: correctable log");
-            assert_eq!(got_ue, want_ue, "dv {dv}: uncorrectable log");
+            let counts = chip.ecc_counts();
+            assert!(counts.erring_lines().all(|l| l == line), "dv {dv}");
+            assert_eq!(
+                counts.correctable_in(CoreId(0), CacheKind::L2Data),
+                want_ce,
+                "dv {dv}: the designated line's corrected words"
+            );
+            assert_eq!(
+                counts.uncorrectable(),
+                want_ue,
+                "dv {dv}: uncorrectable words"
+            );
             assert_eq!(chip.cores[0].rng, rng, "dv {dv}: RNG position");
             ces += got.correctable;
             ues += got.uncorrectable;
-            shared_ue_reads |= want_ue.len() as u64 > want.uncorrectable;
+            shared_ue_reads |= want_ue > want.uncorrectable;
         }
         assert!(ces > 0 && ues > 0, "the ramp must raise both kinds");
         assert!(
@@ -1524,18 +1441,6 @@ mod tests {
         let (mut chip, location) = probed_chip(64, 0, 0.0);
         chip.cores[0].caches.l2d.flush();
         chip.monitor_probe(CoreId(0), CacheKind::L2Data, location, 64);
-    }
-
-    #[test]
-    fn single_bit_syndrome_is_the_decoded_flip() {
-        let code = SecDed::hsiao_72_64();
-        for bit in 0..code.codeword_bits() {
-            let decoded = code.decode(code.inject(code.encode(0), &[bit]));
-            let DecodeOutcome::Corrected { syndrome, .. } = decoded else {
-                panic!("bit {bit}: a single flip must be correctable, got {decoded:?}");
-            };
-            assert_eq!(single_bit_syndrome(bit), syndrome, "bit {bit}");
-        }
     }
 
     #[test]
@@ -1567,13 +1472,15 @@ mod tests {
         }
         assert_eq!(crashed, 0, "25 mV below first error must be safe");
         assert!(
-            chip.log().correctable_count() > 0,
+            chip.ecc_counts().correctable() > 0,
             "the stress workload must trip the weak lines"
         );
         // Errors come from the weak lines only.
-        let (top, _) = chip.log().hottest_line().unwrap();
-        let table = chip.weak_table(top.core, top.cache);
-        assert!(table.lines().iter().any(|l| l.location == top.location));
+        let erring: Vec<_> = chip.ecc_counts().erring_lines().collect();
+        for line in erring {
+            let table = chip.weak_table(line.core, line.cache);
+            assert!(table.lines().iter().any(|l| l.location == line.location));
+        }
     }
 
     #[test]
@@ -1592,13 +1499,10 @@ mod tests {
         for _ in 0..50_000 {
             chip.tick();
         }
-        // No workload-attributed event may come from the designated line.
-        let from_monitor_line = chip
-            .log()
-            .correctable()
-            .iter()
-            .filter(|e| e.line.location == weakest && e.line.cache == CacheKind::L2Data)
-            .count();
-        assert_eq!(from_monitor_line, 0);
+        // No workload-attributed error may come from the designated line.
+        assert!(chip
+            .ecc_counts()
+            .erring_lines()
+            .all(|l| (l.cache, l.location) != (CacheKind::L2Data, weakest)));
     }
 }

@@ -11,7 +11,9 @@
 //!   its own regulator and delivery network;
 //! * a discrete-time engine ([`Chip::tick`], 1 ms default) that converts
 //!   workload demand into rail currents, effective voltages, correctable
-//!   and uncorrectable ECC events, power, and energy;
+//!   and uncorrectable ECC errors, power, and energy;
+//! * [`EccCounts`] — the chip's error totals and per-line correctable
+//!   counts, which every CE total in the workspace reads;
 //! * per-core crash detection (logic floor violations or uncorrectable
 //!   errors), the simulator's equivalent of the machine checks that bound
 //!   the minimum safe voltage;
@@ -35,7 +37,7 @@
 //!     let report = chip.tick();
 //!     assert!(report.crashes.is_empty(), "720 mV should be safe");
 //! }
-//! println!("CEs so far: {}", chip.log().correctable_count());
+//! println!("CEs so far: {}", chip.ecc_counts().correctable());
 //! ```
 
 #![warn(missing_docs)]
@@ -44,8 +46,10 @@
 pub mod characterize;
 mod chip;
 mod config;
+mod counts;
 mod weakline;
 
 pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, TickReport};
 pub use config::ChipConfig;
+pub use counts::EccCounts;
 pub use weakline::{WeakLine, WeakLineTable};

@@ -1,7 +1,7 @@
 //! The per-domain voltage control law (§III-B).
 
 use crate::monitor::EccMonitor;
-use vs_platform::Chip;
+use vs_platform::{Chip, ProbeOutcome};
 use vs_types::{ConfigError, DomainId, SimTime};
 
 /// Tunables of the voltage-control system.
@@ -187,10 +187,10 @@ impl DomainController {
 
     /// Runs the monitor's per-tick probe burst. If the burst itself shows
     /// an emergency-level error rate, the interrupt path fires immediately
-    /// (without waiting for the control period). Returns `true` if an
-    /// emergency fired.
-    pub(crate) fn on_tick(&mut self, chip: &mut Chip) -> bool {
-        self.monitor.probe(chip, self.config.probes_per_tick);
+    /// (without waiting for the control period). Returns the burst's
+    /// outcome and whether an emergency fired.
+    pub(crate) fn on_tick(&mut self, chip: &mut Chip) -> (ProbeOutcome, bool) {
+        let outcome = self.monitor.probe(chip, self.config.probes_per_tick);
         let (rate, gated) = match self.stuck_rate {
             Some(stuck) => (stuck, true),
             None => (
@@ -198,11 +198,11 @@ impl DomainController {
                 self.monitor.access_count() >= self.config.min_accesses,
             ),
         };
-        if gated && rate >= self.config.emergency_ceiling {
+        let fired = gated && rate >= self.config.emergency_ceiling;
+        if fired {
             self.emergency(chip, rate);
-            return true;
         }
-        false
+        (outcome, fired)
     }
 
     fn emergency(&mut self, chip: &mut Chip, rate: f64) {
@@ -307,7 +307,7 @@ mod tests {
         // Stuck at one: the per-tick emergency path fires unconditionally.
         ctrl.set_stuck_rate(Some(1.0));
         chip.tick();
-        assert!(ctrl.on_tick(&mut chip));
+        assert!(ctrl.on_tick(&mut chip).1);
         ctrl.set_stuck_rate(None);
         assert_eq!(ctrl.stuck_rate, None);
     }
@@ -397,8 +397,9 @@ mod tests {
         chip.request_domain_voltage(DomainId(0), Millivolts(weak_vc as i32 - 25));
         chip.tick();
         let before = chip.domain_set_point(DomainId(0));
-        let fired = ctrl.on_tick(&mut chip);
+        let (outcome, fired) = ctrl.on_tick(&mut chip);
         assert!(fired, "emergency must fire at a near-1.0 error rate");
+        assert!(outcome.correctable > 0, "the burst that fired it erred");
         chip.tick();
         assert_eq!(
             chip.domain_set_point(DomainId(0)),

@@ -173,7 +173,7 @@ pub fn energy_vs_vdd(
         chip.reset();
         chip.set_workload(core, Box::new(StressTest::default()));
         chip.request_domain_voltage(domain, v);
-        let before_ce = chip.log().correctable_count();
+        let before_ce = chip.ecc_counts().correctable();
         let mut crashed = false;
         let mut energy = 0.0;
         for _ in 0..ticks {
@@ -194,7 +194,7 @@ pub fn energy_vs_vdd(
             });
             break;
         }
-        let errors = chip.log().correctable_count() - before_ce;
+        let errors = chip.ecc_counts().correctable() - before_ce;
         let sw_energy = stall_energy_j(energy, stall_fraction(sw_cfg.stall(errors), window));
         points.push(EnergyVsVddPoint {
             vdd: v,

@@ -1,6 +1,6 @@
 //! The hardware ECC monitor (§III-A).
 
-use vs_platform::Chip;
+use vs_platform::{Chip, ProbeOutcome};
 use vs_types::{CacheKind, CoreId, SetWay};
 
 /// A lightweight hardware unit that continuously probes one designated
@@ -26,8 +26,6 @@ pub struct EccMonitor {
     active: bool,
     accesses: u64,
     errors: u64,
-    lifetime_errors: u64,
-    lifetime_uncorrectable: u64,
 }
 
 impl EccMonitor {
@@ -46,8 +44,6 @@ impl EccMonitor {
             active: false,
             accesses: 0,
             errors: 0,
-            lifetime_errors: 0,
-            lifetime_uncorrectable: 0,
         }
     }
 
@@ -87,21 +83,19 @@ impl EccMonitor {
     }
 
     /// Issues one probe burst (`accesses` write-then-read cycles during
-    /// idle cache cycles) and accumulates the counters. Returns the number
-    /// of uncorrectable events (normally zero; nonzero means the domain
-    /// voltage is catastrophically low).
+    /// idle cache cycles), accumulates the counters, and returns the
+    /// burst's outcome (its uncorrectable count is normally zero; nonzero
+    /// means the domain voltage is catastrophically low).
     ///
     /// # Panics
     ///
     /// Panics if the monitor is not active.
-    pub(crate) fn probe(&mut self, chip: &mut Chip, accesses: u64) -> u64 {
+    pub(crate) fn probe(&mut self, chip: &mut Chip, accesses: u64) -> ProbeOutcome {
         assert!(self.active, "probe on an inactive monitor");
         let outcome = chip.monitor_probe(self.core, self.kind, self.line, accesses);
         self.accesses += outcome.accesses;
         self.errors += outcome.correctable;
-        self.lifetime_errors += outcome.correctable;
-        self.lifetime_uncorrectable += outcome.uncorrectable;
-        outcome.uncorrectable
+        outcome
     }
 
     /// The correctable-error rate since the last counter reset.
@@ -121,16 +115,6 @@ impl EccMonitor {
     /// Errors since the last reset.
     pub(crate) fn error_count(&self) -> u64 {
         self.errors
-    }
-
-    /// Lifetime correctable errors across resets.
-    pub(crate) fn lifetime_errors(&self) -> u64 {
-        self.lifetime_errors
-    }
-
-    /// Lifetime uncorrectable (detected-only) events across resets.
-    pub(crate) fn lifetime_uncorrectable(&self) -> u64 {
-        self.lifetime_uncorrectable
     }
 
     /// Resets the per-period counters (done by the control system after
@@ -183,8 +167,8 @@ mod tests {
         m.activate(&mut chip);
         assert!(m.is_active());
         chip.tick();
-        let ue = m.probe(&mut chip, 500);
-        assert_eq!(ue, 0);
+        let outcome = m.probe(&mut chip, 500);
+        assert_eq!(outcome.uncorrectable, 0);
         assert_eq!(m.access_count(), 500);
         assert_eq!(m.error_rate(), 0.0, "no errors at nominal voltage");
         m.reset_counters();

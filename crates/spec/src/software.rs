@@ -68,7 +68,7 @@ struct DomainState {
     floor: Millivolts,
     /// Consecutive quiet control periods.
     quiet: u32,
-    /// Correctable events seen at the last reading.
+    /// The domain's correctable errors at the last reading.
     seen: u64,
 }
 
@@ -79,8 +79,6 @@ pub struct SoftwareSpeculation {
     domains: Vec<DomainState>,
     /// Accumulated firmware stall time (performance overhead).
     pub overhead: SimTime,
-    /// Errors handled in firmware.
-    pub handled: u64,
 }
 
 impl SoftwareSpeculation {
@@ -99,7 +97,6 @@ impl SoftwareSpeculation {
                 })
                 .collect(),
             overhead: SimTime::ZERO,
-            handled: 0,
         }
     }
 
@@ -113,26 +110,20 @@ impl SoftwareSpeculation {
     /// workload-triggered correctable errors since the last period, pays
     /// the firmware handling cost for each, and adjusts set points.
     pub(crate) fn on_control_period(&mut self, chip: &mut Chip) {
-        let total_now = chip.log().correctable_count();
-        // Attribute events to domains by their line's core.
-        let mut per_domain = vec![0u64; self.domains.len()];
-        let already: u64 = self.domains.iter().map(|d| d.seen).sum();
-        if total_now > already {
-            let new_events = (total_now - already) as usize;
-            let events = chip.log().correctable();
-            for e in events[events.len() - new_events..].iter() {
-                let d = chip.config().domain_of(e.line.core);
-                per_domain[d.0] += 1;
-            }
-        }
-        for (d, new_count) in per_domain.iter().enumerate() {
-            let state = &mut self.domains[d];
-            state.seen += new_count;
-            self.handled += new_count;
-            self.overhead += self.config.stall(*new_count);
+        for (d, state) in self.domains.iter_mut().enumerate() {
             let domain = DomainId(d);
+            // An error belongs to the domain of the core whose line raised it.
+            let total: u64 = chip
+                .config()
+                .cores_in_domain(domain)
+                .into_iter()
+                .map(|core| chip.ecc_counts().correctable_on_core(core))
+                .sum();
+            let new_count = total.saturating_sub(state.seen);
+            state.seen = total;
+            self.overhead += self.config.stall(new_count);
             let current = chip.domain_set_point(domain);
-            if *new_count > 0 {
+            if new_count > 0 {
                 // Back off and restart the quiet counter.
                 chip.request_domain_voltage(domain, current + self.config.step * 2);
                 state.quiet = 0;
@@ -238,7 +229,6 @@ mod tests {
         );
         assert_eq!(stats.correctable, 0);
         assert_eq!(sw.overhead, SimTime::ZERO);
-        assert_eq!(sw.handled, 0);
     }
 
     #[test]
@@ -257,8 +247,9 @@ mod tests {
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         chip.set_workload(CoreId(1), Box::new(StressTest::default()));
         let _ = sw.run(&mut chip, SimTime::from_secs(120));
-        assert!(sw.handled > 0, "stress at low voltage must trip weak lines");
-        assert!(sw.overhead > SimTime::ZERO);
+        // 161 handled errors at 300 us each: the stress trips weak lines,
+        // and each is paid for exactly once.
+        assert_eq!(sw.overhead, SimTime::from_micros(161 * 300));
         let final_v = chip.domain_set_point(DomainId(0));
         assert!(
             final_v > onset - Millivolts(60),

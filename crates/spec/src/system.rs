@@ -591,40 +591,33 @@ impl SpeculationSystem {
                 // Quarantined domains sit at nominal with speculation off.
                 continue;
             }
-            let ecc_before = if rec_ecc {
-                let m = ctrl.monitor();
-                (m.lifetime_errors(), m.lifetime_uncorrectable())
-            } else {
-                (0, 0)
-            };
             let pending_before = if rec_ctl {
                 self.chip.domain_regulator_mut(domain).pending().0
             } else {
                 0
             };
-            let fired = ctrl.on_tick(&mut self.chip);
+            let (probe, fired) = ctrl.on_tick(&mut self.chip);
             if fired {
                 emergencies += 1;
             }
             // ECC events first: the corrections are the *cause* of any
             // emergency this tick, so they precede it in the stream.
             if rec_ecc {
-                let m = ctrl.monitor();
-                let (errors, uncorrectable) = (m.lifetime_errors(), m.lifetime_uncorrectable());
-                if errors > ecc_before.0 {
+                let core = ctrl.monitor().core();
+                if probe.correctable > 0 {
                     self.recorder.emit(TelemetryEvent::EccCorrection {
                         at: now,
                         domain,
-                        core: m.core(),
-                        count: errors - ecc_before.0,
+                        core,
+                        count: probe.correctable,
                     });
                 }
-                if uncorrectable > ecc_before.1 {
+                if probe.uncorrectable > 0 {
                     self.recorder.emit(TelemetryEvent::EccDetection {
                         at: now,
                         domain,
-                        core: m.core(),
-                        count: uncorrectable - ecc_before.1,
+                        core,
+                        count: probe.uncorrectable,
                     });
                 }
             }

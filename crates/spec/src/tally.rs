@@ -32,7 +32,7 @@ impl RunTally {
             emergencies: 0,
             energy_before: chip.energy().total().0,
             rail_energy_before: chip.core_rail_energy().total().0,
-            ce_before: chip.log().correctable_count(),
+            ce_before: chip.ecc_counts().correctable(),
         }
     }
 
@@ -66,7 +66,7 @@ impl RunTally {
             mean_power_w: self.power_sum / ticks,
             energy_j: chip.energy().total().0 - self.energy_before,
             core_rail_energy_j: chip.core_rail_energy().total().0 - self.rail_energy_before,
-            correctable: chip.log().correctable_count() - self.ce_before,
+            correctable: chip.ecc_counts().correctable() - self.ce_before,
             emergencies: self.emergencies,
             crashed_cores: (0..chip.config().num_cores)
                 .filter(|i| chip.crash_info(CoreId(*i)).is_some())

@@ -242,13 +242,13 @@ impl CellBank {
 
     /// The critical voltages of one word's tracked cells, weakest first.
     #[inline]
-    pub fn word_vcs(&self, line: usize, word: u32) -> &[f64] {
+    pub(crate) fn word_vcs(&self, line: usize, word: u32) -> &[f64] {
         let base = (line * self.words_per_line + word as usize) * self.cells_per_word;
         &self.vc_mv[base..base + self.cells_per_word]
     }
 
-    /// The codeword bit positions of one word's tracked cells, parallel to
-    /// [`CellBank::word_vcs`].
+    /// The codeword bit positions of one word's tracked cells, in the
+    /// order of their critical voltages (weakest first).
     #[inline]
     pub fn word_bits(&self, line: usize, word: u32) -> &[u32] {
         let base = (line * self.words_per_line + word as usize) * self.cells_per_word;

@@ -10,8 +10,8 @@
 //!   detections, weak-line monitor windows, controller voltage steps,
 //!   emergency rollbacks, calibration outcomes) and the fleet job
 //!   lifecycle. Simulation code emits into a [`Recorder`] — a category
-//!   [`EventFilter`] plus a pre-allocated `EventRing` — so the hot path
-//!   never allocates and a disabled recorder costs a single branch.
+//!   [`EventFilter`] plus a `Vec` of the kept events — so a disabled
+//!   recorder costs a single branch and allocates nothing.
 //!   Drained events go to pluggable [`EventSink`]s: [`CaptureSink`]
 //!   (tests assert exact sequences) or [`JsonlSink`]
 //!   (hand-rolled serialization, no external dependencies).
@@ -41,7 +41,6 @@ mod metrics;
 mod profile;
 mod progress;
 mod recorder;
-mod ring;
 mod sink;
 
 pub use event::{EventCategory, EventFilter, SpanLevel, StepDirection, TelemetryEvent};

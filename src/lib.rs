@@ -18,13 +18,13 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`types`] | units, identifiers, deterministic RNG, statistics |
-//! | [`ecc`] | Hsiao SEC-DED codecs and event logs |
+//! | [`ecc`] | Hsiao SEC-DED codecs |
 //! | [`sram`] | process-variation cell model and failure sampling |
 //! | [`cache`] | geometry-accurate hierarchy with an encoded data path |
 //! | [`pdn`] | regulators, IR drop, resonant droop |
 //! | [`power`] | dynamic/leakage power and energy accounting |
 //! | [`workload`] | benchmark suites, stress kernels, the voltage virus |
-//! | [`platform`] | the simulated CMP and characterization harnesses |
+//! | [`platform`] | the simulated CMP, its ECC error counts, and characterization harnesses |
 //! | [`spec`] | **the contribution**: monitors, calibration, control, experiments |
 //! | [`faults`] | deterministic fault injection (DUEs, crashes, droops) and recovery policies |
 //! | [`fleet`] | parallel multi-chip population simulation and statistics |

@@ -142,15 +142,15 @@ fn error_log_attributes_events_to_tracked_weak_lines() {
     sys.assign_suite(Suite::SpecInt2000, SimTime::from_secs(4));
     let stats = sys.run(SimTime::from_secs(12));
     assert!(stats.correctable > 0);
-    // Rebuild the same die and confirm every event's line is one of its
-    // tracked weak lines — the log is explainable from the silicon alone.
+    // Rebuild the same die and confirm every erring line is one of its
+    // tracked weak lines — the counts are explainable from the silicon
+    // alone.
     let mut twin = Chip::new(small_config(55));
-    for e in sys.chip().log().correctable() {
-        let table = twin.weak_table(e.line.core, e.line.cache);
+    for line in sys.chip().ecc_counts().erring_lines() {
+        let table = twin.weak_table(line.core, line.cache);
         assert!(
-            table.lines().iter().any(|l| l.location == e.line.location),
-            "event from untracked line {}",
-            e.line
+            table.lines().iter().any(|l| l.location == line.location),
+            "error from untracked line {line}"
         );
     }
 }

@@ -89,15 +89,15 @@ fn monitor_line_holds_no_workload_data_and_events_stay_correctable() {
     let stats = sys.run(SimTime::from_secs(20));
     assert!(stats.is_safe());
     // Zero uncorrectable events anywhere in the run.
-    assert_eq!(sys.chip().log().uncorrectable_count(), 0);
-    // Every workload-attributed event must come from a non-designated line.
-    for e in sys.chip().log().correctable() {
-        if e.line.core == designated.core && e.line.cache == designated.kind {
-            // Events from the designated line are the monitor's own.
+    assert_eq!(sys.chip().ecc_counts().uncorrectable(), 0);
+    // Every workload-attributed erring line must be a non-designated line.
+    for line in sys.chip().ecc_counts().erring_lines() {
+        if line.core == designated.core && line.cache == designated.kind {
+            // Errors from the designated line are the monitor's own.
             continue;
         }
         assert_ne!(
-            (e.line.cache, e.line.location),
+            (line.cache, line.location),
             (designated.kind, designated.line),
             "workload data must never land on the de-configured line"
         );

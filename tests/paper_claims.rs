@@ -155,15 +155,16 @@ fn claim_only_l2_errors_at_low_voltage() {
     let opts = CharacterizeOptions::fast();
     let mut c = chip(VddMode::LowVoltage);
     let margins = all_core_margins(&mut c, &opts);
-    // Run each core briefly at its min safe voltage and inspect the log.
+    // Run each core briefly at its min safe voltage and inspect the
+    // lines that erred.
     let _ =
         voltspec::platform::characterize::error_breakdown(&mut c, &margins, SimTime::from_secs(5));
-    assert!(c.log().correctable_count() > 0);
-    for e in c.log().correctable() {
+    assert!(c.ecc_counts().correctable() > 0);
+    for line in c.ecc_counts().erring_lines() {
         assert!(
-            e.line.cache.is_l2(),
+            line.cache.is_l2(),
             "only L2 errors expected at low voltage, saw {}",
-            e.line.cache
+            line.cache
         );
     }
 }

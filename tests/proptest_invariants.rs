@@ -193,7 +193,7 @@ fn speculation_is_safe_on_any_die() {
             "die {seed} crashed: {:?}",
             stats.crashed_cores
         );
-        assert_eq!(sys.chip().log().uncorrectable_count(), 0);
+        assert_eq!(sys.chip().ecc_counts().uncorrectable(), 0);
         // And it actually speculated somewhere below nominal.
         assert!(stats.mean_vdd_mv[0] < 800.0, "die {seed} never speculated");
     }
