@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use vs_fleet::ControllerVariant;
+use vs_obs::escape_json_into;
 
 /// First bytes of every socket frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"VF";
@@ -278,22 +279,6 @@ enum Scalar {
     Bool(bool),
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Incrementally builds one flat JSON object.
 struct MessageBuilder {
     out: String,
@@ -303,14 +288,14 @@ impl MessageBuilder {
     fn new(msg_type: &str) -> MessageBuilder {
         let mut out = String::with_capacity(128);
         out.push_str("{\"type\":\"");
-        escape_into(msg_type, &mut out);
+        escape_json_into(msg_type, &mut out);
         out.push('"');
         MessageBuilder { out }
     }
 
     fn key(&mut self, key: &str) -> &mut String {
         self.out.push_str(",\"");
-        escape_into(key, &mut self.out);
+        escape_json_into(key, &mut self.out);
         self.out.push_str("\":");
         &mut self.out
     }
@@ -318,7 +303,7 @@ impl MessageBuilder {
     fn str(mut self, key: &str, value: &str) -> MessageBuilder {
         let out = self.key(key);
         out.push('"');
-        escape_into(value, out);
+        escape_json_into(value, out);
         out.push('"');
         self
     }

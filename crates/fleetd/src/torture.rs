@@ -17,10 +17,13 @@
 //! * **Store** — the `enospc` / `short-write` / `fsync` atoms install a
 //!   [`vs_guard::fsfault`] plan on the case's own store handle, scoped to
 //!   its store directory, so checkpoint saves, journal appends, and
-//!   postmortem bundles fail on a counted schedule.
+//!   postmortem bundles fail on a counted schedule. The plan goes in
+//!   after the overload flood, so the main sweep meets it.
 //! * **Admission** — the `overload` atom floods the scheduler with
-//!   filler sweeps before the main submission, forcing queue-full sheds
-//!   and `Busy` retries.
+//!   filler sweeps before the main submission. The first filler holds
+//!   the only worker (its first chip hangs until cancelled), the second
+//!   takes the one queue slot, and every further filler is shed for a
+//!   full queue — an ordering that does not depend on thread timing.
 //!
 //! The harness's correctness contract (what `repro --chaos-daemon`
 //! checks case by case): the retrying client's final result is
@@ -219,8 +222,13 @@ pub struct TortureOutcome {
     pub duplicate_sweeps: u64,
     /// Overload fillers that were admitted.
     pub admitted_fillers: u64,
-    /// Overload fillers shed by admission control.
-    pub shed_fillers: u64,
+    /// Overload fillers shed because the queue was full.
+    pub shed_queue_full: u64,
+    /// Overload fillers shed because the store was parked.
+    pub shed_parked: u64,
+    /// The daemon's Prometheus snapshot right after the flood, before
+    /// the main submission: its shed counters are the fillers' alone.
+    pub flood_metrics: String,
     /// Transport faults actually consumed.
     pub transport: TransportFaultCounters,
     /// The daemon's Prometheus snapshot, scraped after everything
@@ -240,11 +248,7 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     let store_dir = case.dir.join("store");
     std::fs::create_dir_all(&store_dir).map_err(|e| format!("create store dir: {e}"))?;
 
-    // Store faults: scoped to this case's store directory, counted, and
-    // installed on the store's own filesystem handle — the one every job
-    // of this daemon writes through.
     let store = FleetStore::open(&store_dir).map_err(|e| format!("open store: {e}"))?;
-    store.install_faults(case.plan);
     let sched = Arc::new(Scheduler::start(
         SchedulerConfig {
             workers: 1,
@@ -252,7 +256,7 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
             job_workers: case.job_workers.max(1),
             deadline: None,
         },
-        store,
+        store.clone(),
     ));
 
     let socket = case.dir.join("fleetd.sock");
@@ -272,12 +276,13 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     }
 
     // Overload: flood admission control before the main submission.
-    // Fillers are real sweeps with distinct seeds; with one worker and
-    // one queue slot, the excess is shed and the main client has to
-    // earn its admission through Busy retries.
+    // Fillers are real sweeps with distinct seeds. The first one's first
+    // chip hangs until cancelled, so once the only worker has taken it,
+    // the second filler waits in the one queue slot and every later one
+    // is shed for a full queue, whatever the thread timing.
     let overload = case.plan.daemon_fault_count(DaemonFaultKind::Overload);
     let mut admitted_fillers = Vec::new();
-    let mut shed_fillers = 0u64;
+    let (mut shed_queue_full, mut shed_parked) = (0u64, 0u64);
     for i in 0..u64::from(overload) {
         let filler = SweepSpec {
             seed: case.seed.wrapping_add(1_000 + i),
@@ -286,15 +291,57 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
             quick: true,
             run_ms: 0,
             sentinel: false,
-            inject: String::new(),
+            inject: if i == 0 {
+                "hang:chip0".into()
+            } else {
+                String::new()
+            },
             key: format!("filler-{i}"),
             deadline_ms: 0,
         };
         match sched.submit(filler).map_err(|e| format!("filler: {e}"))? {
             Ok(sub) => admitted_fillers.push(sub.job),
-            Err(_) => shed_fillers += 1,
+            Err(busy) if busy.parked => shed_parked += 1,
+            Err(_) => shed_queue_full += 1,
+        }
+        if i == 0 {
+            let mut taken = false;
+            for _ in 0..10_000 {
+                let stats = sched.stats();
+                taken = stats.running == 1 && stats.queued == 0;
+                if taken {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+            if !taken {
+                return Err("the worker never took the first filler".into());
+            }
         }
     }
+    let flood_metrics = sched.metrics();
+
+    // Cancel the fillers and let them finish before the store faults go
+    // in, so the faults land on the main sweep. The faults are scoped to
+    // this case's store directory, counted, and installed on the store's
+    // own filesystem handle — the one every job of this daemon writes
+    // through.
+    for id in &admitted_fillers {
+        sched.cancel(*id);
+    }
+    for id in &admitted_fillers {
+        let mut cursor = 0;
+        for _ in 0..600 {
+            let Some(chunk) = sched.watch(*id, cursor, Duration::from_millis(100)) else {
+                break;
+            };
+            cursor += chunk.events.len();
+            if chunk.terminal {
+                break;
+            }
+        }
+    }
+    store.install_faults(case.plan);
 
     let budget = TransportFaultBudget::from_plan(case.plan);
     let spec = SweepSpec {
@@ -347,23 +394,6 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
         }
     });
 
-    // Let the fillers finish (cancelled, not awaited to completion) so
-    // the metrics snapshot settles before scraping.
-    for id in &admitted_fillers {
-        sched.cancel(*id);
-    }
-    for id in &admitted_fillers {
-        let mut cursor = 0;
-        for _ in 0..600 {
-            let Some(chunk) = sched.watch(*id, cursor, Duration::from_millis(100)) else {
-                break;
-            };
-            cursor += chunk.events.len();
-            if chunk.terminal {
-                break;
-            }
-        }
-    }
     let metrics = sched.metrics();
 
     sched.shutdown();
@@ -408,7 +438,9 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
         done_lines,
         duplicate_sweeps,
         admitted_fillers: admitted_fillers.len() as u64,
-        shed_fillers,
+        shed_queue_full,
+        shed_parked,
+        flood_metrics,
         transport: budget.consumed(),
         metrics,
     })

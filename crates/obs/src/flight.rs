@@ -128,28 +128,34 @@ impl PostmortemBundle {
     /// object per violation, one object per event.
     pub(crate) fn to_lines(&self) -> Vec<String> {
         let mut lines = Vec::with_capacity(1 + self.violations.len() + self.events.len());
+        let mut detail = String::with_capacity(self.detail.len());
+        escape_json_into(&self.detail, &mut detail);
         lines.push(format!(
             "{{\"postmortem\":1,\"trigger\":\"{}\",\"chip\":{},\"fingerprint\":\"{:016x}\",\
              \"detail\":\"{}\",\"dropped\":{},\"violations\":{},\"events\":{}}}",
             self.trigger,
             self.chip,
             self.fingerprint,
-            escape_json(&self.detail),
+            detail,
             self.dropped,
             self.violations.len(),
             self.events.len()
         ));
         for v in &self.violations {
-            lines.push(format!("{{\"violation\":\"{}\"}}", escape_json(v)));
+            let mut line = String::from("{\"violation\":\"");
+            escape_json_into(v, &mut line);
+            line.push_str("\"}");
+            lines.push(line);
         }
         lines.extend(self.events.iter().cloned());
         lines
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out`, escaped for embedding in a JSON string literal.
+/// Postmortem bundles and the fleet daemon's wire frames both escape
+/// through this one character map.
+pub fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -163,10 +169,9 @@ fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Un-escapes what [`escape_json`] produced.
+/// Un-escapes what [`escape_json_into`] produced.
 fn unescape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();

@@ -38,8 +38,8 @@ pub mod span;
 mod top;
 
 pub use flight::{
-    read_bundle, write_bundle_on, BundleError, PostmortemBundle, PostmortemTrigger,
-    DEFAULT_FLIGHT_CAPACITY,
+    escape_json_into, read_bundle, write_bundle_on, BundleError, PostmortemBundle,
+    PostmortemTrigger, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use prom::{metric_name, render_prometheus, PromParseError, PromSample, PromSnapshot};
 pub use span::{SpanNode, SpanTree};

@@ -2,7 +2,6 @@
 
 use crate::config::ChipConfig;
 use crate::counts::EccCounts;
-use crate::weakline::WeakLineTable;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -87,13 +86,12 @@ impl ProbeOutcome {
 }
 
 /// One SRAM structure of one core, as the failure kernel sees it: the
-/// shared cell bank, the failure LUT and weak-line table derived from it,
-/// and the working-set draws of its lines.
+/// shared cell bank, the failure LUT derived from it, and the
+/// working-set draws of its lines.
 #[derive(Debug)]
 struct Structure {
     bank: Arc<CellBank>,
     lut: FailureLut,
-    table: Option<WeakLineTable>,
     /// The 2 s working-set phase `phase_draws` were drawn for.
     phase: Option<u64>,
     /// Per bank line, the uniform that decides whether the line is in the
@@ -130,7 +128,6 @@ impl Structure {
         Structure {
             bank,
             lut: FailureLut::new(),
-            table: None,
             phase: None,
             phase_draws: Vec::new(),
         }
@@ -467,7 +464,7 @@ impl Chip {
         }
     }
 
-    // ----- weak-line tables and cell banks ------------------------------
+    // ----- cell banks ---------------------------------------------------
 
     /// The kernel state of one structure, building its cell bank on
     /// first use.
@@ -503,8 +500,8 @@ impl Chip {
     /// Banks built for a different operating mode are ignored (their cell
     /// voltages would be wrong for this chip); matching ones replace any
     /// lazily-built local copies. Banks of the same die and mode are
-    /// identical, so the LUT, weak-line table and working-set draws
-    /// already derived from a replaced copy stay valid.
+    /// identical, so the LUT and working-set draws already derived from a
+    /// replaced copy stay valid.
     pub fn preload_banks(&mut self, banks: &BankMap) {
         for (&(core, kind), bank) in banks {
             if bank.mode() != self.config.mode {
@@ -520,24 +517,15 @@ impl Chip {
         }
     }
 
-    /// The weak-line table of one structure (built lazily from the cell
-    /// bank, cached).
-    pub fn weak_table(&mut self, core: CoreId, kind: CacheKind) -> &WeakLineTable {
-        let structure = self.structure(core, kind);
-        structure
-            .table
-            .get_or_insert_with(|| WeakLineTable::from_bank(&structure.bank))
-    }
-
     // ----- ECC monitor support ------------------------------------------
 
     /// Designates a line for exclusive ECC-monitor use: it is de-configured
     /// from normal allocation and preloaded with the monitor's test
     /// pattern (§III-C).
     ///
-    /// Every designation comes from the weak-line table or from a
-    /// calibration that picks one of its lines, so the line is always one
-    /// the structure's cell bank tracks.
+    /// Every designation is one of the cell bank's ranked lines, read
+    /// straight from [`Chip::cell_bank`] or picked by a calibration, so
+    /// the line is always one the structure's bank tracks.
     ///
     /// # Panics
     ///
@@ -956,9 +944,8 @@ impl Chip {
     }
 
     /// Resets time, error counts, crashes, caches, and regulators to
-    /// power-on state, keeping the (expensive) cell banks, failure LUTs,
-    /// and weak-line tables. Used between characterization runs on the same
-    /// silicon.
+    /// power-on state, keeping the (expensive) cell banks and failure
+    /// LUTs. Used between characterization runs on the same silicon.
     pub fn reset(&mut self) {
         let nominal = self.config.mode.nominal_vdd();
         for d in &mut self.domains {
@@ -1132,32 +1119,11 @@ mod tests {
     }
 
     #[test]
-    fn weak_tables_cached() {
+    fn cell_banks_cached() {
         let mut chip = Chip::new(small_config(5));
-        let first = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
-        let second = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn bank_backed_table_matches_scalar_build() {
-        let mut chip = Chip::new(small_config(5));
-        let from_bank = chip.weak_table(CoreId(0), CacheKind::L2Data).clone();
-        let scalar = WeakLineTable::build(
-            chip.variation(),
-            CoreId(0),
-            CacheKind::L2Data,
-            &CacheGeometry::for_kind(CacheKind::L2Data),
-            VddMode::LowVoltage,
-            8,
-        );
-        assert_eq!(from_bank, scalar);
+        let first = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        let second = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]
@@ -1174,11 +1140,6 @@ mod tests {
             &adopted,
             &banks[&(CoreId(0), CacheKind::L2Data)]
         ));
-        // And the derived table matches what the donor would build.
-        assert_eq!(
-            chip.weak_table(CoreId(0), CacheKind::L2Data),
-            donor.weak_table(CoreId(0), CacheKind::L2Data)
-        );
     }
 
     #[test]
@@ -1261,10 +1222,7 @@ mod tests {
     #[test]
     fn aging_change_invalidates_failure_luts() {
         let mut chip = Chip::new(small_config(5));
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weakest = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0];
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
         chip.request_domain_voltage(
             DomainId(0),
@@ -1287,10 +1245,7 @@ mod tests {
     #[test]
     fn monitor_probe_counts_and_rates() {
         let mut chip = Chip::new(small_config(5));
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weakest = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0];
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
         chip.tick();
 
@@ -1344,10 +1299,7 @@ mod tests {
             monitor_real_reads: real_reads,
             ..small_config(5)
         });
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weakest = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0];
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
         if shift > 0.0 {
             chip.set_age_hours(1_000.0);
@@ -1454,13 +1406,9 @@ mod tests {
     #[test]
     fn stress_at_low_voltage_produces_correctable_errors() {
         let mut chip = Chip::new(small_config(5));
-        let first_error_v = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv()
-            .max(
-                chip.weak_table(CoreId(0), CacheKind::L2Instruction)
-                    .first_error_voltage_mv(),
-            );
+        let first_error_v = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0]
+            .weakest_vc_mv
+            .max(chip.cell_bank(CoreId(0), CacheKind::L2Instruction).lines()[0].weakest_vc_mv);
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         chip.set_workload(CoreId(1), Box::new(Idle));
         // Park 25 mV below the first-error voltage: errors, no crash.
@@ -1478,23 +1426,18 @@ mod tests {
         // Errors come from the weak lines only.
         let erring: Vec<_> = chip.ecc_counts().erring_lines().collect();
         for line in erring {
-            let table = chip.weak_table(line.core, line.cache);
-            assert!(table.lines().iter().any(|l| l.location == line.location));
+            let bank = chip.cell_bank(line.core, line.cache);
+            assert!(bank.find(line.location).is_some());
         }
     }
 
     #[test]
     fn monitor_line_excluded_from_workload_errors() {
         let mut chip = Chip::new(small_config(5));
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
+        let weakest = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0].location;
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest);
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
-        let v = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv();
+        let v = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0].weakest_vc_mv;
         chip.request_domain_voltage(DomainId(0), Millivolts(v as i32 - 10));
         for _ in 0..50_000 {
             chip.tick();

@@ -17,9 +17,9 @@
 //! * per-core crash detection (logic floor violations or uncorrectable
 //!   errors), the simulator's equivalent of the machine checks that bound
 //!   the minimum safe voltage;
-//! * a [`WeakLineTable`] per structure, ranking the deterministically
-//!   weakest cache lines — the lines whose behaviour the whole paper turns
-//!   on;
+//! * a [`vs_sram::CellBank`] per structure ([`Chip::cell_bank`]),
+//!   ranking the deterministically weakest cache lines — the lines whose
+//!   behaviour the whole paper turns on;
 //! * [`characterize`] — the voltage-margin experiments of §II
 //!   (Figures 1–4).
 //!
@@ -47,9 +47,7 @@ pub mod characterize;
 mod chip;
 mod config;
 mod counts;
-mod weakline;
 
 pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, TickReport};
 pub use config::ChipConfig;
 pub use counts::EccCounts;
-pub use weakline::{WeakLine, WeakLineTable};

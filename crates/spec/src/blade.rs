@@ -99,7 +99,8 @@ impl BladeServer {
         self.thermal.set_fan(fan);
     }
 
-    /// Calibrates every socket (oracle path).
+    /// Calibrates every socket via the oracle that reads each structure's
+    /// ranked cell-bank lines.
     pub fn calibrate_fast(&mut self) {
         for s in &mut self.sockets {
             s.calibrate_with(&CalibrationPlan::fast());

@@ -11,11 +11,10 @@
 //!   5 mV refinement, mirroring how a firmware implementation would bound
 //!   boot time.
 //! * [`CalibrationMethod::TableLookup`] — the oracle shortcut: read the
-//!   weakest line straight out of the platform's
-//!   [`WeakLineTable`](vs_platform::WeakLineTable). Both
-//!   methods identify (statistically) the same line; the integration tests
-//!   assert the sweep lands inside the table's top entries. Experiments
-//!   default to the oracle for speed.
+//!   weakest line straight out of the structure's ranked cell-bank lines
+//!   ([`Chip::cell_bank`]). Both methods identify (statistically) the same
+//!   line; the integration tests assert the sweep lands among the bank's
+//!   top-ranked lines. Experiments default to the oracle for speed.
 
 use vs_cache::hierarchy::Side;
 use vs_cache::{sweep, FaultInjector};
@@ -27,7 +26,8 @@ use vs_types::{CacheKind, CoreId, DomainId, Millivolts, SetWay};
 pub enum CalibrationMethod {
     /// Real voltage-stepped cache sweeps (expensive, faithful).
     CacheSweep,
-    /// Weak-line-table oracle (fast; same silicon, same answer).
+    /// Oracle read of the cell bank's ranked weak lines (fast; same
+    /// silicon, same answer).
     TableLookup,
 }
 
@@ -111,8 +111,7 @@ fn calibrate_by_table(chip: &mut Chip, domain: DomainId) -> CalibrationOutcome {
     let mut best: Option<(CoreId, CacheKind, SetWay, f64)> = None;
     for core in cores {
         for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-            let table = chip.weak_table(core, kind);
-            let line = table.weakest();
+            let line = chip.cell_bank(core, kind).lines()[0];
             if best.is_none_or(|(.., vc)| line.weakest_vc_mv > vc) {
                 best = Some((core, kind, line.location, line.weakest_vc_mv));
             }
@@ -228,12 +227,10 @@ mod tests {
         let mut max_vc = f64::NEG_INFINITY;
         for core in [CoreId(0), CoreId(1)] {
             for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                max_vc = max_vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                max_vc = max_vc.max(chip.cell_bank(core, kind).lines()[0].weakest_vc_mv);
             }
         }
-        let designated_vc = chip
-            .weak_table(outcome.core, outcome.kind)
-            .first_error_voltage_mv();
+        let designated_vc = chip.cell_bank(outcome.core, outcome.kind).lines()[0].weakest_vc_mv;
         assert_eq!(designated_vc, max_vc);
         // Onset estimate brackets the critical voltage from above.
         assert!(f64::from(outcome.onset_vdd.0) >= max_vc);
@@ -242,17 +239,17 @@ mod tests {
 
     #[test]
     fn sweep_agrees_with_the_table() {
-        // Over many dies, the sweep designates only lines the weak-line
-        // table tracks: the chip's monitor probe relies on that.
+        // Over many dies, the sweep designates only lines the cell bank
+        // tracks: the chip's monitor probe relies on that.
         for seed in 21..29 {
             let mut chip = small_chip(seed);
             let oracle = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::fast());
             let swept = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::default());
-            // The sweep's designated line must be among the table's
+            // The sweep's designated line must be among the bank's
             // strongest few candidates of the same structure (detection
             // near onset is probabilistic, so allow the top 3).
-            let table = chip.weak_table(swept.core, swept.kind);
-            let rank = table
+            let bank = chip.cell_bank(swept.core, swept.kind);
+            let rank = bank
                 .lines()
                 .iter()
                 .position(|l| l.location == swept.line)

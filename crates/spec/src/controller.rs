@@ -250,10 +250,7 @@ mod tests {
             ..ChipConfig::low_voltage(9)
         };
         let mut chip = Chip::new(config);
-        let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
+        let weak = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0].location;
         let mut monitor = EccMonitor::new(CoreId(0), CacheKind::L2Data, weak);
         monitor.activate(&mut chip);
         (chip, monitor)
@@ -388,9 +385,7 @@ mod tests {
     #[test]
     fn emergency_fires_on_sudden_droop() {
         let (mut chip, monitor) = chip_and_monitor();
-        let weak_vc = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv();
+        let weak_vc = chip.cell_bank(CoreId(0), CacheKind::L2Data).lines()[0].weakest_vc_mv;
         let mut ctrl = DomainController::new(DomainId(0), monitor, ControllerConfig::default());
         // Slam the domain far below the weak cell: the monitor sees a
         // near-100% rate and must fire the interrupt path.

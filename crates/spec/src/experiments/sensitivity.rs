@@ -46,7 +46,7 @@ pub fn sensitivity_curves(
     for &core in cores {
         let mut chip = Chip::new(ChipConfig::low_voltage(seed));
         let kind = CacheKind::L2Data;
-        let weak = chip.weak_table(core, kind).weakest().clone();
+        let weak = chip.cell_bank(core, kind).lines()[0];
         let domain = chip.config().domain_of(core);
         let mut monitor = EccMonitor::new(core, kind, weak.location);
         monitor.activate(&mut chip);

@@ -57,19 +57,12 @@ pub fn recalibrate(system: &mut SpeculationSystem) -> Vec<RecalibrationOutcome> 
         let mut best: Option<(CoreId, CacheKind, SetWay, f64)> = None;
         for core in cores {
             for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                // Snapshot what we need from the table before further
-                // mutable borrows.
-                let entries: Vec<(SetWay, f64)> = system
-                    .chip_mut()
-                    .weak_table(core, kind)
-                    .lines()
-                    .iter()
-                    .map(|l| (l.location, l.weakest_vc_mv))
-                    .collect();
-                for (location, vc) in entries {
-                    let aged = vc + system.chip().line_aging_shift_mv(core, kind, location);
+                let bank = system.chip_mut().cell_bank(core, kind);
+                for line in bank.lines() {
+                    let aged = line.weakest_vc_mv
+                        + system.chip().line_aging_shift_mv(core, kind, line.location);
                     if best.is_none_or(|(.., b)| aged > b) {
-                        best = Some((core, kind, location, aged));
+                        best = Some((core, kind, line.location, aged));
                     }
                 }
             }

@@ -165,7 +165,7 @@ pub(crate) fn offline_onsets(chip: &mut Chip) -> Vec<Millivolts> {
             let mut vc = f64::NEG_INFINITY;
             for core in chip.config().cores_in_domain(DomainId(d)) {
                 for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                    vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                    vc = vc.max(chip.cell_bank(core, kind).lines()[0].weakest_vc_mv);
                 }
             }
             Millivolts(vc.ceil() as i32)

@@ -531,8 +531,8 @@ impl SpeculationSystem {
         self.calibrate_with(&CalibrationPlan::default())
     }
 
-    /// Calibrates via the weak-line-table oracle (fast path for
-    /// experiments; finds the same lines).
+    /// Calibrates via the oracle that reads each structure's ranked
+    /// cell-bank lines (fast path for experiments; finds the same lines).
     pub fn calibrate_fast(&mut self) -> &[CalibrationOutcome] {
         self.calibrate_with(&CalibrationPlan::fast())
     }

@@ -226,10 +226,7 @@ mod tests {
         let mut chip = small_chip(31);
         let outcome = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::fast());
         let response = measure_line_response(&mut chip, &outcome, 6000);
-        let truth = chip
-            .weak_table(outcome.core, outcome.kind)
-            .weakest()
-            .clone();
+        let truth = chip.cell_bank(outcome.core, outcome.kind).lines()[0];
         assert!(
             (response.vc_mv - truth.weakest_vc_mv).abs() < 4.0,
             "measured Vc {} vs true {}",

@@ -35,8 +35,8 @@
 //!   sequence** and produces the identical flip set as the scalar
 //!   [`AccessContext::sample_word_flips`] on the same cells;
 //! * [`CellBank::line_probabilities`] reproduces the analytic
-//!   [`line_read_probabilities`] path (including its 8-noise-width word
-//!   cutoff) without allocating;
+//!   [`line_read_probabilities`] over the line's words that clear its
+//!   8-noise-width word cutoff, without allocating;
 //! * the LUT path agrees with the analytic path within the quantization
 //!   bound `0.5 / (4 · read_noise)` — half a millivolt of rounding times
 //!   the logistic's maximum slope;
@@ -136,7 +136,7 @@ impl CellBank {
 
         // First pass: rank all lines by their weakest cell, in scan order
         // (sets outer, ways inner), keeping the first `k_lines` of a
-        // stable descending sort — the scalar table scan's ranking, ties
+        // stable descending sort — the reference scan's ranking, ties
         // included.
         let structure_mu = variation.structure_mu_mv(core, kind, mode);
         let mut scratch: Vec<WeakCell> = Vec::with_capacity(k);
@@ -225,11 +225,6 @@ impl CellBank {
         self.total_lines
     }
 
-    /// The chip's temperature coefficient, in millivolts per °C.
-    pub fn temp_coeff_mv_per_c(&self) -> f64 {
-        self.temp_coeff_mv_per_c
-    }
-
     /// The tracked lines, weakest first.
     pub fn lines(&self) -> &[BankLine] {
         &self.lines
@@ -265,8 +260,10 @@ impl CellBank {
         }
     }
 
-    /// Materializes one word as a [`WordCells`] (allocates; compatibility
-    /// with the table-based consumers).
+    /// Materializes one word as a [`WordCells`] (allocates), the input of
+    /// the analytic reference
+    /// [`line_read_probabilities`](crate::line_read_probabilities) and of
+    /// the scalar sampler.
     pub fn word_cells(&self, line: usize, word: u32) -> WordCells {
         let cells = self
             .word_vcs(line, word)
@@ -324,9 +321,9 @@ impl CellBank {
     }
 
     /// Probability split `(clean, correctable, uncorrectable)` for one
-    /// read of a whole tracked line — the alloc-free equivalent of the
-    /// table path's `WeakLine::read_probabilities`, including its
-    /// 8-noise-width word cutoff.
+    /// read of a whole tracked line:
+    /// [`line_read_probabilities`](crate::line_read_probabilities) over the
+    /// words that clear an 8-noise-width cutoff, without allocating.
     pub(crate) fn line_probabilities(
         &self,
         line: usize,
@@ -983,6 +980,64 @@ mod tests {
                 assert_eq!(got, want, "line {li} dv {dv}");
             }
         }
+    }
+
+    #[test]
+    fn line_probabilities_behave_with_voltage() {
+        let b = bank();
+        let vc = b.lines()[0].weakest_vc_mv;
+        let temp = Celsius(50.0);
+        // Far above the weak cell: clean.
+        let (pc, pe, pu) = b.line_probabilities(0, vc + 80.0, temp);
+        assert!(pc > 0.999, "clean far above Vc, got {pc}");
+        assert_eq!((pe, pu), (0.0, 0.0));
+        // At the weak cell: ~half the reads err.
+        let (_, pe, _) = b.line_probabilities(0, vc, temp);
+        assert!((0.3..0.7).contains(&pe), "p(correctable) at Vc, got {pe}");
+        // Monotone increase as voltage falls.
+        let mut prev = 0.0;
+        for dv in (0..60).step_by(5) {
+            let (_, pe, pu) = b.line_probabilities(0, vc + 30.0 - dv as f64, temp);
+            let total = pe + pu;
+            assert!(total >= prev - 1e-9);
+            prev = total;
+        }
+    }
+
+    #[test]
+    fn uncorrectable_needs_two_cells_in_one_word() {
+        // At voltages just below the weakest cell, UE probability must be
+        // tiny: the second-weakest cell of that word is far lower. This is
+        // the physical basis of the paper's safe speculation band.
+        let b = bank();
+        let vc = b.lines()[0].weakest_vc_mv;
+        let (_, _, pu) = b.line_probabilities(0, vc - 10.0, Celsius(50.0));
+        assert!(pu < 0.01, "UE probability just below first error: {pu}");
+    }
+
+    #[test]
+    fn banks_differ_between_cores() {
+        let v = variation();
+        let weakest = |core| {
+            CellBank::build(
+                &v,
+                core,
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                SETS,
+                WAYS,
+                WORDS,
+                4,
+            )
+            .lines()[0]
+                .location
+        };
+        assert_ne!(
+            weakest(CoreId(0)),
+            weakest(CoreId(1)),
+            "weak lines vary from core to core (paper §II-D); if this \
+             fails the seed happened to collide — pick another"
+        );
     }
 
     #[test]

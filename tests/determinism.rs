@@ -52,8 +52,8 @@ fn weak_lines_are_stable_across_chip_instances() {
     let mut chip2 = Chip::new(small_config(99));
     for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
         for core in [CoreId(0), CoreId(1)] {
-            let a = chip1.weak_table(core, kind).weakest().location;
-            let b = chip2.weak_table(core, kind).weakest().location;
+            let a = chip1.cell_bank(core, kind).lines()[0].location;
+            let b = chip2.cell_bank(core, kind).lines()[0].location;
             assert_eq!(a, b, "{core}/{kind} weak line must be a die property");
         }
     }
@@ -64,11 +64,7 @@ fn weak_lines_differ_between_cores_and_structures() {
     // §II-D: "the addresses of such lines vary from core to core".
     let mut chip = Chip::new(ChipConfig::low_voltage(99));
     let locations: Vec<_> = (0..8)
-        .map(|c| {
-            chip.weak_table(CoreId(c), CacheKind::L2Data)
-                .weakest()
-                .location
-        })
+        .map(|c| chip.cell_bank(CoreId(c), CacheKind::L2Data).lines()[0].location)
         .collect();
     let mut unique = locations.clone();
     unique.sort();
@@ -147,9 +143,9 @@ fn error_log_attributes_events_to_tracked_weak_lines() {
     // alone.
     let mut twin = Chip::new(small_config(55));
     for line in sys.chip().ecc_counts().erring_lines() {
-        let table = twin.weak_table(line.core, line.cache);
+        let bank = twin.cell_bank(line.core, line.cache);
         assert!(
-            table.lines().iter().any(|l| l.location == line.location),
+            bank.find(line.location).is_some(),
             "error from untracked line {line}"
         );
     }

@@ -74,8 +74,18 @@ fn socket_session_full_lifecycle() {
 
     let mut client = Client::connect(&socket).unwrap();
     // One worker, one queue slot: the first job runs, the second queues,
-    // and everything past that must be a typed Busy.
+    // and everything past that must be a typed Busy. The second submit
+    // waits until the worker has taken the first job off the queue.
     let running = client.submit(spec(1, 6)).unwrap().expect("admitted").job;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.stats().unwrap();
+        if stats.running == 1 && stats.queued == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "first job never started");
+        thread::sleep(Duration::from_millis(1));
+    }
     let queued = client.submit(spec(2, 6)).unwrap().expect("queued").job;
     match client.submit(spec(3, 6)).unwrap() {
         Err(Response::Busy { queued: q, cap, .. }) => {
@@ -374,8 +384,24 @@ fn seeded_torture_schedule_is_survived_byte_identically() {
     assert_eq!(fault.transport.disconnects, 1);
     assert_eq!(fault.transport.stalls, 1);
     assert!(fault.report.transport_retries >= 1, "faults forced retries");
-    // ...the overload flood was shed by admission control...
-    assert!(fault.shed_fillers >= 1, "overload past the cap must shed");
+    // ...the overload flood was shed by admission control, each refusal
+    // counted under its reason in the metrics...
+    assert!(
+        fault.shed_queue_full >= 1,
+        "overload past the cap must shed"
+    );
+    let flood = vs_obs::PromSnapshot::parse(&fault.flood_metrics).unwrap();
+    for (metric, count) in [
+        ("voltspec_fleetd_shed_queue_full", fault.shed_queue_full),
+        ("voltspec_fleetd_shed_parked", fault.shed_parked),
+    ] {
+        assert_eq!(
+            flood.value(metric).unwrap_or(0.0),
+            count as f64,
+            "{metric} after the flood:\n{}",
+            fault.flood_metrics
+        );
+    }
     // ...and every injection surface shows up in the Prometheus snapshot.
     let snap = vs_obs::PromSnapshot::parse(&fault.metrics).unwrap();
     assert!(
