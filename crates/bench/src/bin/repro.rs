@@ -65,7 +65,8 @@
 //! * `--journal FILE` keeps a crash-safe write-ahead journal: each
 //!   finished chip is fsynced immediately, so resume after SIGKILL
 //!   recovers every finished chip even between checkpoint saves. On
-//!   start the journal is replayed and compacted into `--checkpoint`.
+//!   start the journal is folded into `--checkpoint` as daemon boot
+//!   folds it (the journal copy of a chip wins).
 //! * Ctrl-C interrupts gracefully: in-flight chips wind down, progress is
 //!   flushed to the checkpoint/journal, partial statistics plus a
 //!   degradation report are printed, and the exit status is 130. A
@@ -83,7 +84,7 @@
 //! * `--spans` adds causal span events (job → lane → chip → tick-batch,
 //!   linked by id/parent) to the trace, rooted at the run's seed. Spans
 //!   ride alongside the existing categories without changing their
-//!   bytes; `vs_obs::SpanTree` reconstructs the causal tree from the
+//!   bytes; `vs_obs::span::SpanTree` reconstructs the causal tree from the
 //!   merged trace, identically for any `--workers` count.
 //! * `--postmortem DIR` arms the flight recorder: each chip keeps a ring
 //!   of its last telemetry events, and a sentinel violation, worker
@@ -836,7 +837,7 @@ fn run_chaos(cases: u64, seed: u64, workers: usize, quiet: bool) {
 /// daemon with a retrying client, and delta-debug the first divergent
 /// case to a minimal reproducer.
 ///
-/// The oracle ([`vs_fleetd::torture::torture_diverges`]) compares the
+/// The oracle ([`vs_fleetd::torture::torture_oracle`]) compares the
 /// tortured run against a fault-free baseline: a different terminal
 /// outcome, different per-chip results, or any duplicate admission is a
 /// divergence. It is pure in the plan — wall clock, `--workers`, and
@@ -851,7 +852,7 @@ fn run_chaos_daemon(
     replay: Option<FaultPlan>,
 ) {
     use vs_faults::daemon_chaos_plan;
-    use vs_fleetd::torture::torture_diverges;
+    use vs_fleetd::torture::torture_oracle;
     const CHIPS: u64 = 3;
     let scratch_root = std::env::temp_dir().join(format!("repro-chaos-daemon-{seed}"));
     println!(
@@ -863,6 +864,12 @@ fn run_chaos_daemon(
         }
     );
     let start = Instant::now();
+    // One fault-free baseline serves every case and every shrink step.
+    let diverges = torture_oracle(seed, CHIPS, job_workers, break_dedup, &scratch_root)
+        .unwrap_or_else(|e| {
+            eprintln!("repro: daemon chaos: {e}");
+            std::process::exit(EXIT_TRANSPORT);
+        });
     for case in 0..cases {
         // `--inject` replays one fixed schedule (the minimized
         // reproducer path); otherwise each case draws its own.
@@ -870,10 +877,7 @@ fn run_chaos_daemon(
             .clone()
             .unwrap_or_else(|| daemon_chaos_plan(seed, case));
         let spec = plan.to_spec_string();
-        let scratch = scratch_root.join(format!("case-{case}"));
-        let diverged = torture_diverges(&plan, seed, CHIPS, job_workers, break_dedup, &scratch);
-        let _ = std::fs::remove_dir_all(&scratch);
-        if !diverged {
+        if !diverges(&plan) {
             println!("case {case:>3}: ok        ({spec})");
             continue;
         }
@@ -881,18 +885,8 @@ fn run_chaos_daemon(
         // Delta-debug the failing schedule down to a 1-minimal plan:
         // removing any single remaining fault atom makes the daemon tier
         // recover correctly again.
-        let shrink_scratch = scratch_root.join("shrink");
-        let minimal = minimize(&plan, |candidate| {
-            torture_diverges(
-                candidate,
-                seed,
-                CHIPS,
-                job_workers,
-                break_dedup,
-                &shrink_scratch,
-            )
-        });
-        let _ = std::fs::remove_dir_all(&shrink_scratch);
+        let minimal = minimize(&plan, &diverges);
+        let _ = std::fs::remove_dir_all(&scratch_root);
         println!("\nminimal reproducer:");
         println!(
             "  repro --chaos-daemon 1 --seed {seed}{} --inject {}",
@@ -907,6 +901,7 @@ fn run_chaos_daemon(
         eprintln!("repro: daemon chaos case {case} diverged from the fault-free baseline");
         std::process::exit(EXIT_VIOLATION);
     }
+    let _ = std::fs::remove_dir_all(&scratch_root);
     println!("\n{cases} cases, 0 divergences");
     if !quiet {
         eprintln!(

@@ -12,7 +12,7 @@ use vs_types::{ChipId, CoreId, DomainId, Millivolts, SimTime};
 /// | `seeded:SEED` | a seeded population-wide plan (`FaultPlan::seeded`) |
 /// | `panic:chipN` | chip `N`'s worker job panics once (`xM` suffix: `M` times) |
 /// | `hang:chipN` | chip `N`'s worker job hangs once until the watchdog cancels it (`xM` suffix: `M` times) |
-/// | `io-error:N` | the first `N` checkpoint saves fail with an injected I/O error |
+/// | `io-error:N` | the first `N` checkpoint save attempts of the fleet runner fail with an injected I/O error (the start-of-run journal fold is not one) |
 /// | `daemon:KIND:N` | budget `N` daemon-tier faults of `KIND` (`torn`, `stall`, `disconnect`, `enospc`, `short-write`, `fsync`, `overload`) |
 /// | `due@TIME:dD` | a DUE on domain `D` at `TIME` |
 /// | `crash@TIME:cC` | core `C` crashes at `TIME` |

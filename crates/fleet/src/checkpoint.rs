@@ -130,7 +130,7 @@ impl From<FrameError> for CheckpointWarning {
 /// The result of a lenient [`load_checkpoint_report`] of a checkpoint or journal:
 /// everything that decoded, plus a typed warning per skipped record
 /// (`(1-based line number, warning)`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CheckpointLoad {
     /// The summaries that decoded cleanly, deduplicated by chip id, in
     /// chip-id order.

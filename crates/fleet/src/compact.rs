@@ -1,19 +1,16 @@
-//! Streaming journal→checkpoint compaction.
-//!
-//! The in-memory compaction the [`FleetRunner`](crate::FleetRunner) does
-//! mid-run holds every completed summary anyway, so it folds the journal
-//! into the checkpoint for free. A *daemon* restarting over a large warm
-//! store cannot afford that: the checkpoint may hold orders of magnitude
-//! more chips than the journal window, and loading it whole just to
-//! absorb a handful of journal records is wasted memory.
+//! Streaming journal→checkpoint compaction: the one rule for folding a
+//! write-ahead journal into its checkpoint. Daemon boot and a resuming
+//! [`FleetRunner`](crate::FleetRunner) both fold through
+//! [`compact_streaming_on`]; where the two files hold different bytes for
+//! a chip, the journal copy wins. The checkpoint is never loaded whole,
+//! so memory stays O(journal window) even over a large warm store.
 //!
 //! A journal is a checkpoint tail — same header, same framed records — so
 //! [`compact_streaming_on`] is a sorted merge of two framed streams: the
 //! journal's records, deduplicated by chip id (memory O(journal window)),
 //! and the checkpoint's, streamed line by line in the chip-id order
 //! `save` writes. Record lines are copied verbatim, never re-encoded. The
-//! merge keeps the crash-safety contract of the runner's own compaction:
-//! the merged checkpoint is streamed through
+//! merged checkpoint is streamed through
 //! [`vs_guard::durable::atomic_write`] (temp file, fsync, rename, parent
 //! directory fsync), and only then is the journal truncated. A crash
 //! between the two steps leaves harmless duplicates, never a gap.
@@ -25,6 +22,7 @@ use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use vs_guard::durable::atomic_write;
 use vs_guard::vfs::VfsHandle;
+use vs_types::ChipId;
 
 /// What one streaming compaction pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +33,12 @@ pub struct CompactionReport {
     pub chips: u64,
     /// Journal records absorbed that the checkpoint did not already hold.
     pub merged: u64,
-    /// Damaged records skipped (torn final journal append, bit rot); the
-    /// rest of each file still compacts.
-    pub skipped: u64,
+    /// One `journal line N: …` or `checkpoint line N: …` entry per damaged
+    /// record skipped (torn append, bit rot); the rest still compacts.
+    pub skipped: Vec<String>,
+    /// Chips both files held with different record bytes, in chip-id
+    /// order. The journal copy was kept.
+    pub diverged: Vec<ChipId>,
 }
 
 /// Counts the chip records of a checkpoint without loading them: one
@@ -48,14 +49,16 @@ pub fn checkpoint_chips_on(vfs: &VfsHandle, path: &Path) -> Result<u64, Checkpoi
     if !vfs.exists(path) {
         return Ok(0);
     }
-    count_records(StoreReader::open(vfs, path)?)
+    count_records(StoreReader::open(vfs, path)?, &mut Vec::new())
 }
 
-fn count_records(reader: StoreReader) -> Result<u64, CheckpointError> {
+/// Counts the records that decode; each damaged one is described in `skipped`.
+fn count_records(reader: StoreReader, skipped: &mut Vec<String>) -> Result<u64, CheckpointError> {
     let mut chips = 0;
     for item in reader {
-        if item?.1.is_ok() {
-            chips += 1;
+        match item? {
+            (_, Ok(_)) => chips += 1,
+            (line, Err(warning)) => skipped.push(format!("checkpoint line {line}: {warning}")),
         }
     }
     Ok(chips)
@@ -76,7 +79,8 @@ pub fn read_fingerprint_on(vfs: &VfsHandle, path: &Path) -> Result<u64, Checkpoi
 ///   records are spliced into chip-id position, and a chip present in
 ///   both stores keeps the journal copy (the journal is the
 ///   write-ahead source of truth for records the checkpoint never
-///   absorbed).
+///   absorbed). A chip whose two record lines differ is listed in
+///   [`CompactionReport::diverged`].
 /// * The temp file is fsynced, renamed over the checkpoint, the parent
 ///   directory fsynced — and only then is the journal truncated back to
 ///   its header.
@@ -98,7 +102,8 @@ pub fn compact_streaming_on(
     } else {
         None
     };
-    let (fingerprint, pending, mut skipped) = if vfs.exists(journal) {
+    let mut skipped = Vec::new();
+    let (fingerprint, pending) = if vfs.exists(journal) {
         let tail = StoreReader::open(vfs, journal)?;
         let fingerprint = tail.fingerprint;
         if let Some(base) = &base {
@@ -110,69 +115,72 @@ pub fn compact_streaming_on(
             }
         }
         let (records, warnings) = tail.read_all()?;
-        (fingerprint, records, warnings.len() as u64)
+        for (line, warning) in warnings {
+            skipped.push(format!("journal line {line}: {warning}"));
+        }
+        (fingerprint, records)
     } else {
         let fingerprint = base.as_ref().map_or(0, |b| b.fingerprint);
-        (fingerprint, BTreeMap::new(), 0)
+        (fingerprint, BTreeMap::new())
     };
-    if pending.is_empty() {
-        let chips = match base {
-            Some(base) => count_records(base)?,
-            None => 0,
-        };
-        return Ok(CompactionReport {
-            fingerprint,
-            chips,
-            merged: 0,
-            skipped,
-        });
-    }
     let merged_candidates = pending.len() as u64;
-    let mut replaced = 0u64;
-    let mut chips = 0u64;
-
-    atomic_write(&**vfs, ckpt, |file| {
-        let mut out = BufWriter::new(file);
-        out.write_all(store_header(fingerprint).as_bytes())?;
-        let mut pending = pending.into_values().peekable();
-        for item in base.into_iter().flatten() {
-            // Damaged checkpoint records are dropped here exactly as a
-            // lenient load would drop them.
-            let Ok(record) = item?.1 else {
-                skipped += 1;
-                continue;
-            };
-            let id = record.summary.chip;
-            // Splice every journal record that sorts before this one.
-            while let Some(earlier) = pending.next_if(|r| r.summary.chip < id) {
-                writeln!(out, "{}", earlier.line)?;
+    let (mut replaced, mut chips, mut diverged) = (0u64, 0u64, Vec::new());
+    if pending.is_empty() {
+        // Nothing to fold: count the checkpoint, rewrite nothing.
+        if let Some(base) = base {
+            chips = count_records(base, &mut skipped)?;
+        }
+    } else {
+        atomic_write(&**vfs, ckpt, |file| {
+            let mut out = BufWriter::new(file);
+            out.write_all(store_header(fingerprint).as_bytes())?;
+            let mut pending = pending.into_values().peekable();
+            for item in base.into_iter().flatten() {
+                // Damaged checkpoint records are dropped here exactly as a
+                // lenient load would drop them.
+                let record = match item? {
+                    (_, Ok(record)) => record,
+                    (line, Err(warning)) => {
+                        skipped.push(format!("checkpoint line {line}: {warning}"));
+                        continue;
+                    }
+                };
+                let id = record.summary.chip;
+                // Splice every journal record that sorts before this one.
+                while let Some(earlier) = pending.next_if(|r| r.summary.chip < id) {
+                    writeln!(out, "{}", earlier.line)?;
+                    chips += 1;
+                }
+                // Present in both: the journal copy wins.
+                let line = match pending.next_if(|r| r.summary.chip == id) {
+                    Some(newer) => {
+                        if newer.line != record.line {
+                            diverged.push(id);
+                        }
+                        replaced += 1;
+                        newer.line
+                    }
+                    None => record.line,
+                };
+                writeln!(out, "{line}")?;
                 chips += 1;
             }
-            // Present in both: the journal copy wins.
-            let line = match pending.next_if(|r| r.summary.chip == id) {
-                Some(newer) => {
-                    replaced += 1;
-                    newer.line
-                }
-                None => record.line,
-            };
-            writeln!(out, "{line}")?;
-            chips += 1;
-        }
-        for record in pending {
-            writeln!(out, "{}", record.line)?;
-            chips += 1;
-        }
-        out.flush()
-    })?;
-    // The checkpoint now owns every record; truncating the journal is the
-    // second, independent step of the crash-safe pair.
-    ChipJournal::create_on(vfs, journal, fingerprint)?;
+            for record in pending {
+                writeln!(out, "{}", record.line)?;
+                chips += 1;
+            }
+            out.flush()
+        })?;
+        // The checkpoint now owns every record; truncating the journal is
+        // the second, independent step of the crash-safe pair.
+        ChipJournal::create_on(vfs, journal, fingerprint)?;
+    }
     Ok(CompactionReport {
         fingerprint,
         chips,
         merged: merged_candidates - replaced,
         skipped,
+        diverged,
     })
 }
 
@@ -232,7 +240,8 @@ mod tests {
         assert_eq!(report.fingerprint, FP);
         assert_eq!(report.chips, 6);
         assert_eq!(report.merged, 3);
-        assert_eq!(report.skipped, 0);
+        assert!(report.skipped.is_empty());
+        assert!(report.diverged.is_empty());
 
         // The merged checkpoint is exactly what a whole-fleet save would
         // have produced: same records, same order, same bytes.
@@ -286,6 +295,7 @@ mod tests {
         let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 2);
         assert_eq!(report.merged, 0, "the record replaced one, not added one");
+        assert_eq!(report.diverged, vec![ChipId(1)]);
         let loaded = load_checkpoint(&ckpt, FP).unwrap();
         assert_eq!(loaded[1], summary(1), "journal copy wins");
     }
@@ -349,7 +359,8 @@ mod tests {
         fs::write(&jpath, &text).unwrap();
         let report = compact_streaming_on(&vfs::std_fs(), &ckpt, &jpath).unwrap();
         assert_eq!(report.chips, 1);
-        assert_eq!(report.skipped, 1);
+        assert_eq!(report.skipped.len(), 1);
+        assert!(report.skipped[0].starts_with("journal line 4: "));
         assert_eq!(load_checkpoint(&ckpt, FP).unwrap(), vec![summary(0)]);
     }
 

@@ -13,11 +13,11 @@
 //! holds the same CRC-framed records, so [`load_checkpoint_report`](crate::load_checkpoint_report) replays
 //! it.
 //!
-//! On resume (and at every checkpoint save) the journal is **compacted**:
-//! the merged summaries are saved into the checkpoint first, then the
-//! journal is recreated empty. A crash between those two steps merely
-//! leaves duplicate records, which replay dedups by chip id — the
-//! simulation is deterministic, so duplicates are bit-identical.
+//! On resume the journal is folded into the checkpoint by
+//! [`compact_streaming_on`](crate::compact_streaming_on); at every later
+//! checkpoint save it is recreated empty. Either way the checkpoint is
+//! written first, so a crash between the two steps merely leaves
+//! duplicate records, which replay dedups by chip id.
 
 use crate::checkpoint::{encode_chip, store_header};
 use crate::summary::ChipSummary;
@@ -68,11 +68,6 @@ impl ChipJournal {
             .mark(&format!("ack chip={}", summary.chip.0));
         Ok(())
     }
-
-    /// The journal's path.
-    pub(crate) fn path(&self) -> &Path {
-        self.writer.path()
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +115,6 @@ mod tests {
         for i in [2usize, 0, 3, 1] {
             j.append(&originals[i]).unwrap();
         }
-        assert_eq!(j.path(), path.as_path());
         drop(j);
         let replay = load_checkpoint_report(&path, 0xF00D).unwrap();
         assert_eq!(replay.summaries, originals);

@@ -39,22 +39,27 @@
 //!   of the fleet never stalls.
 //! * [`with_journal`](FleetRunner::with_journal) — a write-ahead journal
 //!   fsyncs each finished chip, closing the up-to-`checkpoint_every`
-//!   window a SIGKILL could otherwise lose; resume replays it and
-//!   compacts it into the checkpoint.
+//!   window a SIGKILL could otherwise lose. With a checkpoint as well,
+//!   resume folds the journal into it with
+//!   [`compact_streaming_on`](crate::compact_streaming_on), the pass the
+//!   daemon boots through: where the two files disagree about a chip,
+//!   the journal copy wins. Without one, resume replays the journal and
+//!   keeps appending to it.
 //!
 //! Wall-clock guard decisions affect *which* chips complete, never their
 //! contents, and guard telemetry is emitted in sorted order after the
 //! per-chip streams — traces stay byte-identical across worker counts.
 
 use crate::aggregate::PopulationStats;
-use crate::checkpoint::{self, CheckpointError};
+use crate::checkpoint::{self, CheckpointError, CheckpointLoad};
+use crate::compact::{compact_streaming_on, read_fingerprint_on};
 use crate::config::FleetConfig;
 use crate::degrade::DegradationReport;
 use crate::job::simulate_chip_guarded;
 use crate::journal::ChipJournal;
 use crate::summary::ChipSummary;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Once;
@@ -73,8 +78,9 @@ use vs_types::{ChipId, SimTime};
 /// Why a fleet run could not produce a (possibly degraded) result.
 #[derive(Debug)]
 pub enum FleetError {
-    /// A checkpoint could not be *loaded* (corrupt file, wrong config).
-    /// Save failures do not abort the run — they land in the
+    /// A checkpoint or journal could not be *loaded* (corrupt file, wrong
+    /// config), or folding the journal into the checkpoint failed. Save
+    /// failures do not abort the run — they land in the
     /// [`DegradationReport`] instead.
     Checkpoint(CheckpointError),
     /// A chip job exhausted its retries under
@@ -377,8 +383,11 @@ impl FleetRunner {
     /// Enables the crash-safe write-ahead journal at `path`: each
     /// finished chip is appended and fsynced before the run moves on, so
     /// resume after SIGKILL recovers every finished chip even if the
-    /// periodic checkpoint never got to save them. On start the journal
-    /// is replayed, merged with the checkpoint, and compacted into it.
+    /// periodic checkpoint never got to save them. On start, with a
+    /// checkpoint configured, the journal is folded into it by
+    /// [`compact_streaming_on`](crate::compact_streaming_on) as daemon
+    /// boot does (the journal copy of a chip wins) and truncated;
+    /// without one it is replayed and appended to.
     pub fn with_journal(mut self, path: PathBuf) -> FleetRunner {
         self.journal = Some(path);
         self
@@ -498,104 +507,94 @@ impl FleetRunner {
         let (emit_filter, job_filter) = self.filters(filter);
         let mut violations: Vec<Violation> = Vec::new();
         let mut postmortems: Vec<PathBuf> = Vec::new();
+        let journal_only = self.checkpoint.is_none() && self.journal.is_some();
 
         // Restore prior progress, dropping chips beyond the current fleet
         // size (a shrunk re-run) — the fingerprint pins everything else.
         // Header/format errors are fatal (resuming without the saved work
         // would silently recompute results); damaged *records* only skip
         // that chip, which is then re-simulated.
-        let mut done: Vec<ChipSummary> = match &self.checkpoint {
-            Some(path) if self.vfs.exists(path) => {
-                let report = checkpoint::load_checkpoint_report_on(&self.vfs, path, fingerprint)?;
-                for (line, warning) in report.warnings {
-                    degradation
-                        .corrupt_records
-                        .push(format!("checkpoint line {line}: {warning}"));
-                }
-                report
-                    .summaries
-                    .into_iter()
-                    .filter(|s| s.chip.0 < self.config.num_chips)
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-
-        // Replay the write-ahead journal and merge it with the
-        // checkpoint: the union is every chip that durably finished
-        // before the previous process died.
         let mut journal: Option<ChipJournal> = None;
-        if let Some(jpath) = &self.journal {
-            let mut replayed = 0u64;
-            if self.vfs.exists(jpath) {
-                let replay = checkpoint::load_checkpoint_report_on(&self.vfs, jpath, fingerprint)?;
-                for (line, warning) in replay.warnings {
+        let (restored, merged) = match (&self.checkpoint, &self.journal) {
+            (Some(ckpt), Some(jpath)) => {
+                // Fold the journal into the checkpoint the way daemon boot
+                // does (the journal copy of a chip wins), then load the
+                // result. A foreign file is refused before anything is
+                // written.
+                for path in [ckpt, jpath].into_iter().filter(|p| self.vfs.exists(p)) {
+                    let found = read_fingerprint_on(&self.vfs, path)?;
+                    if found != fingerprint {
+                        let mismatch = CheckpointError::FingerprintMismatch {
+                            expected: fingerprint,
+                            found,
+                        };
+                        return Err(mismatch.into());
+                    }
+                }
+                let fold = compact_streaming_on(&self.vfs, ckpt, jpath)?;
+                // The fold reported the damaged records of both files, so
+                // the load's own warnings would repeat them.
+                degradation.corrupt_records.extend(fold.skipped);
+                let (armed, n) = (self.sentinel.is_some(), self.config.num_chips);
+                for chip in fold.diverged.into_iter().filter(|c| armed && c.0 < n) {
+                    let detail = format!("journal and checkpoint disagree about chip {}", chip.0);
+                    violations.push(Violation::checkpoint_mismatch(chip, detail));
+                }
+                // Recreate the journal even when the fold left it alone:
+                // it may end in a damaged record the next append would join.
+                journal = Some(
+                    ChipJournal::create_on(&self.vfs, jpath, fingerprint)
+                        .map_err(CheckpointError::Io)?,
+                );
+                (self.load(ckpt, fingerprint)?.summaries, fold.merged)
+            }
+            (Some(path), None) | (None, Some(path)) => {
+                let load = self.load(path, fingerprint)?;
+                let file = if journal_only {
+                    "journal"
+                } else {
+                    "checkpoint"
+                };
+                for (line, warning) in load.warnings {
                     degradation
                         .corrupt_records
-                        .push(format!("journal line {line}: {warning}"));
+                        .push(format!("{file} line {line}: {warning}"));
                 }
-                for summary in replay.summaries {
-                    if summary.chip.0 >= self.config.num_chips {
-                        continue;
-                    }
-                    match done.iter().find(|s| s.chip == summary.chip) {
-                        // A chip present in both stores must be identical
-                        // in both — the journal only ever holds records
-                        // the checkpoint absorbs verbatim at compaction.
-                        // Divergence means one of the two is corrupt; the
-                        // sentinel surfaces it instead of silently
-                        // preferring the checkpoint copy.
-                        Some(existing) => {
-                            if self.sentinel.is_some() && *existing != summary {
-                                violations.push(Violation::checkpoint_mismatch(
-                                    summary.chip,
-                                    format!(
-                                        "journal and checkpoint disagree about chip {}",
-                                        summary.chip.0
-                                    ),
-                                ));
-                            }
+                if journal_only {
+                    // No checkpoint to absorb the records: keep appending,
+                    // the journal stays the only durable copy.
+                    journal = Some(
+                        if self.vfs.exists(path) {
+                            ChipJournal::open_append_on(&self.vfs, path)
+                        } else {
+                            ChipJournal::create_on(&self.vfs, path, fingerprint)
                         }
-                        None => {
-                            done.push(summary);
-                            replayed += 1;
-                        }
-                    }
+                        .map_err(CheckpointError::Io)?,
+                    );
                 }
+                (load.summaries, 0)
             }
-            done.sort_by_key(|s| s.chip);
-            if replayed > 0 && filter.accepts(EventCategory::Guard) {
+            (None, None) => (Vec::new(), 0),
+        };
+        let mut done: Vec<ChipSummary> = restored
+            .into_iter()
+            .filter(|s| s.chip.0 < self.config.num_chips)
+            .collect();
+        // Without a checkpoint, every restored chip came from the journal.
+        let replayed = if journal_only {
+            done.len() as u64
+        } else {
+            merged
+        };
+        if filter.accepts(EventCategory::Guard) {
+            if replayed > 0 {
                 guard_events.push(TelemetryEvent::JournalReplayed { chips: replayed });
             }
-            // Compact: persist the merged set into the checkpoint, and
-            // only then truncate the journal — a crash in between leaves
-            // harmless duplicates, never a gap.
-            let compacted = if replayed > 0 {
-                match self.save_with_retry(fingerprint, &done, &mut injected_io) {
-                    Ok(()) => self.checkpoint.is_some(),
-                    Err(e) => {
-                        degradation.checkpoint_failures.push(e.to_string());
-                        false
-                    }
-                }
-            } else {
-                self.checkpoint.is_some() || !self.vfs.exists(jpath)
-            };
-            journal = Some(if compacted {
-                let j = ChipJournal::create_on(&self.vfs, jpath, fingerprint)
-                    .map_err(CheckpointError::Io)?;
-                if !done.is_empty() && filter.accepts(EventCategory::Guard) {
-                    compactions.push(TelemetryEvent::JournalCompacted {
-                        chips: done.len() as u64,
-                    });
-                }
-                j
-            } else {
-                // No checkpoint to absorb the records (or the save
-                // failed): keep appending, the journal stays the only
-                // durable copy.
-                ChipJournal::open_append_on(&self.vfs, jpath).map_err(CheckpointError::Io)?
-            });
+            if self.checkpoint.is_some() && journal.is_some() && !done.is_empty() {
+                compactions.push(TelemetryEvent::JournalCompacted {
+                    chips: done.len() as u64,
+                });
+            }
         }
         if let Some(scfg) = &self.sentinel {
             if scfg.mode == SentinelMode::FailFast {
@@ -694,7 +693,9 @@ impl FleetRunner {
                                         }
                                         return None;
                                     }
-                                    if failed_attempts < planned_hangs + planned_panics {
+                                    if failed_attempts
+                                        < planned_hangs.saturating_add(planned_panics)
+                                    {
                                         std::panic::panic_any(InjectedPanic);
                                     }
                                     simulate_chip_guarded(
@@ -1074,6 +1075,15 @@ impl FleetRunner {
         }
     }
 
+    /// Loads a checkpoint or journal leniently; a missing file holds no
+    /// chips.
+    fn load(&self, path: &Path, fingerprint: u64) -> Result<CheckpointLoad, CheckpointError> {
+        if !self.vfs.exists(path) {
+            return Ok(CheckpointLoad::default());
+        }
+        checkpoint::load_checkpoint_report_on(&self.vfs, path, fingerprint)
+    }
+
     /// Saves the checkpoint, retrying transient I/O errors with bounded
     /// backoff. `injected` counts down the fault plan's scheduled
     /// checkpoint I/O errors; each save attempt consumes one before
@@ -1123,14 +1133,10 @@ impl FleetRunner {
         filter: EventFilter,
         compactions: &mut Vec<TelemetryEvent>,
     ) {
-        if self.checkpoint.is_none() {
-            return;
-        }
-        let Some(j) = journal else {
+        let (Some(_), Some(path), Some(j)) = (&self.checkpoint, &self.journal, journal) else {
             return;
         };
-        let path = j.path().to_path_buf();
-        match ChipJournal::create_on(&self.vfs, &path, fingerprint) {
+        match ChipJournal::create_on(&self.vfs, path, fingerprint) {
             Ok(fresh) => {
                 *j = fresh;
                 if filter.accepts(EventCategory::Guard) {
@@ -1218,24 +1224,41 @@ mod tests {
     #[test]
     fn checkpoint_from_other_config_is_refused() {
         let path = scratch("mismatch.ckpt");
+        let journal = scratch("mismatch.journal");
         let _ = std::fs::remove_file(&path);
-        FleetRunner::new(tiny_config(), 1)
+        let first = FleetRunner::new(tiny_config(), 1)
             .with_checkpoint(path.clone())
             .run()
             .unwrap();
+        // The same config's journal, still holding a record.
+        let mut j = ChipJournal::create(&journal, tiny_config().fingerprint()).unwrap();
+        j.append(&first.summaries[0]).unwrap();
+        drop(j);
+        let files = || {
+            (
+                std::fs::read(&path).unwrap(),
+                std::fs::read(&journal).unwrap(),
+            )
+        };
+        let before = files();
         let other = FleetConfig {
             seed: FleetSeed(78),
             ..tiny_config()
         };
-        let err = FleetRunner::new(other, 1)
-            .with_checkpoint(path.clone())
-            .run();
-        assert!(matches!(
-            err,
-            Err(FleetError::Checkpoint(
-                CheckpointError::FingerprintMismatch { .. }
-            ))
-        ));
+        // Refused alone, and as a pair before the fold writes anything.
+        for with_journal in [false, true] {
+            let mut runner = FleetRunner::new(other.clone(), 1).with_checkpoint(path.clone());
+            if with_journal {
+                runner = runner.with_journal(journal.clone());
+            }
+            assert!(matches!(
+                runner.run(),
+                Err(FleetError::Checkpoint(
+                    CheckpointError::FingerprintMismatch { .. }
+                ))
+            ));
+            assert!(files() == before, "a refused resume must not write");
+        }
     }
 
     #[test]
@@ -1426,6 +1449,55 @@ mod tests {
     }
 
     #[test]
+    fn damaged_records_of_both_files_are_reported_once_each() {
+        let path = scratch("damaged.ckpt");
+        let journal = scratch("damaged.journal");
+        let fp = tiny_config().fingerprint();
+        let fresh = FleetRunner::new(tiny_config(), 2).run().unwrap();
+        // Chips 0..3 in the checkpoint with chip 1's record flipped, and
+        // the journal's chips 3..6 with the last append torn.
+        let plant = |journaled: &[ChipSummary]| {
+            checkpoint::save_checkpoint(&path, fp, &fresh.summaries[..3]).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, text.replacen("chip 1 ", "chip 1  ", 1)).unwrap();
+            let mut j = ChipJournal::create(&journal, fp).unwrap();
+            for s in journaled {
+                j.append(s).unwrap();
+            }
+            drop(j);
+            let mut text = std::fs::read_to_string(&journal).unwrap();
+            text.truncate(text.len() - 12);
+            std::fs::write(&journal, text).unwrap();
+        };
+        let resume = || {
+            FleetRunner::new(tiny_config(), 2)
+                .with_checkpoint(path.clone())
+                .with_journal(journal.clone())
+                .run()
+                .unwrap()
+        };
+
+        plant(&fresh.summaries[3..]);
+        let result = resume();
+        assert_eq!(result.summaries, fresh.summaries);
+        assert_eq!(result.resumed, 4, "chips 0, 2, 3 and 4");
+        let damaged = &result.degradation.corrupt_records;
+        assert_eq!(damaged.len(), 2, "{damaged:?}");
+        assert!(damaged.iter().any(|d| d.starts_with("checkpoint line 4: ")));
+        assert!(damaged.iter().any(|d| d.starts_with("journal line 5: ")));
+
+        // With nothing to fold the checkpoint is not rewritten; its
+        // damaged record is still reported once.
+        plant(&fresh.summaries[3..4]);
+        let result = resume();
+        assert_eq!(result.summaries, fresh.summaries);
+        let damaged = &result.degradation.corrupt_records;
+        assert_eq!(damaged.len(), 2, "{damaged:?}");
+        assert!(damaged.iter().any(|d| d.starts_with("checkpoint line 4: ")));
+        assert!(damaged.iter().any(|d| d.starts_with("journal line 3: ")));
+    }
+
+    #[test]
     fn injected_checkpoint_io_errors_are_retried_transparently() {
         let path = scratch("ioerr.ckpt");
         let _ = std::fs::remove_file(&path);
@@ -1534,7 +1606,8 @@ mod tests {
         use vs_sentinel::Invariant;
         // Builds a checkpoint+journal pair that disagree about chip 1:
         // the journal holds what the fleet really produced, the
-        // checkpoint a record tampered after the fact.
+        // checkpoint a record tampered after the fact. Returns the pair
+        // and chip 1's untampered summary.
         let plant = |tag: &str| {
             let journal = scratch(&format!("diverge-{tag}.journal"));
             let path = scratch(&format!("diverge-{tag}.ckpt"));
@@ -1550,12 +1623,12 @@ mod tests {
             let mut tampered: Vec<ChipSummary> = fresh.summaries[..3].to_vec();
             tampered[1].correctable += 1;
             checkpoint::save_checkpoint(&path, tiny_config().fingerprint(), &tampered).unwrap();
-            (path, journal)
+            (path, journal, fresh.summaries[1].clone())
         };
 
-        let (path, journal) = plant("record");
+        let (path, journal, untampered) = plant("record");
         let result = FleetRunner::new(tiny_config(), 2)
-            .with_checkpoint(path)
+            .with_checkpoint(path.clone())
             .with_journal(journal)
             .with_sentinel(tiny_config().sentinel_config())
             .run()
@@ -1566,9 +1639,13 @@ mod tests {
             Invariant::CheckpointConsistency
         );
         assert_eq!(result.violations[0].chip, Some(ChipId(1)));
+        // The journal copy wins, in the result and on disk.
+        assert_eq!(result.summaries[1], untampered);
+        let saved = checkpoint::load_checkpoint(&path, tiny_config().fingerprint()).unwrap();
+        assert_eq!(saved[1], untampered);
 
         // Fail-fast mode aborts before simulating anything.
-        let (path, journal) = plant("failfast");
+        let (path, journal, _) = plant("failfast");
         let err = FleetRunner::new(tiny_config(), 2)
             .with_checkpoint(path)
             .with_journal(journal)

@@ -128,10 +128,11 @@ fn main() -> ExitCode {
                     );
                 }
                 for report in &recovery.compactions {
-                    if report.merged > 0 || report.skipped > 0 {
+                    let skipped = report.skipped.len();
+                    if report.merged > 0 || skipped > 0 {
                         eprintln!(
-                            "vs-fleetd: recovered {:016x}: {} chips ({} from journal, {} damaged records skipped)",
-                            report.fingerprint, report.chips, report.merged, report.skipped
+                            "vs-fleetd: recovered {:016x}: {} chips ({} from journal, {skipped} damaged records skipped)",
+                            report.fingerprint, report.chips, report.merged
                         );
                     }
                 }

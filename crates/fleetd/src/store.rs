@@ -5,9 +5,9 @@
 //! config owns a `<fingerprint>.ckpt` checkpoint and a
 //! `<fingerprint>.journal` write-ahead journal, both in the formats
 //! `vs-fleet` already speaks. A job for a config the store has seen
-//! before resumes where the last one stopped — that falls out of the
-//! runner's own checkpoint/journal replay; the store just pins the
-//! paths.
+//! before resumes where the last one stopped: the runner folds the pair
+//! with the same [`vs_fleet::compact_streaming_on`] pass boot uses, and
+//! the store just pins the paths.
 //!
 //! On startup [`FleetStore::boot_recover`] runs the fsck scrub in
 //! repair mode (orphan temps removed, torn journal tails truncated,
@@ -155,23 +155,6 @@ impl FleetStore {
             .collect())
     }
 
-    /// Folds every journal into its checkpoint (streaming, O(journal
-    /// window) memory). Call once at startup, before workers run: a
-    /// SIGKILL'd predecessor's journals become checkpoint records, and
-    /// every pair is left with an empty journal. Returns one report per
-    /// configuration that had a journal.
-    ///
-    /// Prefer [`boot_recover`](FleetStore::boot_recover), which scrubs
-    /// first and quarantines pairs this pass would die on.
-    pub fn recover(&self) -> Result<Vec<CompactionReport>, CheckpointError> {
-        let mut reports = Vec::new();
-        for journal in self.journals()? {
-            let ckpt = journal.with_extension("ckpt");
-            reports.push(compact_streaming_on(&self.vfs, &ckpt, &journal)?);
-        }
-        Ok(reports)
-    }
-
     /// Boot-time recovery: scrub in repair mode, then compact every
     /// pair. A pair whose compaction still fails with a *format*
     /// problem after repair is quarantined — the daemon boots on the
@@ -213,7 +196,7 @@ impl FleetStore {
 
     /// Total chip records across every checkpoint in the store, counted
     /// streaming. Journal records not yet compacted are not included;
-    /// after [`recover`](FleetStore::recover) there are none.
+    /// after [`boot_recover`](FleetStore::boot_recover) there are none.
     pub fn stored_chips(&self) -> u64 {
         let Ok(entries) = self.vfs.read_dir_sorted(&self.dir) else {
             return 0;
@@ -245,13 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn recover_absorbs_journals_and_counts_chips() {
+    fn boot_recover_absorbs_journals_and_counts_chips() {
         let dir = scratch("recover");
         let store = FleetStore::open(&dir).unwrap();
         let config = FleetConfig::small(FleetSeed(99), 3);
-        // A run that journals but is "killed" before compacting: simulate
-        // by running with a journal and no checkpoint saves mid-run, then
-        // deleting the checkpoint the runner compacted into.
+        // A finished run with both files leaves a compacted pair: every
+        // chip in the checkpoint, the journal back to its header.
         let ckpt = store.checkpoint_path(&config);
         let journal = store.journal_path(&config);
         let runner = FleetRunner::new(config.clone(), 2)
@@ -262,10 +244,11 @@ mod tests {
         assert_eq!(store.stored_chips(), 3);
 
         // Startup recovery over an already-compacted pair is a no-op.
-        let reports = store.recover().unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].chips, 3);
-        assert_eq!(reports[0].merged, 0);
+        let recovery = store.boot_recover().unwrap();
+        assert!(recovery.scrub.clean(), "{}", recovery.scrub);
+        assert_eq!(recovery.compactions.len(), 1);
+        assert_eq!(recovery.compactions[0].chips, 3);
+        assert_eq!(recovery.compactions[0].merged, 0);
         assert_eq!(store.stored_chips(), 3);
     }
 

@@ -26,9 +26,10 @@
 //!   full queue — an ordering that does not depend on thread timing.
 //!
 //! The harness's correctness contract (what `repro --chaos-daemon`
-//! checks case by case): the retrying client's final result is
-//! byte-identical to a fault-free baseline, no duplicate sweep is ever
-//! admitted, and every injected fault is visible in the scraped metrics.
+//! checks case by case through [`torture_oracle`]): the retrying
+//! client's final result is byte-identical to a fault-free baseline, no
+//! duplicate sweep is ever admitted, and every injected fault is visible
+//! in the scraped metrics.
 
 use crate::client::{submit_and_watch, Client, JobOutcome, RetryPolicy, RetryReport};
 use crate::protocol::{Response, SweepSpec};
@@ -446,46 +447,48 @@ pub fn run_torture_case(case: &TortureCase) -> Result<TortureOutcome, String> {
     })
 }
 
-/// The `--chaos-daemon` / minimizer oracle: does this fault schedule
-/// make the daemon tier misbehave? Runs the schedule and a fault-free
-/// baseline in sibling scratch directories and compares: a divergent
-/// terminal outcome, divergent per-chip results, any duplicate sweep,
-/// or a harness-level failure all count as misbehavior.
-pub fn torture_diverges(
-    plan: &FaultPlan,
+/// The `--chaos-daemon` / minimizer oracle: does a fault schedule make
+/// the daemon tier misbehave? Runs the fault-free baseline once, under
+/// `scratch`, and returns a judge that runs a schedule in a sibling
+/// directory and compares it with the baseline: a divergent terminal
+/// outcome, divergent per-chip results, any duplicate sweep, or a
+/// harness-level failure all count as misbehavior. Returns `Err` when
+/// the baseline itself fails: without it no schedule can be judged.
+pub fn torture_oracle(
     seed: u64,
     chips: u64,
     job_workers: usize,
     break_dedup: bool,
     scratch: &Path,
-) -> bool {
-    let clean_plan = FaultPlan::new();
-    let fault_dir = scratch.join("fault");
-    let clean_dir = scratch.join("clean");
-    let faulty = run_torture_case(&TortureCase {
-        plan,
-        seed,
-        chips,
-        job_workers,
-        break_dedup,
-        dir: &fault_dir,
-    });
+) -> Result<impl Fn(&FaultPlan) -> bool, String> {
     let clean = run_torture_case(&TortureCase {
-        plan: &clean_plan,
+        plan: &FaultPlan::new(),
         seed,
         chips,
         job_workers,
         break_dedup: false,
-        dir: &clean_dir,
-    });
-    match (faulty, clean) {
-        (Ok(faulty), Ok(clean)) => {
-            faulty.duplicate_sweeps > 0
-                || faulty.outcome != clean.outcome
-                || faulty.done_lines != clean.done_lines
+        dir: &scratch.join("clean"),
+    })
+    .map_err(|e| format!("fault-free baseline failed: {e}"))?;
+    let dir = scratch.join("fault");
+    Ok(move |plan: &FaultPlan| {
+        let faulty = run_torture_case(&TortureCase {
+            plan,
+            seed,
+            chips,
+            job_workers,
+            break_dedup,
+            dir: &dir,
+        });
+        match faulty {
+            Ok(faulty) => {
+                faulty.duplicate_sweeps > 0
+                    || faulty.outcome != clean.outcome
+                    || faulty.done_lines != clean.done_lines
+            }
+            Err(_) => true,
         }
-        _ => true,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -92,8 +92,8 @@ impl Drop for HeartbeatHandle {
 
 /// The supervisor: one background thread polling every registered job.
 ///
-/// Dropping the watchdog stops the thread (after its current poll) and
-/// leaves all tokens as they are.
+/// Dropping the watchdog wakes and stops the thread and leaves all
+/// tokens as they are.
 #[derive(Debug)]
 pub struct Watchdog {
     shared: Arc<Shared>,
@@ -149,6 +149,7 @@ impl Drop for Watchdog {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -157,7 +158,8 @@ impl Drop for Watchdog {
 /// The supervisor loop: cancel expired jobs, prune finished ones.
 fn watch(shared: &Shared, poll: Duration) {
     while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(poll);
+        // `Drop` unparks this early; a spurious wake is one extra scan.
+        std::thread::park_timeout(poll);
         let now = shared.now_ns();
         let mut jobs = shared
             .jobs
@@ -258,5 +260,16 @@ mod tests {
             "the job's own flag stays clear — this was a run-wide cancel"
         );
         assert!(!handle.fired());
+    }
+
+    #[test]
+    fn dropping_does_not_wait_out_the_poll_interval() {
+        let watchdog = Watchdog::spawn(Duration::from_secs(30));
+        // Give the thread time to enter its poll wait; the check below
+        // cannot fail spuriously, only pass early.
+        std::thread::sleep(Duration::from_millis(100));
+        let start = Instant::now();
+        drop(watchdog);
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 }

@@ -14,7 +14,7 @@
 //!   dashboard and the golden tests share. Deterministic: name-sorted
 //!   output, shortest-round-trip floats, cumulative histogram buckets.
 //! * **Causal span model** ([`span`]) — deterministic span ids for the
-//!   job → lane → chip → tick-batch hierarchy and [`SpanTree`]
+//!   job → lane → chip → tick-batch hierarchy and [`span::SpanTree`]
 //!   reconstruction from a merged trace. Span ids are pure functions of
 //!   position in the hierarchy (the "lane" is `chip mod LANES`, never
 //!   the physical worker), and causality rides in explicit `id`/`parent`
@@ -42,5 +42,4 @@ pub use flight::{
     PostmortemTrigger, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use prom::{metric_name, render_prometheus, PromParseError, PromSample, PromSnapshot};
-pub use span::{SpanNode, SpanTree};
 pub use top::render_top;

@@ -232,10 +232,10 @@ fn killed_daemon_recovers_the_journal_and_matches_an_uninterrupted_run() {
 
     // Daemon restart: recovery folds the journal into a checkpoint
     // streaming, losing nothing.
-    let reports = crashed.recover().unwrap();
+    let reports = crashed.boot_recover().unwrap().compactions;
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].merged, 3, "all journaled chips recovered");
-    assert_eq!(reports[0].skipped, 0);
+    assert!(reports[0].skipped.is_empty());
     assert_eq!(crashed.stored_chips(), 3);
 
     // Resubmitting the same sweep resumes: 3 restored, 5 simulated.
@@ -328,7 +328,7 @@ fn run_to_end(scheduler: &Scheduler, sweep: SweepSpec) -> JobOutcome {
 // ---------------------------------------------------------------------------
 
 use vs_faults::{minimize, FaultPlan, FaultSpec};
-use vs_fleetd::torture::{run_torture_case, torture_diverges, TortureCase};
+use vs_fleetd::torture::{run_torture_case, torture_oracle, TortureCase};
 
 /// The acceptance gate of the torture layer: a seeded schedule mixing
 /// every injection surface — torn frames, a dropped connection, a
@@ -434,13 +434,12 @@ fn planted_idempotency_bug_shrinks_to_the_same_reproducer_for_any_worker_count()
     let mut reproducers = Vec::new();
     for job_workers in [1usize, 4] {
         let dir = scratch(&format!("torture-ddmin-{job_workers}"));
+        let diverges = torture_oracle(7, 3, job_workers, true, &dir).unwrap();
         assert!(
-            torture_diverges(&plan, 7, 3, job_workers, true, &dir),
+            diverges(&plan),
             "the planted bug must make the full schedule diverge ({job_workers} workers)"
         );
-        let minimal = minimize(&plan, |cand| {
-            torture_diverges(cand, 7, 3, job_workers, true, &dir)
-        });
+        let minimal = minimize(&plan, &diverges);
         reproducers.push(minimal.to_spec_string());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -133,9 +133,10 @@ fn journal_carries_progress_when_the_checkpoint_cannot_be_saved() {
     let replay = load_checkpoint_report(&journal, config.fingerprint()).unwrap();
     assert_eq!(replay.summaries.len(), 6, "the journal kept every chip");
 
-    // Resume replays the journal: nothing is re-simulated. (The startup
-    // compaction still hits the injected save errors, which just means
-    // the journal is kept as the durable copy once more.)
+    // Resume folds the journal into the checkpoint: nothing is
+    // re-simulated. (The injected errors hit the runner's own checkpoint
+    // saves only; the start-of-run fold is the store's compaction, so it
+    // writes the checkpoint and truncates the journal.)
     let ckpt = scratch("floor.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let resumed = FleetRunner::new(config, 2)

@@ -13,8 +13,8 @@ use std::time::Duration;
 use vs_faults::FaultSpec;
 use vs_fleet::{ControllerVariant, FleetConfig, FleetRunner};
 use vs_fleetd::{FleetStore, Response, Scheduler, SchedulerConfig, SweepSpec};
-use vs_obs::span::{chip_span, job_span, lane_of, lane_span};
-use vs_obs::{read_bundle, render_prometheus, PostmortemTrigger, PromSnapshot, SpanTree};
+use vs_obs::span::{chip_span, job_span, lane_of, lane_span, SpanTree};
+use vs_obs::{read_bundle, render_prometheus, PostmortemTrigger, PromSnapshot};
 use vs_telemetry::{EventCategory, EventFilter, EventMetrics, SilentProgress, SpanLevel};
 use vs_types::{ChipId, FleetSeed, SimTime};
 
